@@ -250,16 +250,19 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
+def _norm_grid(state: StateSpec, source: Source) -> WignerGrid:
+    """The state sampled on its auto-sized quadrature box."""
+    return sample_grid(state, default_norm_box(state), NORM_GRID_POINTS, NORM_GRID_POINTS, source)
+
+
 def normalization_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Normalization integral on the auto-sized box."""
-    grid = sample_grid(state, default_norm_box(state), NORM_GRID_POINTS, NORM_GRID_POINTS, source)
-    return normalization_integral(grid)
+    return normalization_integral(_norm_grid(state, source))
 
 
 def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Negativity volume on the auto-sized box."""
-    grid = sample_grid(state, default_norm_box(state), NORM_GRID_POINTS, NORM_GRID_POINTS, source)
-    return negativity_volume(grid)
+    return negativity_volume(_norm_grid(state, source))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +299,9 @@ def verify_state(
 
     Runs both evaluators on the grid, reports max/mean pointwise error,
     the closed-form normalization on the auto-sized box, and the
-    negativity volume.  Stage failures are recorded in ``errors`` and do
-    not abort the remaining stages.  Deterministic for fixed inputs.
+    negativity volume; both integrals come from one sampling of that
+    box.  Stage failures are recorded in ``errors`` and do not abort the
+    remaining stages.  Deterministic for fixed inputs.
     """
     default_box, default_nq, default_np = default_verification_grid(state)
     box = box if box is not None else default_box
@@ -321,14 +325,21 @@ def verify_state(
         errors.append(f"grid comparison: {exc}")
 
     try:
-        norm_integral = normalization_of_state(state)
+        norm_grid = _norm_grid(state, Source.CLOSED_FORM)
     except Exception as exc:
-        errors.append(f"normalization: {exc}")
+        norm_grid = None
+        errors += [f"normalization: {exc}", f"negativity: {exc}"]
 
-    try:
-        negativity = negativity_of_state(state)
-    except Exception as exc:
-        errors.append(f"negativity: {exc}")
+    if norm_grid is not None:
+        try:
+            norm_integral = normalization_integral(norm_grid)
+        except Exception as exc:
+            errors.append(f"normalization: {exc}")
+
+        try:
+            negativity = negativity_volume(norm_grid)
+        except Exception as exc:
+            errors.append(f"negativity: {exc}")
 
     passed = (
         not errors

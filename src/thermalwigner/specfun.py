@@ -8,9 +8,11 @@ two-variable Hermite polynomials H_{m,n}(x, y) defined by the double sum
 
 which satisfy the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
 
-Laguerre values are produced by the stable three-term recurrence; the
-explicit factorial sum is kept (``laguerre_sum``) as an independent
-reference that the tests replay against the recurrence.
+Both families are produced by recurrences: Laguerre values by the
+stable three-term recurrence, and the Hermite table at real arguments
+row by row (``hermite2_rows``).  The explicit factorial sums are kept
+(``laguerre_sum``, ``hermite2``) as independent references that the
+tests replay against the recurrences.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -134,6 +136,44 @@ def hermite2(m: int, n: int, x, y):
         )
         acc += coeff * x ** (m - l) * y ** (n - l)
     return complex(acc.reshape(-1)[0]) if scalar else acc
+
+
+def hermite2_rows(m_max: int, k_max: int, x, y):
+    """Rows of the two-variable Hermite table at real arguments.
+
+    Yields, for m = 0, 1, ..., m_max, the array of shape
+    (k_max + 1,) + broadcast shape of (x, y) whose entry k is
+    H_{m,k}(x, y).  The rows come from the recurrence
+
+        H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1},
+
+    the s-derivative of the generating function exp(s x + t y - s t).
+    Each step is vectorized over k and keeps only the previous row, so
+    the whole table is never held; every yielded row is a fresh array.
+
+    Args:
+        m_max, k_max: largest orders, 0 <= m_max, k_max <= 32.
+        x, y: real arguments, scalars or broadcastable arrays.
+    """
+    m_max = _check_order(m_max, "m_max")
+    k_max = _check_order(k_max, "k_max")
+    if m_max > HERMITE_ORDER_MAX or k_max > HERMITE_ORDER_MAX:
+        raise ValueError(
+            f"hermite2 orders are limited to {HERMITE_ORDER_MAX}, got ({m_max}, {k_max})"
+        )
+    x = _check_finite(x, "x")
+    y = _check_finite(y, "y")
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        raise TypeError("hermite2_rows takes real arguments; use hermite2 for complex ones")
+    x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
+    k = np.arange(k_max + 1.0).reshape((-1,) + (1,) * x.ndim)
+    row = y ** k
+    yield row
+    for _ in range(m_max):
+        step = x * row
+        step[1:] -= k[1:] * row[:-1]
+        row = step
+        yield row
 
 
 def laguerre_from_hermite(n: int, x, y):

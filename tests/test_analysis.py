@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thermalwigner import analysis
 from thermalwigner.analysis import (
+    NORM_GRID_POINTS,
     Box,
     BoxTooSmallError,
     Source,
@@ -171,11 +173,29 @@ class TestVerifyState:
             second.to_dict(), sort_keys=True
         )
 
+    def test_samples_the_norm_box_once(self, monkeypatch):
+        calls = []
+        original = analysis.sample_grid
+
+        def counting(spec, box, nq, np_, source):
+            calls.append((box, nq, np_, Source(source)))
+            return original(spec, box, nq, np_, source)
+
+        monkeypatch.setattr(analysis, "sample_grid", counting)
+        spec = state("added", 0.3, n=1)
+        report = verify_state(spec)
+        assert report.passed and report.negativity_volume > 0.0
+        norm = (default_norm_box(spec), NORM_GRID_POINTS, NORM_GRID_POINTS, Source.CLOSED_FORM)
+        assert calls.count(norm) == 1
+        assert report.norm_integral == normalization_of_state(spec)
+        assert report.negativity_volume == negativity_of_state(spec)
+
     def test_collects_errors_without_aborting(self):
         # degenerate subtraction: every stage fails but none aborts the run
         report = verify_state(state("subtracted", 0.0, n=1))
         assert not report.passed
-        assert len(report.errors) == 3
+        stages = [error.split(":")[0] for error in report.errors]
+        assert stages == ["grid comparison", "normalization", "negativity"]
 
     def test_tolerance_override(self):
         report = verify_state(state("vacuum", 0.2), max_err_tol=1e-30)

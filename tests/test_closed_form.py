@@ -19,10 +19,29 @@ from thermalwigner.closed_form import (
     wigner_thermal_number,
     wigner_thermal_vacuum,
 )
+from thermalwigner.specfun import factorial, hermite2
 from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
+
+
+def thermal_number_complex_sum(alpha, n, theta):
+    """The paper's thermal number double sum at complex alpha, term by term."""
+    s = 1.0 / math.cosh(2.0 * theta)
+    t = math.tanh(2.0 * theta)
+    arg_e = 2.0 * alpha * s * math.cosh(theta)
+    arg_y = 2.0 * alpha.conjugate() * s * math.sinh(theta) / t
+    total = 0.0
+    for l in range(n + 1):
+        for k in range(n + 1):
+            coeff = (-1.0) ** k * s ** (l + k) * t ** (2 * (n - l)) / (
+                factorial(l) * factorial(k) * (factorial(n - l) * factorial(n - k)) ** 2
+            )
+            total += coeff * abs(hermite2(n - k, n - l, arg_e, arg_y)) ** 2
+    return factorial(n) ** 2 * math.exp(-2.0 * abs(alpha) ** 2 * s) / (
+        math.pi * math.cosh(2.0 * theta)
+    ) * total
 
 
 def random_points(rng, count, scale=2.5):
@@ -210,19 +229,19 @@ class TestThermalNumber:
             wigner_thermal_number(ORIGIN, 1, params_from_theta(0.0))
 
     def test_phase_invariance(self):
-        # all four families are Fock-diagonal, so W depends on |alpha| only
+        # the radial kernel against the paper's complex-alpha double sum,
+        # assembled here from the explicit two-variable Hermite sum
         thermal = params_from_theta(0.4)
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            radius = float(rng.uniform(0.1, 2.5))
-            phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
-            vals = [
-                wigner_thermal_number(
-                    PhasePoint(radius * math.cos(ph), radius * math.sin(ph)), 2, thermal
-                )
-                for ph in phases
-            ]
-            assert np.ptp(vals) < 1e-13 * (1.0 + abs(vals[0]))
+        for n in (2, 8):
+            for _ in range(10):
+                radius = float(rng.uniform(0.1, 2.5))
+                for phase in rng.uniform(0.0, 2.0 * math.pi, size=4):
+                    point = PhasePoint(radius * math.cos(phase), radius * math.sin(phase))
+                    expected = thermal_number_complex_sum(point.alpha, n, thermal.theta)
+                    assert wigner_thermal_number(point, n, thermal) == pytest.approx(
+                        expected, rel=1e-12
+                    )
 
     def test_returns_float(self):
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))

@@ -10,6 +10,7 @@ from thermalwigner.specfun import (
     FACTORIAL_TABLE_SIZE,
     factorial,
     hermite2,
+    hermite2_rows,
     laguerre,
     laguerre_from_hermite,
     laguerre_sum,
@@ -138,6 +139,39 @@ class TestHermite2:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             hermite2(1, 1, complex("nan"), 1.0)
+
+
+class TestHermite2Rows:
+    def test_rows_match_explicit_sum(self):
+        # every m, k <= 16 at real arguments of both signs; the tolerance is
+        # relative to the sum of the explicit sum's term magnitudes,
+        # |H_{m,k}(|x|, -|y|)|, since near a zero of H both routes cancel
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-4.0, 4.0, 40)
+        y = rng.uniform(-4.0, 4.0, 40)
+        table = np.array(list(hermite2_rows(16, 16, x, y)))
+        assert table.shape == (17, 17, 40)
+        for m in range(17):
+            for k in range(17):
+                ref = hermite2(m, k, x, y)
+                scale = np.abs(hermite2(m, k, np.abs(x), -np.abs(y)))
+                assert np.all(np.abs(table[m, k] - ref) <= 1e-12 * scale), (m, k)
+
+    def test_rows_keep_the_argument_shape(self):
+        x = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        rows = list(hermite2_rows(3, 2, x, 0.5))
+        assert len(rows) == 4
+        assert all(row.shape == (3, 2, 3) for row in rows)
+        assert rows[1][1] == pytest.approx(x * 0.5 - 1.0, abs=1e-15)
+        assert [row[0] for row in hermite2_rows(2, 0, 1.5, 7.0)] == [1.0, 1.5, 2.25]
+
+    def test_rows_refuse_bad_inputs(self):
+        with pytest.raises(ValueError):
+            next(hermite2_rows(33, 0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            next(hermite2_rows(1, 1, float("nan"), 1.0))
+        with pytest.raises(TypeError):
+            next(hermite2_rows(1, 1, 1j, 1.0))
 
 
 class TestBridge:
