@@ -48,7 +48,6 @@ from .fock_oracle import (
     build_oracle_state,
     displacement_operator,
     ladder_ops,
-    partial_trace_tilde,
     thermal_density_matrix,
     thermal_number_reduced,
     wigner_from_density,
@@ -105,7 +104,6 @@ __all__ = [
     "params_from_mean_photons",
     "params_from_temperature",
     "params_from_theta",
-    "partial_trace_tilde",
     "sample_grid",
     "scan_theta",
     "thermal_density_matrix",

@@ -11,6 +11,14 @@ exponential and alpha = (q + i p) / sqrt(2).  Nothing in this module
 uses the closed-form expressions, so pointwise agreement between the two
 routes certifies both.
 
+Every state is built as an operation that conserves a photon-number
+difference, so it stays diagonal in the number basis: thermal weights,
+ladder conditioning a^n rho a^dag^n, and, for the number family, the
+two-mode squeeze of |n> x |n> restricted to its invariant sector
+span{|k> x |k>} (thermo field dynamics, Takahashi & Umezawa 1975).  A
+diagonal state's Wigner function depends on |alpha| alone, so the grid
+evaluator computes the displaced parity once per distinct radius.
+
 The prefactor is not hard-coded: conventions for the parity identity
 differ across sources, so it is calibrated once by requiring the vacuum
 value at the origin to be 1/pi, the peak height that makes
@@ -35,9 +43,8 @@ import scipy.linalg
 
 from .states import Family, PhasePoint, StateSpec
 
-# Per-mode cap for the doubled-space construction: its generator is a
-# dim^2 x dim^2 dense matrix, 1024^2 at this cap.
-TWO_MODE_DIM_MAX = 32
+# Default per-mode truncation of the doubled-space number-state build.
+TWO_MODE_DIM = 32
 
 THERMAL_TAIL_TOL = 1e-12
 DEFAULT_LEAK_TOL = 1e-10
@@ -213,42 +220,17 @@ def apply_addition(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, f
     return FockDensityMatrix(dim=rho.dim, entries=out / raw), raw
 
 
-def partial_trace_tilde(rho2: np.ndarray, dim: int) -> FockDensityMatrix:
-    """Reduce a two-mode density matrix over its second (tilde) factor.
-
-    ``rho2`` must be dim^2 x dim^2 with the first factor's index major
-    (kron ordering), Hermitian and unit trace.
-    """
-    dim = int(dim)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho2.shape != (dim * dim, dim * dim):
-        raise ValueError(
-            f"expected a {dim * dim} x {dim * dim} two-mode matrix, got {rho2.shape}"
-        )
-    if np.max(np.abs(rho2 - rho2.conj().T)) > 1e-10:
-        raise ValueError("two-mode density matrix is not Hermitian")
-    trace = rho2.trace().real
-    if abs(trace - 1.0) > 1e-8:
-        raise ValueError(f"two-mode density matrix trace {trace!r} is not 1")
-    reduced = np.einsum("itjt->ij", rho2.reshape(dim, dim, dim, dim))
-    reduced = reduced / reduced.trace().real
-    return FockDensityMatrix(dim=dim, entries=reduced)
-
-
-def two_mode_squeeze_generator(theta: float, dim: int) -> np.ndarray:
-    """Generator theta * (a^dag x a^dag - a x a) on the doubled space."""
-    ops = ladder_ops(dim)
-    return float(theta) * (
-        np.kron(ops.create, ops.create) - np.kron(ops.annihilate, ops.annihilate)
-    )
-
-
-def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM_MAX) -> FockDensityMatrix:
+def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> FockDensityMatrix:
     """Single-mode reduction of the squeezed doubled-space number state.
 
-    Applies exp[theta (a^dag a~^dag - a a~)] to |n> x |n>, forms the pure
-    density matrix and traces out the tilde mode.  This is the oracle for
-    the finite-temperature number-state Wigner function; for n = 0 it
+    The generator theta (a^dag a~^dag - a a~) conserves a^dag a - a~^dag a~,
+    so exp[theta (a^dag a~^dag - a a~)] maps |n> x |n> into span{|k> x |k>}.
+    On that span, truncated at ``dim`` levels per mode, the generator is
+    the real tridiagonal matrix with <k+1|G|k> = theta (k+1) = -<k|G|k+1>;
+    the truncated kron generator leaves the span invariant, so its
+    exponential there is exact.  With c_k the amplitude of |k> x |k>,
+    tracing out the tilde mode leaves diag(|c_k|^2).  This is the oracle
+    for the finite-temperature number-state Wigner function; for n = 0 it
     reproduces the thermal state with n_c = sinh^2(theta).
 
     Raises:
@@ -259,28 +241,23 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM_MAX) ->
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     dim = int(dim)
-    if dim > TWO_MODE_DIM_MAX:
-        raise ValueError(
-            f"two-mode work is capped at {TWO_MODE_DIM_MAX} levels per mode, got {dim}"
-        )
     if n >= dim:
         raise ValueError(f"n = {n} does not fit in dim = {dim}")
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
-    generator = two_mode_squeeze_generator(theta, dim)
-    squeeze = scipy.linalg.expm(generator)
-    psi = squeeze[:, n * dim + n]
-    amplitudes = psi.reshape(dim, dim)
+    steps = float(theta) * np.arange(1.0, dim)
+    generator = np.diag(steps, k=-1) - np.diag(steps, k=1)
+    amplitudes = scipy.linalg.expm(generator)[:, n]
+    weights = amplitudes * amplitudes
     guard = 2
-    body = float(np.sum(np.abs(amplitudes[: dim - guard, : dim - guard]) ** 2))
-    deficit = abs(float(np.vdot(psi, psi).real) - body)
+    deficit = float(np.sum(weights[dim - guard :]))
     if deficit > TWO_MODE_DEFICIT_TOL:
         raise TruncationError(
             f"two-mode truncation deficit {deficit:.3e} at dim {dim} per mode "
             f"(n = {n}, theta = {theta:g}) exceeds {TWO_MODE_DEFICIT_TOL:g}"
         )
-    rho2 = np.outer(psi, psi.conj())
-    return partial_trace_tilde(rho2, dim)
+    weights = weights / weights.sum()
+    return FockDensityMatrix(dim=dim, entries=np.diag(weights.astype(complex)))
 
 
 def embed_density(rho: FockDensityMatrix, dim: int) -> FockDensityMatrix:
@@ -372,26 +349,29 @@ def wigner_from_density(
             f"{abs(point.alpha):.3g} exceeds {leak_tol:g}"
         )
     parity_sum = complex(np.sum(_parity_signs(rho.dim) * diag))
-    assert abs(parity_sum.imag) < 1e-10, "parity sum acquired an imaginary part"
+    if not abs(parity_sum.imag) < 1e-10:
+        raise RuntimeError(
+            f"parity sum acquired an imaginary part {parity_sum.imag:.3e}"
+        )
     return parity_prefactor() * parity_sum.real
 
 
 @lru_cache(maxsize=8)
 def _quadrature_eig(dim: int):
-    """Eigen-decompositions of the two fixed displacement generators.
+    """Eigen-decomposition of the q-displacement generator.
 
-    D((q + i p)/sqrt(2)) splits, up to a scalar phase that cancels in
-    the parity conjugation, into exp(q Gq) exp(p Gp) with
-    Gq = (a^dag - a)/sqrt(2) and Gp = i (a^dag + a)/sqrt(2).  Both are
-    anti-Hermitian, so one Hermitian eigendecomposition each turns every
-    grid displacement into a diagonal phase in its own eigenbasis.
+    D(q / sqrt(2)) = exp(q Gq) with Gq = (a^dag - a)/sqrt(2), which is
+    anti-Hermitian: one Hermitian eigendecomposition of -i Gq turns every
+    such displacement into a diagonal phase exp(i q lam) in its eigenbasis.
     """
     ops = ladder_ops(dim)
     herm_q = -1j * (ops.create.astype(complex) - ops.annihilate) / _SQRT2
-    lam_q, vec_q = np.linalg.eigh(herm_q)
-    herm_p = (ops.create + ops.annihilate) / _SQRT2
-    lam_p, vec_p = np.linalg.eigh(herm_p)
-    return lam_q, vec_q, lam_p, vec_p.astype(complex)
+    return np.linalg.eigh(herm_q)
+
+
+# Radii evaluated together by the grid evaluator: its work buffers hold
+# (chunk, dim) phases, so memory is O(chunk dim + dim^2) for any grid.
+_RADIUS_CHUNK = 256
 
 
 def wigner_grid_from_density(
@@ -402,13 +382,19 @@ def wigner_grid_from_density(
 ) -> np.ndarray:
     """Displaced-parity Wigner values on the product grid q x p.
 
-    Factorizes every displacement into the two fixed-generator one-axis
-    displacements (the relative phase cancels inside D Pi D^dag) and
-    works in their eigenbases, where a displacement is a diagonal phase:
-    writing rho~ = Vq^dag rho Vq the q-side becomes an elementwise phase
-    mask, and only the p-side conjugations need matmuls.  Agrees with
-    :func:`wigner_from_density` to machine precision and is the evaluator
-    the verification grids use.
+    ``rho`` must be diagonal in the number basis, as every state
+    :func:`build_oracle_state` makes is; its Wigner function then depends
+    on |alpha| alone, so each distinct radius r = hypot(q, p) is
+    evaluated once, as a displacement along q.  In the eigenbasis of the
+    q-displacement generator, with rho_q = V^dag rho V and Pi_q the parity
+    transformed the same way,
+
+        W(r) = pref * sum_kl exp(-i r lam_k) (rho_q o Pi_q^T)_kl exp(i r lam_l),
+
+    and the guard-band leak is the same contraction with the band
+    projector in place of the parity.  Agrees with
+    :func:`wigner_from_density`, which handles any state, to machine
+    precision and is the evaluator the verification grids use.
 
     Returns an array of shape (len(q), len(p)).
     """
@@ -416,55 +402,52 @@ def wigner_grid_from_density(
     p = np.asarray(p, dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("grid axes must be finite")
+    weights = np.diagonal(rho.entries)
+    if np.count_nonzero(rho.entries - np.diag(weights)):
+        raise ValueError(
+            "the radial grid evaluator needs a density matrix diagonal in the "
+            "number basis; use wigner_from_density for a general state"
+        )
     dim = rho.dim
-    lam_q, vec_q, lam_p, vec_p = _quadrature_eig(dim)
-    signs = _parity_signs(dim)
-    band = np.zeros(dim)
-    band[dim - _guard_band(dim) :] = 1.0
+    lam, vec = _quadrature_eig(dim)
+    vec_h = vec.conj().T
+    band = _guard_band(dim)
+    rho_q = (vec_h * weights) @ vec
+    parity_q = (vec_h * _parity_signs(dim)) @ vec
+    band_q = vec_h[:, dim - band :] @ vec[dim - band :, :]
+    # Columns [0, dim) give the parity sum, [dim, 2 dim) the guard-band leak.
+    kernel = np.hstack([rho_q.T * parity_q, rho_q.T * band_q])
 
-    # One-time basis changes: rho into the q-generator eigenbasis, the
-    # parity and guard projectors into the p-generator eigenbasis, and
-    # the cross overlap X between the two bases.
-    rho_q = vec_q.conj().T @ rho.entries @ vec_q
-    uh = vec_p.conj().T
-    parity_p = (uh * signs) @ vec_p
-    band_p = (uh * band) @ vec_p
-    cross = vec_q.conj().T @ vec_p
-    cross_h = cross.conj().T
+    radii, inverse = np.unique(np.hypot(q[:, None], p[None, :]), return_inverse=True)
+    values = np.empty(radii.size, dtype=complex)
+    leak = np.empty(radii.size)
+    for start in range(0, radii.size, _RADIUS_CHUNK):
+        chunk = slice(start, start + _RADIUS_CHUNK)
+        phase = np.exp(-1j * radii[chunk, None] * lam)
+        sums = phase.conj() @ kernel
+        values[chunk] = np.sum(phase * sums[:, :dim], axis=1)
+        leak[chunk] = np.sum(phase * sums[:, dim:], axis=1).real
 
-    rho_rows = np.empty((q.size, dim * dim), dtype=complex)
-    for i, qv in enumerate(q):
-        phase = np.exp(1j * qv * lam_q)
-        rho_rows[i] = (rho_q * np.outer(phase.conj(), phase)).ravel()
-
-    parity_cols = np.empty((p.size, dim * dim), dtype=complex)
-    guard_cols = np.empty((p.size, dim * dim), dtype=complex)
-    for j, pv in enumerate(p):
-        phase = np.exp(1j * pv * lam_p)
-        mask = np.outer(phase, phase.conj())
-        parity_cols[j] = (cross @ (parity_p * mask) @ cross_h).T.ravel()
-        guard_cols[j] = (cross @ (band_p * mask) @ cross_h).T.ravel()
-
-    leak = (rho_rows @ guard_cols.T).real
     worst = float(np.max(leak))
     if worst > leak_tol:
         raise TruncationError(
             f"displacement leak up to {worst:.3e} on the grid at dim {dim} "
             f"exceeds {leak_tol:g}; enlarge the truncation or shrink the box"
         )
-    values = rho_rows @ parity_cols.T
-    assert float(np.max(np.abs(values.imag))) < 1e-10, (
-        "parity sums acquired an imaginary part"
-    )
-    return parity_prefactor() * values.real
+    worst_imag = float(np.max(np.abs(values.imag)))
+    if not worst_imag < 1e-10:
+        raise RuntimeError(f"parity sums acquired an imaginary part {worst_imag:.3e}")
+    return parity_prefactor() * values.real[inverse].reshape(q.size, p.size)
 
 
 def build_oracle_state(state: StateSpec, alpha_max_sq: float) -> FockDensityMatrix:
     """Density matrix for ``state`` sized for displacements up to alpha_max_sq.
 
     The truncation is the smallest thermal-tail-safe dimension plus the
-    displacement padding; the doubled-space number-state construction is
-    capped at 32 levels per mode and then zero-padded for headroom.
+    displacement padding.  The number state is built in its doubled-space
+    invariant sector at 32 levels per mode, then zero-padded for headroom.
+    Every state returned is diagonal in the number basis, as
+    :func:`wigner_grid_from_density` requires.
     """
     pad = displacement_padding(state.n, alpha_max_sq)
     if state.family is Family.THERMAL_NUMBER:

@@ -109,7 +109,7 @@ def test_criterion_4_thermal_number_matches_two_mode_oracle():
             worst = max(worst, err)
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 300.0
-    report(4, ok, f"thermal number vs doubled-space oracle (<=32 levels/mode), "
+    report(4, ok, f"thermal number vs doubled-space oracle (32 levels/mode), "
                   f"max_abs_err={worst:.3e} (<1e-6), runtime={elapsed:.1f}s (<5min)")
 
 

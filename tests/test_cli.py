@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from thermalwigner import __version__
+from thermalwigner import __version__, cli
 from thermalwigner.cli import main
 
 
@@ -168,6 +170,24 @@ class TestUsageErrors:
             run(["eval", "--family", "vacuum", "--theta", "0.2", "--box", "-4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_scan_needs_a_step(self, tmp_path, steps):
+        out = tmp_path / "scan.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["scan-theta", "--family", "vacuum", f"--steps={steps}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-max-err", "--tol-norm"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
+    def test_verify_tolerance_must_be_positive_finite(self, tmp_path, flag, value):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--family", "vacuum", "--theta", "0.2",
+                 f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestNumericalFailures:
     def test_degenerate_state_reports_reason(self, tmp_path, capsys):
@@ -217,6 +237,14 @@ class TestScanTheta:
             "--no-negativity", "--out", str(out),
         ]) == 0
         assert out.read_text().splitlines()[0] == "theta,w0,abs_w0"
+
+
+class TestAllocatorSettings:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+    def test_thresholds_accepted_on_linux(self):
+        run(["scan-theta", "--family", "vacuum", "--steps", "1", "--no-negativity",
+             "--out", os.devnull])
+        assert cli._keep_grid_buffers_on_heap() is True
 
 
 class TestLimitsCommand:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from thermalwigner import fock_oracle
 from thermalwigner.closed_form import wigner_thermal_vacuum
 from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
+    TWO_MODE_DEFICIT_TOL,
     FockDensityMatrix,
     TruncationError,
     apply_addition,
@@ -18,7 +21,6 @@ from thermalwigner.fock_oracle import (
     ladder_ops,
     min_thermal_dim,
     parity_prefactor,
-    partial_trace_tilde,
     thermal_density_matrix,
     thermal_number_reduced,
     wigner_from_density,
@@ -28,6 +30,31 @@ from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
+
+
+def partial_trace_tilde(rho2, dim):
+    """Reference reduction of a kron-ordered two-mode matrix over its tilde factor."""
+    return np.einsum("itjt->ij", rho2.reshape(dim, dim, dim, dim))
+
+
+def kron_thermal_number_reduced(n, theta, dim):
+    """Reference number-state build on the full doubled space.
+
+    Exponentiates theta (a^dag x a^dag - a x a) as a dim^2 x dim^2 dense
+    matrix, applies it to |n> x |n> and traces out the tilde mode.
+    Returns the reduced matrix and the population within two levels of
+    the cutoff, measured as the oracle measures it.
+    """
+    ops = ladder_ops(dim)
+    generator = theta * (
+        np.kron(ops.create, ops.create) - np.kron(ops.annihilate, ops.annihilate)
+    )
+    psi = scipy.linalg.expm(generator)[:, n * dim + n]
+    amplitudes = psi.reshape(dim, dim)
+    body = float(np.sum(np.abs(amplitudes[: dim - 2, : dim - 2]) ** 2))
+    deficit = abs(float(np.vdot(psi, psi).real) - body)
+    reduced = partial_trace_tilde(np.outer(psi, psi.conj()), dim)
+    return reduced / reduced.trace().real, deficit
 
 
 def number_state_matrix(level, dim):
@@ -124,29 +151,27 @@ class TestAddition:
 
 
 class TestPartialTrace:
+    """Self-checks of the test's doubled-space reference."""
+
     def test_ground_pair(self):
         dim = 6
         two_mode = np.zeros((dim * dim, dim * dim), dtype=complex)
         two_mode[0, 0] = 1.0
         reduced = partial_trace_tilde(two_mode, dim)
-        assert np.max(np.abs(reduced.entries - number_state_matrix(0, dim).entries)) < 1e-14
+        assert np.max(np.abs(reduced - number_state_matrix(0, dim).entries)) < 1e-14
 
     def test_product_state(self):
         dim = 20
         rho = thermal_density_matrix(0.3, dim).entries
         sigma = number_state_matrix(2, dim).entries
         reduced = partial_trace_tilde(np.kron(rho, sigma), dim)
-        assert np.max(np.abs(reduced.entries - rho)) < 1e-13
+        assert np.max(np.abs(reduced - rho)) < 1e-13
 
     def test_two_mode_squeezed_vacuum_reduces_to_thermal(self):
         theta = 0.3
         reduced = thermal_number_reduced(0, theta, 24)
         expected = thermal_density_matrix(math.sinh(theta) ** 2, 24)
         assert np.max(np.abs(reduced.entries - expected.entries)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="two-mode"):
-            partial_trace_tilde(np.eye(10, dtype=complex) / 10.0, 4)
 
 
 class TestThermoNumberReduced:
@@ -167,9 +192,37 @@ class TestThermoNumberReduced:
         with pytest.raises(TruncationError, match="deficit"):
             thermal_number_reduced(2, 1.2, 16)
 
-    def test_per_mode_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            thermal_number_reduced(0, 0.2, 64)
+    @pytest.mark.parametrize("dim", [8, 9, 10])
+    def test_sector_matches_kron_reference(self, dim):
+        for n in (0, 1, 3):
+            for theta in (0.1, 0.4):
+                expected, deficit = kron_thermal_number_reduced(n, theta, dim)
+                if deficit > TWO_MODE_DEFICIT_TOL:
+                    with pytest.raises(TruncationError, match="deficit"):
+                        thermal_number_reduced(n, theta, dim)
+                    continue
+                reduced = thermal_number_reduced(n, theta, dim)
+                assert np.max(np.abs(reduced.entries - expected)) < 1e-13
+
+    def test_deficit_refusal_matches_kron_reference(self):
+        refused = set()
+        for n in (0, 1, 3):
+            for theta in np.linspace(0.1, 1.5, 15):
+                _, deficit = kron_thermal_number_reduced(n, theta, 10)
+                try:
+                    thermal_number_reduced(n, theta, 10)
+                except TruncationError:
+                    refused.add((n, theta))
+                assert ((n, theta) in refused) == (deficit > TWO_MODE_DEFICIT_TOL)
+        # the scan crosses the refusal boundary for every n
+        assert {n for n, _ in refused} == {0, 1, 3}
+        assert len(refused) < 45
+
+    def test_dim_64_agrees_with_dim_32(self):
+        # no level cap: where both truncations have converged they agree
+        small = embed_density(thermal_number_reduced(2, 0.3, 32), 64)
+        large = thermal_number_reduced(2, 0.3, 64)
+        assert np.max(np.abs(large.entries - small.entries)) < 1e-14
 
 
 class TestDensityMatrixValidation:
@@ -238,16 +291,49 @@ class TestDisplacedParity:
             wigner_from_density(rho, PhasePoint(5.0, 0.0))
 
     def test_grid_matches_scalar_evaluations(self):
-        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.5), n=2)
-        rho = build_oracle_state(state, alpha_max_sq=4.5)
         q = np.linspace(-3.0, 3.0, 7)
-        grid = wigner_grid_from_density(rho, q, q)
-        for i in (0, 3, 6):
-            for j in (1, 5):
-                point = PhasePoint(float(q[i]), float(q[j]))
-                assert grid[i, j] == pytest.approx(
-                    wigner_from_density(rho, point), abs=1e-12
-                )
+        p = np.linspace(-2.5, 2.0, 6)
+        for family, n, theta in [
+            (Family.THERMAL_VACUUM, 0, 0.5),
+            (Family.PHOTON_SUBTRACTED, 2, 0.5),
+            (Family.PHOTON_ADDED, 2, 0.5),
+            (Family.THERMAL_NUMBER, 1, 0.3),
+        ]:
+            state = StateSpec(family, params_from_theta(theta), n=n)
+            rho = build_oracle_state(state, alpha_max_sq=4.5)
+            grid = wigner_grid_from_density(rho, q, p)
+            assert grid.shape == (7, 6)
+            for i in (0, 2, 5):
+                for j in (1, 3, 5):
+                    # off-axis nodes, away from the q axis the evaluator displaces along
+                    point = PhasePoint(float(q[i]), float(p[j]))
+                    assert point.q != 0.0 and point.p != 0.0
+                    assert grid[i, j] == pytest.approx(
+                        wigner_from_density(rho, point), abs=1e-12
+                    )
+
+    def test_grid_spans_several_radius_chunks(self, monkeypatch):
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.4), n=1)
+        rho = build_oracle_state(state, alpha_max_sq=4.5)
+        q = np.linspace(-3.0, 3.0, 41)
+        p = np.linspace(-2.9, 2.9, 37)
+        radii = np.unique(np.hypot(q[:, None], p[None, :])).size
+        assert radii > 2 * fock_oracle._RADIUS_CHUNK
+        grid = wigner_grid_from_density(rho, q, p)
+        monkeypatch.setattr(fock_oracle, "_RADIUS_CHUNK", radii)
+        one_chunk = wigner_grid_from_density(rho, q, p)
+        assert np.max(np.abs(grid - one_chunk)) < 1e-14
+        for i, j in ((0, 0), (17, 29), (40, 36)):
+            point = PhasePoint(float(q[i]), float(p[j]))
+            assert grid[i, j] == pytest.approx(wigner_from_density(rho, point), abs=1e-12)
+
+    def test_grid_refuses_non_diagonal_state(self):
+        dim = 40
+        disp = displacement_operator(0.6 + 0.3j, dim)
+        coherent = FockDensityMatrix(dim, disp @ number_state_matrix(0, dim).entries @ disp.conj().T)
+        q = np.linspace(-1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="wigner_from_density"):
+            wigner_grid_from_density(coherent, q, q)
 
     def test_grid_leak_guard(self):
         rho = thermal_density_matrix(0.0, 12)
