@@ -268,8 +268,10 @@ def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -
 # ---------------------------------------------------------------------------
 # verification
 
-# Comparison tolerance tiers: the doubled-space matrix-exponential route
-# accumulates more error than the single-mode one.
+# Comparison tolerance tiers: the number state's oracle weights may miss
+# up to TWO_MODE_DEFICIT_TOL (1e-8) of population at their fixed per-mode
+# truncation, so its tier is looser than that of the single-mode families,
+# whose thermal weights are truncated below THERMAL_TAIL_TOL (1e-12).
 MAX_ERR_TOL_SINGLE_MODE = 1e-8
 MAX_ERR_TOL_TWO_MODE = 1e-6
 NORM_TOL = 1e-4

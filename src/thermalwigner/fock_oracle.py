@@ -2,22 +2,35 @@
 
 Every state the library has a closed form for is rebuilt here as an
 explicit density matrix in the number basis, and its Wigner function is
-evaluated through the displaced photon-number parity,
+evaluated through the displaced photon-number parity (Royer 1977),
 
     W(q, p) = pref * sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>,
 
-with D(alpha) = exp(alpha a^dag - conj(alpha) a) built by matrix
-exponential and alpha = (q + i p) / sqrt(2).  Nothing in this module
-uses the closed-form expressions, so pointwise agreement between the two
-routes certifies both.
+with D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis
+and alpha = (q + i p) / sqrt(2).  Nothing in this module uses the
+closed-form expressions, so pointwise agreement between the two routes
+certifies both.
 
 Every state is built as an operation that conserves a photon-number
 difference, so it stays diagonal in the number basis: thermal weights,
-ladder conditioning a^n rho a^dag^n, and, for the number family, the
-two-mode squeeze of |n> x |n> restricted to its invariant sector
-span{|k> x |k>} (thermo field dynamics, Takahashi & Umezawa 1975).  A
-diagonal state's Wigner function depends on |alpha| alone, so the grid
-evaluator computes the displaced parity once per distinct radius.
+ladder conditioning a^n rho a^dag^n (a shifted, reweighted slice of rho),
+and, for the number family, the two-mode squeeze of |n> x |n> restricted
+to its invariant sector span{|k> x |k>} (thermo field dynamics, Takahashi
+& Umezawa 1975).  A diagonal state's Wigner function depends on |alpha|
+alone, so the grid evaluator computes the displaced parity once per
+distinct radius, as a displacement along q.
+
+Two symmetries hold exactly in the truncated basis and make that
+evaluation real.  With P = diag(i^k), the q-displacement generator is
+(a^dag - a)/sqrt(2) = P (-i x) P^dag, where x = (a + a^dag)/sqrt(2) is
+real, symmetric and tridiagonal with a zero diagonal; so one real
+eigendecomposition x = U diag(mu) U^T gives every q-displacement.  And the
+parity Pi = diag((-1)^k) anticommutes with x, so Pi D(alpha) Pi =
+D(-alpha) and D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi: the displaced
+parity is a single displacement, and the spectrum of x pairs mu with -mu.
+The dense matrix-exponential evaluator ``wigner_from_density`` handles
+any state and stays as the reference the grid evaluator is tested
+against.
 
 The prefactor is not hard-coded: conventions for the parity identity
 differ across sources, so it is calibrated once by requiring the vacuum
@@ -86,13 +99,17 @@ def ladder_ops(dim: int) -> LadderOps:
     return LadderOps(dim=dim, annihilate=a, create=a.T.copy())
 
 
+def _is_diagonal(entries: np.ndarray) -> bool:
+    """True when every nonzero entry of the square matrix lies on its diagonal."""
+    return np.count_nonzero(entries) == np.count_nonzero(np.diagonal(entries))
+
+
 @dataclass
 class FockDensityMatrix:
     """Truncated density matrix in the number basis.
 
     Construction validates hermiticity (1e-12), unit trace (1e-10) and
-    the eigenvalue floor (>= -1e-10); the entries are frozen read-only
-    so grid evaluations can share them across threads.
+    the eigenvalue floor (>= -1e-10); the entries are frozen read-only.
     """
 
     dim: int
@@ -112,7 +129,12 @@ class FockDensityMatrix:
         trace = entries.trace().real
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
-        floor = float(np.min(scipy.linalg.eigvalsh(entries)))
+        if _is_diagonal(entries):
+            # the eigenvalues of a diagonal Hermitian matrix are its diagonal
+            eigenvalues = np.diagonal(entries).real
+        else:
+            eigenvalues = scipy.linalg.eigvalsh(entries)
+        floor = float(np.min(eigenvalues))
         if floor < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {floor:.3e} below floor")
         entries.setflags(write=False)
@@ -168,11 +190,23 @@ def thermal_density_matrix(n_c: float, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(dim=dim, entries=np.diag(weights.astype(complex)))
 
 
+def _ladder_weights(dim: int, n: int) -> np.ndarray:
+    """f_k = sqrt((k+1) ... (k+n)) for k < dim - n.
+
+    These are the only nonzero entries of the ladder powers on the
+    truncated basis: <k| a^n |k+n> = <k+n| a^dag^n |k> = f_k.
+    """
+    levels = np.arange(max(dim - n, 0), dtype=float)
+    return np.prod(np.sqrt(levels[:, None] + np.arange(1.0, n + 1)), axis=1)
+
+
 def apply_subtraction(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, float]:
     """n-fold photon subtraction a^n rho a^dag^n, renormalized.
 
-    Returns the new state and the raw trace Tr[a^n rho a^dag^n], which
-    equals the inverse normalization constant of the subtracted state.
+    Entrywise, (a^n rho a^dag^n)_ij = f_i f_j rho_{i+n, j+n} with the
+    ladder weights f of ``_ladder_weights``, for any rho.  Returns the
+    new state and the raw trace Tr[a^n rho a^dag^n], which equals the
+    inverse normalization constant of the subtracted state.
 
     Raises:
         AnnihilatedStateError: when the raw trace is below 1e-14
@@ -183,8 +217,9 @@ def apply_subtraction(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return rho, 1.0
-    an = np.linalg.matrix_power(ladder_ops(rho.dim).annihilate, n)
-    out = an @ rho.entries @ an.T
+    f = _ladder_weights(rho.dim, n)
+    out = np.zeros_like(rho.entries)
+    out[: f.size, : f.size] = f[:, None] * rho.entries[n:, n:] * f
     raw = float(out.trace().real)
     if raw <= 1e-14:
         raise AnnihilatedStateError(
@@ -196,26 +231,30 @@ def apply_subtraction(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix
 def apply_addition(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, float]:
     """n-fold photon addition a^dag^n rho a^n, renormalized.
 
+    Entrywise, (a^dag^n rho a^n)_{i+n, j+n} = f_i f_j rho_ij, the
+    shifted-up counterpart of :func:`apply_subtraction`, for any rho.
     Returns the new state and the raw trace Tr[a^dag^n rho a^n], the
     inverse normalization constant of the added state.
 
     Raises:
-        TruncationError: when the top n diagonal entries of rho are not
-            negligible (< 1e-12), so the upward shift would leak.
+        TruncationError: when the top n diagonal entries of rho (all of
+            them if n >= dim) are not negligible (< 1e-12), so the upward
+            shift would leak.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return rho, 1.0
-    top = np.diagonal(rho.entries).real[rho.dim - n :]
-    if top.size and float(np.max(top)) > 1e-12:
+    top = float(np.max(np.diagonal(rho.entries).real[max(rho.dim - n, 0) :]))
+    if top > 1e-12:
         raise TruncationError(
             f"insufficient headroom for adding {n} photon(s): top occupation "
-            f"{float(np.max(top)):.3e} at dim {rho.dim}"
+            f"{top:.3e} at dim {rho.dim}"
         )
-    cn = np.linalg.matrix_power(ladder_ops(rho.dim).create, n)
-    out = cn @ rho.entries @ cn.T
+    f = _ladder_weights(rho.dim, n)
+    out = np.zeros_like(rho.entries)
+    out[n:, n:] = f[:, None] * rho.entries[: f.size, : f.size] * f
     raw = float(out.trace().real)
     return FockDensityMatrix(dim=rho.dim, entries=out / raw), raw
 
@@ -326,6 +365,12 @@ def parity_prefactor() -> float:
     return VACUUM_PEAK / parity_sum
 
 
+def _check_leak_tol(leak_tol: float) -> None:
+    # a NaN tolerance would let every leak comparison pass
+    if not (math.isfinite(leak_tol) and leak_tol > 0.0):
+        raise ValueError(f"leak_tol must be positive and finite, got {leak_tol!r}")
+
+
 def wigner_from_density(
     rho: FockDensityMatrix,
     point: PhasePoint,
@@ -334,16 +379,18 @@ def wigner_from_density(
     """Displaced-parity Wigner value of ``rho`` at one phase-space point.
 
     Raises:
+        ValueError: when ``leak_tol`` is not positive and finite.
         TruncationError: when the displaced state puts more than
             ``leak_tol`` population into the guard band at the top of the
             basis, i.e. |alpha| is too large for the truncation.
     """
+    _check_leak_tol(leak_tol)
     disp_op = displacement_operator(point.alpha, rho.dim)
     displaced = disp_op.conj().T @ rho.entries @ disp_op
     diag = np.diagonal(displaced)
     band = _guard_band(rho.dim)
     leak = float(np.sum(diag.real[rho.dim - band :]))
-    if leak > leak_tol:
+    if not leak <= leak_tol:
         raise TruncationError(
             f"displacement leak {leak:.3e} at dim {rho.dim} for |alpha| = "
             f"{abs(point.alpha):.3g} exceeds {leak_tol:g}"
@@ -357,20 +404,32 @@ def wigner_from_density(
 
 
 @lru_cache(maxsize=8)
-def _quadrature_eig(dim: int):
-    """Eigen-decomposition of the q-displacement generator.
+def _quadrature_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigenpairs of the quadrature x = (a + a^dag)/sqrt(2).
 
-    D(q / sqrt(2)) = exp(q Gq) with Gq = (a^dag - a)/sqrt(2), which is
-    anti-Hermitian: one Hermitian eigendecomposition of -i Gq turns every
-    such displacement into a diagonal phase exp(i q lam) in its eigenbasis.
+    x is real, symmetric and tridiagonal with a zero diagonal, so
+    ``eigh_tridiagonal`` returns real ascending eigenvalues mu and a real
+    orthogonal U with x = U diag(mu) U^T.  With P = diag(i^k), the
+    q-displacement generator is (a^dag - a)/sqrt(2) = P (-i x) P^dag, so
+
+        D(r / sqrt(2)) = P U exp(-i r mu) U^T P^dag.
+
+    P is diagonal, so it drops out of every diagonal element and of every
+    diagonal state the grid evaluator handles.  The parity anticommutes
+    with x, so mu_k = -mu_{dim-1-k} and column dim-1-k of U is the parity
+    image of column k, up to sign and rounding.  The arrays are shared
+    between callers and read-only.
     """
-    ops = ladder_ops(dim)
-    herm_q = -1j * (ops.create.astype(complex) - ops.annihilate) / _SQRT2
-    return np.linalg.eigh(herm_q)
+    mu, vec = scipy.linalg.eigh_tridiagonal(
+        np.zeros(dim), np.sqrt(np.arange(1.0, dim)) / _SQRT2
+    )
+    mu.setflags(write=False)
+    vec.setflags(write=False)
+    return mu, vec
 
 
 # Radii evaluated together by the grid evaluator: its work buffers hold
-# (chunk, dim) phases, so memory is O(chunk dim + dim^2) for any grid.
+# (chunk, dim / 2) trig values, so memory is O(chunk dim + dim^2) for any grid.
 _RADIUS_CHUNK = 256
 
 
@@ -385,59 +444,91 @@ def wigner_grid_from_density(
     ``rho`` must be diagonal in the number basis, as every state
     :func:`build_oracle_state` makes is; its Wigner function then depends
     on |alpha| alone, so each distinct radius r = hypot(q, p) is
-    evaluated once, as a displacement along q.  In the eigenbasis of the
-    q-displacement generator, with rho_q = V^dag rho V and Pi_q the parity
-    transformed the same way,
+    evaluated once, as a displacement along q, in the real eigenbasis
+    x = U diag(mu) U^T of :func:`_quadrature_eig`.  With w the diagonal
+    of rho, the reflection identity D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
+    turns the parity into one displacement,
 
-        W(r) = pref * sum_kl exp(-i r lam_k) (rho_q o Pi_q^T)_kl exp(i r lam_l),
+        W(r) = pref * sum_j g_j cos(2 r mu_j),  g = (U o U)^T (w o (-1)^k),
 
-    and the guard-band leak is the same contraction with the band
-    projector in place of the parity.  Agrees with
-    :func:`wigner_from_density`, which handles any state, to machine
-    precision and is the evaluator the verification grids use.
+    whose sine counterpart must vanish (checked to 1e-10).  The
+    guard-band leak is a real quadratic form, with c = cos(r mu) and
+    s = sin(r mu),
+
+        leak(r) = c^T K c + s^T K s,  K = (U^T diag(w) U) o (U_band^T U_band),
+
+    checked at every distinct radius.  K and g are invariant under the
+    pairing mu -> -mu, and c is even and s odd under it, so both sums are
+    folded onto the half spectrum mu >= 0: two trig calls and two
+    (chunk x dim/2) @ (dim/2 x dim/2) products per chunk of radii, where
+    the mu = 0 mode of an odd dim is its own partner and counts half.
+    Agrees with :func:`wigner_from_density`, which handles any state, to
+    machine precision and is the evaluator the verification grids use.
+
+    Raises:
+        ValueError: for a non-diagonal ``rho``, an empty or non-finite
+            axis, or a ``leak_tol`` that is not positive and finite.
+        TruncationError: when the leak at some radius exceeds ``leak_tol``.
 
     Returns an array of shape (len(q), len(p)).
     """
+    _check_leak_tol(leak_tol)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    if q.size == 0 or p.size == 0:
+        raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("grid axes must be finite")
-    weights = np.diagonal(rho.entries)
-    if np.count_nonzero(rho.entries - np.diag(weights)):
+    if not _is_diagonal(rho.entries):
         raise ValueError(
             "the radial grid evaluator needs a density matrix diagonal in the "
             "number basis; use wigner_from_density for a general state"
         )
     dim = rho.dim
-    lam, vec = _quadrature_eig(dim)
-    vec_h = vec.conj().T
-    band = _guard_band(dim)
-    rho_q = (vec_h * weights) @ vec
-    parity_q = (vec_h * _parity_signs(dim)) @ vec
-    band_q = vec_h[:, dim - band :] @ vec[dim - band :, :]
-    # Columns [0, dim) give the parity sum, [dim, 2 dim) the guard-band leak.
-    kernel = np.hstack([rho_q.T * parity_q, rho_q.T * band_q])
+    weights = np.diagonal(rho.entries).real
+    mu, vec = _quadrature_eig(dim)
+    # Columns [half, dim) of vec carry mu >= 0; column dim-1-k pairs with k.
+    half = dim // 2
+    upper = vec[:, half:]
+    band = vec[dim - _guard_band(dim) :]
+    g = (vec * vec).T @ (weights * _parity_signs(dim))
+    kernel = ((upper.T * weights) @ vec) * (band[:, half:].T @ band)
+    g_up, g_down = g[half:], g[: dim - half][::-1]
+    k_up, k_down = kernel[:, half:], kernel[:, : dim - half][:, ::-1]
+    multiplicity = np.ones(dim - half)
+    if dim % 2:
+        multiplicity[0] = 0.5  # the mu = 0 mode is its own partner
+    g_cos = (g_up + g_down) * multiplicity
+    g_sin = (g_up - g_down) * multiplicity
+    pair = 2.0 * np.outer(multiplicity, multiplicity)
+    k_cos = (k_up + k_down) * pair
+    k_sin = (k_up - k_down) * pair
+    mu_up = mu[half:]
 
     radii, inverse = np.unique(np.hypot(q[:, None], p[None, :]), return_inverse=True)
-    values = np.empty(radii.size, dtype=complex)
+    values = np.empty(radii.size)
+    imag = np.empty(radii.size)
     leak = np.empty(radii.size)
     for start in range(0, radii.size, _RADIUS_CHUNK):
         chunk = slice(start, start + _RADIUS_CHUNK)
-        phase = np.exp(-1j * radii[chunk, None] * lam)
-        sums = phase.conj() @ kernel
-        values[chunk] = np.sum(phase * sums[:, :dim], axis=1)
-        leak[chunk] = np.sum(phase * sums[:, dim:], axis=1).real
+        angle = radii[chunk, None] * mu_up
+        cos, sin = np.cos(angle), np.sin(angle)
+        leak[chunk] = np.einsum("ij,ij->i", cos @ k_cos, cos) + np.einsum(
+            "ij,ij->i", sin @ k_sin, sin
+        )
+        values[chunk] = (cos * cos - sin * sin) @ g_cos
+        imag[chunk] = (2.0 * sin * cos) @ g_sin
 
     worst = float(np.max(leak))
-    if worst > leak_tol:
+    if not worst <= leak_tol:
         raise TruncationError(
             f"displacement leak up to {worst:.3e} on the grid at dim {dim} "
             f"exceeds {leak_tol:g}; enlarge the truncation or shrink the box"
         )
-    worst_imag = float(np.max(np.abs(values.imag)))
+    worst_imag = float(np.max(np.abs(imag)))
     if not worst_imag < 1e-10:
         raise RuntimeError(f"parity sums acquired an imaginary part {worst_imag:.3e}")
-    return parity_prefactor() * values.real[inverse].reshape(q.size, p.size)
+    return parity_prefactor() * values[inverse].reshape(q.size, p.size)
 
 
 def build_oracle_state(state: StateSpec, alpha_max_sq: float) -> FockDensityMatrix:

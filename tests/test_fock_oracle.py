@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from thermalwigner import fock_oracle
+from thermalwigner.analysis import default_verification_grid
 from thermalwigner.closed_form import wigner_thermal_vacuum
 from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
@@ -57,10 +58,23 @@ def kron_thermal_number_reduced(n, theta, dim):
     return reduced / reduced.trace().real, deficit
 
 
+def matrix_power_conditioning(rho, n, ladder):
+    """Reference conditioning L^n rho L^dag^n from a dense ladder power, renormalized."""
+    power = np.linalg.matrix_power(ladder, n)
+    out = power @ rho.entries @ power.T
+    raw = out.trace().real
+    return out / raw, raw
+
+
 def number_state_matrix(level, dim):
     entries = np.zeros((dim, dim), dtype=complex)
     entries[level, level] = 1.0
     return FockDensityMatrix(dim=dim, entries=entries)
+
+
+def coherent_state_matrix(beta, dim):
+    disp = displacement_operator(beta, dim)
+    return FockDensityMatrix(dim, disp @ number_state_matrix(0, dim).entries @ disp.conj().T)
 
 
 class TestLadderOps:
@@ -123,6 +137,14 @@ class TestSubtraction:
                 expected = math.factorial(n) * math.sinh(theta) ** (2 * n)
                 assert raw == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_matrix_power_reference(self, n):
+        rho = coherent_state_matrix(0.6 + 0.3j, 40)
+        expected, expected_raw = matrix_power_conditioning(rho, n, ladder_ops(40).annihilate)
+        out, raw = apply_subtraction(rho, n)
+        assert raw == pytest.approx(expected_raw, rel=1e-14)
+        assert np.max(np.abs(out.entries - expected)) < 1e-14
+
 
 class TestAddition:
     def test_vacuum_becomes_one_photon(self):
@@ -148,6 +170,19 @@ class TestAddition:
     def test_headroom_guard(self):
         with pytest.raises(TruncationError, match="headroom"):
             apply_addition(number_state_matrix(7, 8), 1)
+
+    def test_more_photons_than_levels(self):
+        # every level would be shifted past the cutoff
+        with pytest.raises(TruncationError, match="headroom"):
+            apply_addition(thermal_density_matrix(0.0, 4), 6)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_matrix_power_reference(self, n):
+        rho = coherent_state_matrix(0.6 + 0.3j, 40)
+        expected, expected_raw = matrix_power_conditioning(rho, n, ladder_ops(40).create)
+        out, raw = apply_addition(rho, n)
+        assert raw == pytest.approx(expected_raw, rel=1e-14)
+        assert np.max(np.abs(out.entries - expected)) < 1e-14
 
 
 class TestPartialTrace:
@@ -241,6 +276,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             FockDensityMatrix(2, bad)
 
+    def test_rejects_negative_diagonal_entry(self):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            FockDensityMatrix(3, np.diag([0.7, 0.5, -0.2]).astype(complex))
+
     def test_entries_are_read_only(self):
         rho = thermal_density_matrix(0.2, 30)
         with pytest.raises(ValueError):
@@ -293,14 +332,18 @@ class TestDisplacedParity:
     def test_grid_matches_scalar_evaluations(self):
         q = np.linspace(-3.0, 3.0, 7)
         p = np.linspace(-2.5, 2.0, 6)
-        for family, n, theta in [
-            (Family.THERMAL_VACUUM, 0, 0.5),
-            (Family.PHOTON_SUBTRACTED, 2, 0.5),
-            (Family.PHOTON_ADDED, 2, 0.5),
-            (Family.THERMAL_NUMBER, 1, 0.3),
-        ]:
-            state = StateSpec(family, params_from_theta(theta), n=n)
-            rho = build_oracle_state(state, alpha_max_sq=4.5)
+        states = [
+            build_oracle_state(StateSpec(family, params_from_theta(theta), n=n), alpha_max_sq=4.5)
+            for family, n, theta in [
+                (Family.THERMAL_VACUUM, 0, 0.5),
+                (Family.PHOTON_SUBTRACTED, 2, 0.5),
+                (Family.PHOTON_ADDED, 2, 0.5),
+                (Family.THERMAL_NUMBER, 1, 0.3),
+            ]
+        ]
+        # the folded spectrum has a mu = 0 mode at odd dim only
+        states += [thermal_density_matrix(0.3, 55), thermal_density_matrix(0.3, 56)]
+        for rho in states:
             grid = wigner_grid_from_density(rho, q, p)
             assert grid.shape == (7, 6)
             for i in (0, 2, 5):
@@ -328,9 +371,7 @@ class TestDisplacedParity:
             assert grid[i, j] == pytest.approx(wigner_from_density(rho, point), abs=1e-12)
 
     def test_grid_refuses_non_diagonal_state(self):
-        dim = 40
-        disp = displacement_operator(0.6 + 0.3j, dim)
-        coherent = FockDensityMatrix(dim, disp @ number_state_matrix(0, dim).entries @ disp.conj().T)
+        coherent = coherent_state_matrix(0.6 + 0.3j, 40)
         q = np.linspace(-1.0, 1.0, 3)
         with pytest.raises(ValueError, match="wigner_from_density"):
             wigner_grid_from_density(coherent, q, q)
@@ -340,6 +381,40 @@ class TestDisplacedParity:
         q = np.linspace(-6.0, 6.0, 5)
         with pytest.raises(TruncationError, match="leak"):
             wigner_grid_from_density(rho, q, q)
+
+    def test_grid_leak_refusal_on_verification_grid(self):
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(1.2), n=9)
+        box, nq, np_ = default_verification_grid(state)
+        rho = build_oracle_state(state, box.alpha_max_sq)
+        q = np.linspace(box.q_min, box.q_max, nq)
+        p = np.linspace(box.p_min, box.p_max, np_)
+        with pytest.raises(TruncationError, match=r"leak up to 1\.776e-10 on the grid at dim 240 "):
+            wigner_grid_from_density(rho, q, p)
+
+    @pytest.mark.parametrize("leak_tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_leak_tolerance_must_be_positive_finite(self, leak_tol):
+        # far outside the basis: a NaN tolerance used to let the leak through
+        rho = thermal_density_matrix(0.2, 30)
+        with pytest.raises(ValueError, match="leak_tol"):
+            wigner_from_density(rho, PhasePoint(20.0, 0.0), leak_tol=leak_tol)
+        with pytest.raises(ValueError, match="leak_tol"):
+            wigner_grid_from_density(rho, np.array([-20.0, 20.0]), np.zeros(1), leak_tol=leak_tol)
+
+    def test_grid_refuses_empty_axis(self):
+        rho = thermal_density_matrix(0.2, 30)
+        with pytest.raises(ValueError, match="non-empty"):
+            wigner_grid_from_density(rho, np.array([]), np.zeros(3))
+        with pytest.raises(ValueError, match="non-empty"):
+            wigner_grid_from_density(rho, np.zeros(3), [])
+
+    @pytest.mark.parametrize("dim", [9, 10])
+    def test_quadrature_eig_reproduces_displacement(self, dim):
+        mu, vec = fock_oracle._quadrature_eig(dim)
+        phases = np.diag(1j ** np.arange(dim))
+        for r in (0.3, -1.1, 2.5):
+            expected = displacement_operator(r / math.sqrt(2.0), dim)
+            built = phases @ (vec * np.exp(-1j * r * mu)) @ vec.T @ phases.conj().T
+            assert np.max(np.abs(built - expected)) < 1e-12
 
 
 class TestBuildOracleState:
