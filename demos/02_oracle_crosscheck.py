@@ -1,8 +1,9 @@
 """Certify the closed forms against the truncated Fock-space oracle.
 
-The oracle builds each state as an explicit density matrix in the
-number basis and evaluates its Wigner function by displaced photon
-parity, sharing no code with the closed-form expressions.  Pointwise
+The oracle builds each state as its Fock populations, the diagonal of
+its density matrix in the number basis, and evaluates its Wigner
+function by displaced photon parity, sharing no code with the
+closed-form expressions.  Pointwise
 agreement of the two routes on a grid is the library's core evidence.
 
 Run:  python demos/02_oracle_crosscheck.py

@@ -41,19 +41,12 @@ from .closed_form import (
 from .fock_oracle import (
     AnnihilatedStateError,
     FockDensityMatrix,
-    LadderOps,
     TruncationError,
-    apply_addition,
-    apply_subtraction,
     build_oracle_state,
-    displacement_operator,
-    ladder_ops,
-    thermal_density_matrix,
-    thermal_number_reduced,
     wigner_from_density,
     wigner_grid_from_density,
 )
-from .specfun import hermite2, laguerre, laguerre_from_hermite, laguerre_sum
+from .specfun import laguerre
 from .states import EXCITATION_MAX, Family, PhasePoint, StateSpec
 from .thermo import (
     THETA_MAX,
@@ -75,7 +68,6 @@ __all__ = [
     "EXCITATION_MAX",
     "Family",
     "FockDensityMatrix",
-    "LadderOps",
     "PhasePoint",
     "Source",
     "StateSpec",
@@ -84,15 +76,8 @@ __all__ = [
     "TruncationError",
     "VerificationReport",
     "WignerGrid",
-    "apply_addition",
-    "apply_subtraction",
     "build_oracle_state",
-    "displacement_operator",
-    "hermite2",
-    "ladder_ops",
     "laguerre",
-    "laguerre_from_hermite",
-    "laguerre_sum",
     "limit_suite",
     "mean_photon_number",
     "negativity_of_state",
@@ -106,9 +91,7 @@ __all__ = [
     "params_from_theta",
     "sample_grid",
     "scan_theta",
-    "thermal_density_matrix",
     "theta_from_temperature",
-    "thermal_number_reduced",
     "verify_state",
     "wigner_closed_form",
     "wigner_closed_grid",

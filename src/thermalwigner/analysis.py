@@ -165,8 +165,9 @@ class VerificationReport:
             "box": self.box.to_dict() if self.box is not None else None,
             "nq": self.nq,
             "np": self.np_,
-            "max_abs_err": self.max_abs_err,
-            "mean_abs_err": self.mean_abs_err,
+            # null when the comparison did not run: JSON has no infinity
+            "max_abs_err": self.max_abs_err if math.isfinite(self.max_abs_err) else None,
+            "mean_abs_err": self.mean_abs_err if math.isfinite(self.mean_abs_err) else None,
             "norm_integral": self.norm_integral,
             "negativity_volume": self.negativity_volume,
             "tolerances": dict(self.tolerances),

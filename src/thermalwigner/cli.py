@@ -86,8 +86,9 @@ def _state_from_args(parser, args) -> StateSpec:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    # a non-finite float argument is echoed as null: JSON has no NaN or infinity
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in vars(args).items() if k != "func"}
 
 
 def _open_out(path):
@@ -108,7 +109,7 @@ def write_grid_csv(grid: analysis.WignerGrid, fh):
 
 def write_grid_json(grid: analysis.WignerGrid, fh, config: dict):
     payload = {"version": __version__, "config": config, "grid": grid.to_dict()}
-    json.dump(payload, fh, indent=2, sort_keys=True)
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 
@@ -120,7 +121,7 @@ def write_report_json(reports, fh, config: dict, tolerances: dict | None = None)
     payload = {"version": __version__, "config": config, "report": body}
     if tolerances is not None:
         payload["tolerances"] = tolerances
-    json.dump(payload, fh, indent=2, sort_keys=True)
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 
@@ -136,7 +137,7 @@ def _write_failure(path, config: dict, exc: Exception):
     except OSError:
         fh, close = sys.stderr, False
     try:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     finally:
         if close:

@@ -36,20 +36,12 @@ import numpy as np
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # ``closed_form.hermite2`` to count its calls.
 from .specfun import factorial, hermite2, hermite2_rows, laguerre  # noqa: F401
-from .states import EXCITATION_MAX, Family, PhasePoint, StateSpec
+from .states import Family, PhasePoint, StateSpec, check_excitation_count
 from .thermo import ThermalParams
 
 
 class DegenerateStateError(ValueError):
     """The requested state does not exist (zero norm or removable limit)."""
-
-
-def _check_n(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if n > EXCITATION_MAX:
-        raise ValueError(f"n = {n} exceeds the supported maximum {EXCITATION_MAX}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,7 @@ def wigner_closed_grid(state: StateSpec, q: np.ndarray, p: np.ndarray) -> np.nda
 
 def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Zero-temperature number-state Wigner function on the axes q x p."""
-    n = _check_n(n)
+    n = check_excitation_count(n)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
@@ -220,7 +212,7 @@ def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> fl
     n_c = sinh^2(theta), 2 n_c + 1 = cosh(2 theta); kept as an
     independent evaluation route for cross-checking.
     """
-    n = _check_n(n)
+    n = check_excitation_count(n)
     n_c = float(n_c)
     if not math.isfinite(n_c) or n_c < 0.0:
         raise ValueError(f"n_c must be finite and >= 0, got {n_c!r}")
@@ -255,7 +247,7 @@ def wigner_thermal_number(point: PhasePoint, n: int, thermal: ThermalParams) -> 
 
 def wigner_number_state(point: PhasePoint, n: int) -> float:
     """Wigner function of the zero-temperature number state |n>."""
-    n = _check_n(n)
+    n = check_excitation_count(n)
     return float(_number_kernel(point.abs2, n))
 
 
@@ -266,7 +258,7 @@ def norm_const_subtracted(n: int, thermal: ThermalParams) -> float:
     subtracted (unnormalized) density matrix, which the Fock oracle
     reproduces numerically.
     """
-    n = _check_n(n)
+    n = check_excitation_count(n)
     if n >= 1 and thermal.theta == 0.0:
         raise DegenerateStateError(
             "the photon-subtracted vacuum has zero norm; the normalization "
@@ -282,7 +274,7 @@ def norm_const_added(n: int, thermal: ThermalParams) -> float:
 
     1 / (n! cosh^(2n) theta); total for all theta >= 0.
     """
-    n = _check_n(n)
+    n = check_excitation_count(n)
     if n == 0:
         return 1.0
     return 1.0 / (factorial(n) * math.cosh(thermal.theta) ** (2 * n))

@@ -1,8 +1,9 @@
 """Independent ground truth in a truncated Fock space.
 
-Every state the library has a closed form for is rebuilt here as an
-explicit density matrix in the number basis, and its Wigner function is
-evaluated through the displaced photon-number parity (Royer 1977),
+Every state the library has a closed form for is rebuilt here as its
+Fock populations, the diagonal of its density matrix in the number
+basis, and its Wigner function is evaluated through the displaced
+photon-number parity (Royer 1977),
 
     W(q, p) = pref * sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>,
 
@@ -11,11 +12,12 @@ and alpha = (q + i p) / sqrt(2).  Nothing in this module uses the
 closed-form expressions, so pointwise agreement between the two routes
 certifies both.
 
-Every state is built as an operation that conserves a photon-number
-difference, so it stays diagonal in the number basis: thermal weights,
-ladder conditioning a^n rho a^dag^n (a shifted, reweighted slice of rho),
-and, for the number family, the two-mode squeeze of |n> x |n> restricted
-to its invariant sector span{|k> x |k>} (thermo field dynamics, Takahashi
+Every state is built by an operation that conserves a photon-number
+difference, so it is diagonal in the number basis and its populations
+are the whole state: thermal weights, ladder conditioning
+a^n rho a^dag^n (a shifted, reweighted slice of the populations), and,
+for the number family, the two-mode squeeze of |n> x |n> restricted to
+its invariant sector span{|k> x |k>} (thermo field dynamics, Takahashi
 & Umezawa 1975).  A diagonal state's Wigner function depends on |alpha|
 alone, so the grid evaluator computes the displaced parity once per
 distinct radius, as a displacement along q.
@@ -28,9 +30,8 @@ eigendecomposition x = U diag(mu) U^T gives every q-displacement.  And the
 parity Pi = diag((-1)^k) anticommutes with x, so Pi D(alpha) Pi =
 D(-alpha) and D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi: the displaced
 parity is a single displacement, and the spectrum of x pairs mu with -mu.
-The dense matrix-exponential evaluator ``wigner_from_density`` handles
-any state and stays as the reference the grid evaluator is tested
-against.
+The dense matrix-exponential evaluator ``wigner_from_density`` stays as
+the reference the grid evaluator is tested against.
 
 The prefactor is not hard-coded: conventions for the parity identity
 differ across sources, so it is calibrated once by requiring the vacuum
@@ -78,70 +79,42 @@ class AnnihilatedStateError(ValueError):
 
 
 @dataclass
-class LadderOps:
-    """Annihilation/creation matrices on a dim-level truncated mode.
-
-    <m| a |m+1> = sqrt(m+1); ``create`` is the transpose.  The canonical
-    commutator holds exactly on the interior (truncation breaks only the
-    last row/column).
-    """
-
-    dim: int
-    annihilate: np.ndarray
-    create: np.ndarray
-
-
-def ladder_ops(dim: int) -> LadderOps:
-    if dim < 1 or dim != int(dim):
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-    return LadderOps(dim=dim, annihilate=a, create=a.T.copy())
-
-
-def _is_diagonal(entries: np.ndarray) -> bool:
-    """True when every nonzero entry of the square matrix lies on its diagonal."""
-    return np.count_nonzero(entries) == np.count_nonzero(np.diagonal(entries))
-
-
-@dataclass
 class FockDensityMatrix:
-    """Truncated density matrix in the number basis.
+    """Truncated density matrix diag(populations) in the number basis.
 
-    Construction validates hermiticity (1e-12), unit trace (1e-10) and
-    the eigenvalue floor (>= -1e-10); the entries are frozen read-only.
+    Every state the oracle builds conserves a photon-number difference,
+    so it is diagonal and its populations are the whole state; a real
+    diagonal is Hermitian by construction.  Construction refuses
+    anything but a non-empty 1-D vector of finite entries, checks unit
+    trace (1e-10) and the eigenvalue floor (every population >= -1e-10),
+    and freezes the vector read-only.
     """
 
-    dim: int
-    entries: np.ndarray
+    populations: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
+        populations = np.array(self.populations, dtype=float)
+        if populations.ndim != 1 or populations.size == 0:
             raise ValueError(
-                f"entries shape {entries.shape} does not match dim {self.dim}"
+                f"populations must be a non-empty 1-D vector, got shape {populations.shape}"
             )
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(populations)):
             raise ValueError("density matrix entries must be finite")
-        herm_defect = np.max(np.abs(entries - entries.conj().T))
-        if herm_defect > 1e-12:
-            raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
-        trace = entries.trace().real
+        trace = populations.sum()
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
-        if _is_diagonal(entries):
-            # the eigenvalues of a diagonal Hermitian matrix are its diagonal
-            eigenvalues = np.diagonal(entries).real
-        else:
-            eigenvalues = scipy.linalg.eigvalsh(entries)
-        floor = float(np.min(eigenvalues))
+        floor = float(np.min(populations))
         if floor < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {floor:.3e} below floor")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        populations.setflags(write=False)
+        object.__setattr__(self, "populations", populations)
+
+    @property
+    def dim(self) -> int:
+        return self.populations.size
 
     def mean_photons(self) -> float:
-        return float(np.sum(np.arange(self.dim) * np.diagonal(self.entries).real))
+        return float(np.arange(self.dim) @ self.populations)
 
 
 def min_thermal_dim(n_c: float, tail_tol: float = THERMAL_TAIL_TOL) -> int:
@@ -163,7 +136,7 @@ def displacement_padding(n: int, alpha_max_sq: float) -> int:
 
 
 def thermal_density_matrix(n_c: float, dim: int) -> FockDensityMatrix:
-    """Diagonal thermal state, occupation weights n_c^l / (n_c+1)^(l+1).
+    """Thermal state, occupation weights n_c^l / (n_c+1)^(l+1).
 
     Raises:
         TruncationError: if the neglected tail at ``dim`` exceeds 1e-12;
@@ -186,27 +159,27 @@ def thermal_density_matrix(n_c: float, dim: int) -> FockDensityMatrix:
     else:
         weights = np.zeros(dim)
         weights[0] = 1.0
-    weights = weights / weights.sum()
-    return FockDensityMatrix(dim=dim, entries=np.diag(weights.astype(complex)))
+    return FockDensityMatrix(weights / weights.sum())
 
 
 def _ladder_weights(dim: int, n: int) -> np.ndarray:
-    """f_k = sqrt((k+1) ... (k+n)) for k < dim - n.
+    """f_k^2 = (k+1) ... (k+n) for k < dim - n.
 
-    These are the only nonzero entries of the ladder powers on the
+    f_k are the only nonzero entries of the ladder powers on the
     truncated basis: <k| a^n |k+n> = <k+n| a^dag^n |k> = f_k.
     """
     levels = np.arange(max(dim - n, 0), dtype=float)
-    return np.prod(np.sqrt(levels[:, None] + np.arange(1.0, n + 1)), axis=1)
+    return np.prod(levels[:, None] + np.arange(1.0, n + 1), axis=1)
 
 
 def apply_subtraction(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, float]:
     """n-fold photon subtraction a^n rho a^dag^n, renormalized.
 
-    Entrywise, (a^n rho a^dag^n)_ij = f_i f_j rho_{i+n, j+n} with the
-    ladder weights f of ``_ladder_weights``, for any rho.  Returns the
-    new state and the raw trace Tr[a^n rho a^dag^n], which equals the
-    inverse normalization constant of the subtracted state.
+    On the populations w of rho, a^n rho a^dag^n has populations
+    f_k^2 w_{k+n} with the ladder weights of ``_ladder_weights``: the
+    populations shift down by n levels.  Returns the new state and the
+    raw trace Tr[a^n rho a^dag^n], which equals the inverse normalization
+    constant of the subtracted state.
 
     Raises:
         AnnihilatedStateError: when the raw trace is below 1e-14
@@ -217,28 +190,29 @@ def apply_subtraction(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return rho, 1.0
-    f = _ladder_weights(rho.dim, n)
-    out = np.zeros_like(rho.entries)
-    out[: f.size, : f.size] = f[:, None] * rho.entries[n:, n:] * f
-    raw = float(out.trace().real)
+    f2 = _ladder_weights(rho.dim, n)
+    out = np.zeros(rho.dim)
+    out[: f2.size] = f2 * rho.populations[n:]
+    raw = float(out.sum())
     if raw <= 1e-14:
         raise AnnihilatedStateError(
             f"subtracting {n} photon(s) annihilates the state (raw trace {raw:.3e})"
         )
-    return FockDensityMatrix(dim=rho.dim, entries=out / raw), raw
+    return FockDensityMatrix(out / raw), raw
 
 
 def apply_addition(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, float]:
     """n-fold photon addition a^dag^n rho a^n, renormalized.
 
-    Entrywise, (a^dag^n rho a^n)_{i+n, j+n} = f_i f_j rho_ij, the
-    shifted-up counterpart of :func:`apply_subtraction`, for any rho.
-    Returns the new state and the raw trace Tr[a^dag^n rho a^n], the
-    inverse normalization constant of the added state.
+    On the populations w of rho, a^dag^n rho a^n has population
+    f_k^2 w_k at level k + n, the shifted-up counterpart of
+    :func:`apply_subtraction`.  Returns the new state and the raw trace
+    Tr[a^dag^n rho a^n], the inverse normalization constant of the added
+    state.
 
     Raises:
-        TruncationError: when the top n diagonal entries of rho (all of
-            them if n >= dim) are not negligible (< 1e-12), so the upward
+        TruncationError: when the top n populations of rho (all of them
+            if n >= dim) are not negligible (< 1e-12), so the upward
             shift would leak.
     """
     n = int(n)
@@ -246,17 +220,17 @@ def apply_addition(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, f
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return rho, 1.0
-    top = float(np.max(np.diagonal(rho.entries).real[max(rho.dim - n, 0) :]))
+    top = float(np.max(rho.populations[max(rho.dim - n, 0) :]))
     if top > 1e-12:
         raise TruncationError(
             f"insufficient headroom for adding {n} photon(s): top occupation "
             f"{top:.3e} at dim {rho.dim}"
         )
-    f = _ladder_weights(rho.dim, n)
-    out = np.zeros_like(rho.entries)
-    out[n:, n:] = f[:, None] * rho.entries[: f.size, : f.size] * f
-    raw = float(out.trace().real)
-    return FockDensityMatrix(dim=rho.dim, entries=out / raw), raw
+    f2 = _ladder_weights(rho.dim, n)
+    out = np.zeros(rho.dim)
+    out[n:] = f2 * rho.populations[: f2.size]
+    raw = float(out.sum())
+    return FockDensityMatrix(out / raw), raw
 
 
 def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> FockDensityMatrix:
@@ -268,9 +242,9 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
     the real tridiagonal matrix with <k+1|G|k> = theta (k+1) = -<k|G|k+1>;
     the truncated kron generator leaves the span invariant, so its
     exponential there is exact.  With c_k the amplitude of |k> x |k>,
-    tracing out the tilde mode leaves diag(|c_k|^2).  This is the oracle
-    for the finite-temperature number-state Wigner function; for n = 0 it
-    reproduces the thermal state with n_c = sinh^2(theta).
+    tracing out the tilde mode leaves the populations |c_k|^2.  This is
+    the oracle for the finite-temperature number-state Wigner function;
+    for n = 0 it reproduces the thermal state with n_c = sinh^2(theta).
 
     Raises:
         TruncationError: when population within two levels of the cutoff
@@ -295,24 +269,7 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
             f"two-mode truncation deficit {deficit:.3e} at dim {dim} per mode "
             f"(n = {n}, theta = {theta:g}) exceeds {TWO_MODE_DEFICIT_TOL:g}"
         )
-    weights = weights / weights.sum()
-    return FockDensityMatrix(dim=dim, entries=np.diag(weights.astype(complex)))
-
-
-def embed_density(rho: FockDensityMatrix, dim: int) -> FockDensityMatrix:
-    """Zero-pad a density matrix into a larger truncated basis.
-
-    Exact as long as the state's support already lies inside the old
-    cutoff; used to give displacement headroom to reduced states.
-    """
-    dim = int(dim)
-    if dim < rho.dim:
-        raise ValueError(f"cannot embed dim {rho.dim} into smaller dim {dim}")
-    if dim == rho.dim:
-        return rho
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: rho.dim, : rho.dim] = rho.entries
-    return FockDensityMatrix(dim=dim, entries=out)
+    return FockDensityMatrix(weights / weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +286,10 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    ops = ladder_ops(dim)
-    generator = alpha * ops.create.astype(complex) - np.conj(alpha) * ops.annihilate
-    return scipy.linalg.expm(generator)
+    if dim < 1 or dim != int(dim):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    a = np.diag(np.sqrt(np.arange(1.0, int(dim))), k=1)  # <m| a |m+1> = sqrt(m+1)
+    return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
 
 
 def _parity_signs(dim: int) -> np.ndarray:
@@ -355,9 +313,9 @@ def parity_prefactor() -> float:
     parity machinery is broken, so this doubles as a startup self-test.
     """
     dim = 8
-    vacuum = np.zeros((dim, dim), dtype=complex)
-    vacuum[0, 0] = 1.0
-    parity_sum = float(np.sum(_parity_signs(dim) * np.diagonal(vacuum).real))
+    vacuum = np.zeros(dim)
+    vacuum[0] = 1.0
+    parity_sum = float(_parity_signs(dim) @ vacuum)
     if abs(parity_sum - 1.0) > 1e-12:
         raise RuntimeError(
             f"displaced-parity self-test failed: vacuum parity sum {parity_sum!r}"
@@ -386,8 +344,8 @@ def wigner_from_density(
     """
     _check_leak_tol(leak_tol)
     disp_op = displacement_operator(point.alpha, rho.dim)
-    displaced = disp_op.conj().T @ rho.entries @ disp_op
-    diag = np.diagonal(displaced)
+    # the diagonal of D^dag diag(w) D: sum_k conj(D_ki) w_k D_ki
+    diag = np.einsum("ki,ki->i", disp_op.conj(), rho.populations[:, None] * disp_op)
     band = _guard_band(rho.dim)
     leak = float(np.sum(diag.real[rho.dim - band :]))
     if not leak <= leak_tol:
@@ -441,11 +399,10 @@ def wigner_grid_from_density(
 ) -> np.ndarray:
     """Displaced-parity Wigner values on the product grid q x p.
 
-    ``rho`` must be diagonal in the number basis, as every state
-    :func:`build_oracle_state` makes is; its Wigner function then depends
-    on |alpha| alone, so each distinct radius r = hypot(q, p) is
+    ``rho`` is diagonal in the number basis, so its Wigner function depends
+    on |alpha| alone, and each distinct radius r = hypot(q, p) is
     evaluated once, as a displacement along q, in the real eigenbasis
-    x = U diag(mu) U^T of :func:`_quadrature_eig`.  With w the diagonal
+    x = U diag(mu) U^T of :func:`_quadrature_eig`.  With w the populations
     of rho, the reflection identity D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
     turns the parity into one displacement,
 
@@ -462,12 +419,12 @@ def wigner_grid_from_density(
     folded onto the half spectrum mu >= 0: two trig calls and two
     (chunk x dim/2) @ (dim/2 x dim/2) products per chunk of radii, where
     the mu = 0 mode of an odd dim is its own partner and counts half.
-    Agrees with :func:`wigner_from_density`, which handles any state, to
+    Agrees with the dense reference :func:`wigner_from_density` to
     machine precision and is the evaluator the verification grids use.
 
     Raises:
-        ValueError: for a non-diagonal ``rho``, an empty or non-finite
-            axis, or a ``leak_tol`` that is not positive and finite.
+        ValueError: for an empty or non-finite axis, or a ``leak_tol``
+            that is not positive and finite.
         TruncationError: when the leak at some radius exceeds ``leak_tol``.
 
     Returns an array of shape (len(q), len(p)).
@@ -479,13 +436,8 @@ def wigner_grid_from_density(
         raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("grid axes must be finite")
-    if not _is_diagonal(rho.entries):
-        raise ValueError(
-            "the radial grid evaluator needs a density matrix diagonal in the "
-            "number basis; use wigner_from_density for a general state"
-        )
     dim = rho.dim
-    weights = np.diagonal(rho.entries).real
+    weights = rho.populations
     mu, vec = _quadrature_eig(dim)
     # Columns [half, dim) of vec carry mu >= 0; column dim-1-k pairs with k.
     half = dim // 2
@@ -532,18 +484,16 @@ def wigner_grid_from_density(
 
 
 def build_oracle_state(state: StateSpec, alpha_max_sq: float) -> FockDensityMatrix:
-    """Density matrix for ``state`` sized for displacements up to alpha_max_sq.
+    """Fock populations of ``state`` sized for displacements up to alpha_max_sq.
 
     The truncation is the smallest thermal-tail-safe dimension plus the
     displacement padding.  The number state is built in its doubled-space
     invariant sector at 32 levels per mode, then zero-padded for headroom.
-    Every state returned is diagonal in the number basis, as
-    :func:`wigner_grid_from_density` requires.
     """
     pad = displacement_padding(state.n, alpha_max_sq)
     if state.family is Family.THERMAL_NUMBER:
         reduced = thermal_number_reduced(state.n, state.thermal.theta)
-        return embed_density(reduced, reduced.dim + pad)
+        return FockDensityMatrix(np.pad(reduced.populations, (0, pad)))
     dim = min_thermal_dim(state.thermal.n_c) + pad
     rho = thermal_density_matrix(state.thermal.n_c, dim)
     if state.family is Family.PHOTON_SUBTRACTED and state.n > 0:

@@ -16,6 +16,15 @@ EXCITATION_MAX = 16
 _SQRT2 = math.sqrt(2.0)
 
 
+def check_excitation_count(n) -> int:
+    """Return ``n`` as an int in 0..EXCITATION_MAX, or raise ValueError."""
+    if n != int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if n > EXCITATION_MAX:
+        raise ValueError(f"n = {int(n)} exceeds the supported maximum {EXCITATION_MAX}")
+    return int(n)
+
+
 class Family(str, enum.Enum):
     """The four state families the library evaluates."""
 
@@ -65,11 +74,7 @@ class StateSpec:
     def __post_init__(self):
         family = Family(self.family)
         object.__setattr__(self, "family", family)
-        if self.n != int(self.n) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        n = int(self.n)
-        if n > EXCITATION_MAX:
-            raise ValueError(f"n = {n} exceeds the supported maximum {EXCITATION_MAX}")
+        n = check_excitation_count(self.n)
         if family is Family.THERMAL_VACUUM:
             n = 0
         object.__setattr__(self, "n", n)

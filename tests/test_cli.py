@@ -16,6 +16,14 @@ def run(argv):
     return main(argv)
 
 
+def strict_json(path):
+    """Parse a file as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestEval:
     def test_csv_schema_and_roundtrip(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -120,6 +128,18 @@ class TestVerify:
         ]) == 1
         assert json.loads(out.read_text())["report"]["passed"] is False
 
+    def test_failed_comparison_report_is_strict_json(self, tmp_path):
+        # the oracle refuses this state, so the grid comparison never runs
+        out = tmp_path / "report.json"
+        assert run([
+            "verify", "--family", "number", "--n", "7", "--theta", "0.5",
+            "--out", str(out),
+        ]) == 1
+        report = strict_json(out)["report"]
+        assert report["passed"] is False
+        assert report["max_abs_err"] is None and report["mean_abs_err"] is None
+        assert report["errors"][0].startswith("grid comparison: two-mode truncation deficit")
+
     def test_report_to_stdout_by_default(self, capsys):
         assert run(["verify", "--family", "vacuum", "--theta", "0.2"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -201,6 +221,14 @@ class TestNumericalFailures:
         assert payload["error"] == "DegenerateStateError"
         assert "null state" in payload["message"]
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_argument_is_echoed_as_null(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--family", "vacuum", "--theta", "nan", "--out", str(out)]) == 1
+        payload = strict_json(out)
+        assert payload["error"] == "ValueError"
+        assert payload["config"]["theta"] is None
+        assert "got nan" in payload["message"]
 
 
 class TestNegativityCommand:

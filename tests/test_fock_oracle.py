@@ -1,4 +1,4 @@
-"""Truncated Fock-space oracle: states, ladder algebra, displaced parity."""
+"""Truncated Fock-space oracle: states, ladder conditioning, displaced parity."""
 
 import math
 
@@ -18,8 +18,6 @@ from thermalwigner.fock_oracle import (
     apply_subtraction,
     build_oracle_state,
     displacement_operator,
-    embed_density,
-    ladder_ops,
     min_thermal_dim,
     parity_prefactor,
     thermal_density_matrix,
@@ -31,6 +29,16 @@ from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
+
+
+def annihilator(dim):
+    """Dense <m| a |m+1> = sqrt(m+1) on a dim-level mode."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def off_diagonal(matrix):
+    """Largest off-diagonal magnitude of a square matrix."""
+    return float(np.max(np.abs(matrix - np.diag(np.diagonal(matrix)))))
 
 
 def partial_trace_tilde(rho2, dim):
@@ -46,10 +54,8 @@ def kron_thermal_number_reduced(n, theta, dim):
     Returns the reduced matrix and the population within two levels of
     the cutoff, measured as the oracle measures it.
     """
-    ops = ladder_ops(dim)
-    generator = theta * (
-        np.kron(ops.create, ops.create) - np.kron(ops.annihilate, ops.annihilate)
-    )
+    a = annihilator(dim)
+    generator = theta * (np.kron(a.T, a.T) - np.kron(a, a))
     psi = scipy.linalg.expm(generator)[:, n * dim + n]
     amplitudes = psi.reshape(dim, dim)
     body = float(np.sum(np.abs(amplitudes[: dim - 2, : dim - 2]) ** 2))
@@ -59,46 +65,38 @@ def kron_thermal_number_reduced(n, theta, dim):
 
 
 def matrix_power_conditioning(rho, n, ladder):
-    """Reference conditioning L^n rho L^dag^n from a dense ladder power, renormalized."""
+    """Reference conditioning L^n rho L^dag^n from a dense ladder power, renormalized.
+
+    Works on the dense matrix diag(populations) and returns the dense result.
+    """
     power = np.linalg.matrix_power(ladder, n)
-    out = power @ rho.entries @ power.T
-    raw = out.trace().real
+    out = power @ np.diag(rho.populations) @ power.T
+    raw = out.trace()
     return out / raw, raw
 
 
 def number_state_matrix(level, dim):
-    entries = np.zeros((dim, dim), dtype=complex)
-    entries[level, level] = 1.0
-    return FockDensityMatrix(dim=dim, entries=entries)
+    populations = np.zeros(dim)
+    populations[level] = 1.0
+    return FockDensityMatrix(populations)
 
 
-def coherent_state_matrix(beta, dim):
-    disp = displacement_operator(beta, dim)
-    return FockDensityMatrix(dim, disp @ number_state_matrix(0, dim).entries @ disp.conj().T)
-
-
-class TestLadderOps:
-    def test_commutator_on_interior(self):
-        ops = ladder_ops(20)
-        comm = ops.annihilate @ ops.create - ops.create @ ops.annihilate
-        interior = comm[:19, :19]
-        assert np.max(np.abs(interior - np.eye(19))) < 1e-14
-
-    def test_matrix_elements(self):
-        ops = ladder_ops(5)
-        for m in range(4):
-            assert ops.annihilate[m, m + 1] == pytest.approx(math.sqrt(m + 1))
+def non_geometric_state(dim, empty_top):
+    """Seeded random populations with the top ``empty_top`` levels empty."""
+    populations = np.random.default_rng(7).random(dim)
+    populations[dim - empty_top :] = 0.0
+    return FockDensityMatrix(populations / populations.sum())
 
 
 class TestThermalDensityMatrix:
     def test_vacuum(self):
         rho = thermal_density_matrix(0.0, 4)
-        assert np.array_equal(rho.entries, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+        assert np.array_equal(rho.populations, [1.0, 0.0, 0.0, 0.0])
 
     def test_ground_occupation(self):
         # geometric weights give <0|rho|0> = 1/(n_c + 1)
         rho = thermal_density_matrix(1.0, 60)
-        assert rho.entries[0, 0].real == pytest.approx(0.5, rel=1e-12)
+        assert rho.populations[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_mean_photons(self):
         for n_c in (0.1, 0.5, 1.3811):
@@ -139,18 +137,20 @@ class TestSubtraction:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_matrix_power_reference(self, n):
-        rho = coherent_state_matrix(0.6 + 0.3j, 40)
-        expected, expected_raw = matrix_power_conditioning(rho, n, ladder_ops(40).annihilate)
+        rho = non_geometric_state(40, empty_top=5)
+        expected, expected_raw = matrix_power_conditioning(rho, n, annihilator(40))
+        # the premise of the populations-only state: conditioning keeps rho diagonal
+        assert off_diagonal(expected) < 1e-13
         out, raw = apply_subtraction(rho, n)
         assert raw == pytest.approx(expected_raw, rel=1e-14)
-        assert np.max(np.abs(out.entries - expected)) < 1e-14
+        assert np.max(np.abs(out.populations - np.diagonal(expected))) < 1e-14
 
 
 class TestAddition:
     def test_vacuum_becomes_one_photon(self):
         out, raw = apply_addition(thermal_density_matrix(0.0, 8), 1)
         assert raw == pytest.approx(1.0, rel=1e-14)
-        assert np.max(np.abs(out.entries - number_state_matrix(1, 8).entries)) < 1e-14
+        assert np.max(np.abs(out.populations - number_state_matrix(1, 8).populations)) < 1e-14
 
     def test_identity_at_n_zero(self):
         rho = thermal_density_matrix(0.5, 60)
@@ -178,11 +178,12 @@ class TestAddition:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_matrix_power_reference(self, n):
-        rho = coherent_state_matrix(0.6 + 0.3j, 40)
-        expected, expected_raw = matrix_power_conditioning(rho, n, ladder_ops(40).create)
+        rho = non_geometric_state(40, empty_top=5)
+        expected, expected_raw = matrix_power_conditioning(rho, n, annihilator(40).T)
+        assert off_diagonal(expected) < 1e-13
         out, raw = apply_addition(rho, n)
         assert raw == pytest.approx(expected_raw, rel=1e-14)
-        assert np.max(np.abs(out.entries - expected)) < 1e-14
+        assert np.max(np.abs(out.populations - np.diagonal(expected))) < 1e-14
 
 
 class TestPartialTrace:
@@ -193,12 +194,12 @@ class TestPartialTrace:
         two_mode = np.zeros((dim * dim, dim * dim), dtype=complex)
         two_mode[0, 0] = 1.0
         reduced = partial_trace_tilde(two_mode, dim)
-        assert np.max(np.abs(reduced - number_state_matrix(0, dim).entries)) < 1e-14
+        assert np.max(np.abs(reduced - np.diag(number_state_matrix(0, dim).populations))) < 1e-14
 
     def test_product_state(self):
         dim = 20
-        rho = thermal_density_matrix(0.3, dim).entries
-        sigma = number_state_matrix(2, dim).entries
+        rho = np.diag(thermal_density_matrix(0.3, dim).populations)
+        sigma = np.diag(number_state_matrix(2, dim).populations)
         reduced = partial_trace_tilde(np.kron(rho, sigma), dim)
         assert np.max(np.abs(reduced - rho)) < 1e-13
 
@@ -206,17 +207,17 @@ class TestPartialTrace:
         theta = 0.3
         reduced = thermal_number_reduced(0, theta, 24)
         expected = thermal_density_matrix(math.sinh(theta) ** 2, 24)
-        assert np.max(np.abs(reduced.entries - expected.entries)) < 1e-12
+        assert np.max(np.abs(reduced.populations - expected.populations)) < 1e-12
 
 
 class TestThermoNumberReduced:
     def test_identity_squeeze(self):
         reduced = thermal_number_reduced(1, 0.0, 8)
-        assert np.max(np.abs(reduced.entries - number_state_matrix(1, 8).entries)) < 1e-13
+        assert np.max(np.abs(reduced.populations - number_state_matrix(1, 8).populations)) < 1e-13
 
     def test_tiny_squeeze_close_to_number_state(self):
         reduced = thermal_number_reduced(1, 1e-5, 12)
-        assert abs(reduced.entries[1, 1].real - 1.0) < 1e-9
+        assert abs(reduced.populations[1] - 1.0) < 1e-9
 
     def test_mean_photons_of_reduced_vacuum(self):
         # the reduced doubled-space vacuum is thermal with sinh^2(theta) photons
@@ -236,8 +237,10 @@ class TestThermoNumberReduced:
                     with pytest.raises(TruncationError, match="deficit"):
                         thermal_number_reduced(n, theta, dim)
                     continue
+                # the premise of the populations-only state: the reduction is diagonal
+                assert off_diagonal(expected) < 1e-13
                 reduced = thermal_number_reduced(n, theta, dim)
-                assert np.max(np.abs(reduced.entries - expected)) < 1e-13
+                assert np.max(np.abs(reduced.populations - np.diagonal(expected))) < 1e-13
 
     def test_deficit_refusal_matches_kron_reference(self):
         refused = set()
@@ -255,35 +258,35 @@ class TestThermoNumberReduced:
 
     def test_dim_64_agrees_with_dim_32(self):
         # no level cap: where both truncations have converged they agree
-        small = embed_density(thermal_number_reduced(2, 0.3, 32), 64)
+        small = np.pad(thermal_number_reduced(2, 0.3, 32).populations, (0, 32))
         large = thermal_number_reduced(2, 0.3, 64)
-        assert np.max(np.abs(large.entries - small.entries)) < 1e-14
+        assert np.max(np.abs(large.populations - small)) < 1e-14
 
 
 class TestDensityMatrixValidation:
-    def test_rejects_non_hermitian(self):
-        bad = np.diag([1.0, 0.0]).astype(complex)
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="Hermitian"):
-            FockDensityMatrix(2, bad)
+    @pytest.mark.parametrize(
+        "bad", [np.eye(2) / 2.0, np.float64(1.0), np.zeros(0)], ids=["matrix", "scalar", "empty"]
+    )
+    def test_rejects_input_that_is_not_a_vector(self, bad):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            FockDensityMatrix(bad)
+
+    def test_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="finite"):
+            FockDensityMatrix(np.array([0.5, math.nan, 0.5]))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            FockDensityMatrix(2, np.diag([0.7, 0.2]).astype(complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            FockDensityMatrix(2, bad)
+            FockDensityMatrix(np.array([0.7, 0.2]))
 
     def test_rejects_negative_diagonal_entry(self):
         with pytest.raises(ValueError, match="eigenvalue"):
-            FockDensityMatrix(3, np.diag([0.7, 0.5, -0.2]).astype(complex))
+            FockDensityMatrix(np.array([0.7, 0.5, -0.2]))
 
     def test_entries_are_read_only(self):
         rho = thermal_density_matrix(0.2, 30)
         with pytest.raises(ValueError):
-            rho.entries[0, 0] = 0.0
+            rho.populations[0] = 0.0
 
 
 class TestDisplacement:
@@ -292,15 +295,11 @@ class TestDisplacement:
         assert np.max(np.abs(disp @ disp.conj().T - np.eye(40))) < 1e-12
 
     def test_displaced_vacuum_is_coherent_gaussian(self):
-        # textbook check: a displaced vacuum has W = (1/pi) exp(-2|a - b|^2)
-        beta = 0.6 + 0.3j
-        dim = 40
-        disp = displacement_operator(beta, dim)
-        vac = np.zeros((dim, dim), dtype=complex)
-        vac[0, 0] = 1.0
-        rho = FockDensityMatrix(dim, disp @ vac @ disp.conj().T)
+        # textbook check: the vacuum, displaced by alpha, has parity exp(-2|alpha|^2),
+        # so W = (1/pi) exp(-2|alpha|^2), also off the q axis
+        rho = thermal_density_matrix(0.0, 40)
         for point in (ORIGIN, PhasePoint(1.0, 0.5), PhasePoint(-0.4, 1.2)):
-            expected = math.exp(-2.0 * abs(point.alpha - beta) ** 2) / math.pi
+            expected = math.exp(-2.0 * abs(point.alpha) ** 2) / math.pi
             assert wigner_from_density(rho, point) == pytest.approx(expected, abs=1e-10)
 
 
@@ -370,12 +369,6 @@ class TestDisplacedParity:
             point = PhasePoint(float(q[i]), float(p[j]))
             assert grid[i, j] == pytest.approx(wigner_from_density(rho, point), abs=1e-12)
 
-    def test_grid_refuses_non_diagonal_state(self):
-        coherent = coherent_state_matrix(0.6 + 0.3j, 40)
-        q = np.linspace(-1.0, 1.0, 3)
-        with pytest.raises(ValueError, match="wigner_from_density"):
-            wigner_grid_from_density(coherent, q, q)
-
     def test_grid_leak_guard(self):
         rho = thermal_density_matrix(0.0, 12)
         q = np.linspace(-6.0, 6.0, 5)
@@ -427,11 +420,13 @@ class TestBuildOracleState:
             (Family.THERMAL_NUMBER, 1),
         ]:
             rho = build_oracle_state(StateSpec(family, thermal, n=n), alpha_max_sq=8.0)
-            assert abs(rho.entries.trace().real - 1.0) < 1e-10
+            assert abs(rho.populations.sum() - 1.0) < 1e-10
 
     def test_embed_preserves_entries(self):
-        rho = thermal_density_matrix(0.3, 40)
-        big = embed_density(rho, 64)
-        assert big.dim == 64
-        assert np.array_equal(big.entries[:40, :40], rho.entries)
-        assert np.all(big.entries[40:, :] == 0.0)
+        # the number state is built at 32 levels per mode, then zero-padded for headroom
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.3), n=2)
+        rho = build_oracle_state(state, alpha_max_sq=8.0)
+        reduced = thermal_number_reduced(2, 0.3)
+        assert rho.dim == reduced.dim + fock_oracle.displacement_padding(2, 8.0)
+        assert np.array_equal(rho.populations[: reduced.dim], reduced.populations)
+        assert np.all(rho.populations[reduced.dim :] == 0.0)

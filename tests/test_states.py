@@ -4,8 +4,24 @@ import math
 
 import pytest
 
+from thermalwigner import closed_form
 from thermalwigner.states import EXCITATION_MAX, Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
+
+_THERMAL = params_from_theta(0.4)
+_ORIGIN = PhasePoint(0.0, 0.0)
+
+# every entry point that takes an excitation count n
+_TAKES_N = {
+    "StateSpec": lambda n: StateSpec(Family.PHOTON_ADDED, _THERMAL, n=n),
+    "wigner_number_state": lambda n: closed_form.wigner_number_state(_ORIGIN, n),
+    "wigner_number_grid": lambda n: closed_form.wigner_number_grid(n, [0.0], [0.0]),
+    "wigner_photon_subtracted_ncform": lambda n: closed_form.wigner_photon_subtracted_ncform(
+        _ORIGIN, n, 0.5
+    ),
+    "norm_const_subtracted": lambda n: closed_form.norm_const_subtracted(n, _THERMAL),
+    "norm_const_added": lambda n: closed_form.norm_const_added(n, _THERMAL),
+}
 
 
 class TestPhasePoint:
@@ -48,3 +64,17 @@ class TestStateSpec:
         thermal = params_from_theta(0.4)
         assert StateSpec(Family.THERMAL_VACUUM, thermal).describe() == "vacuum(theta=0.4)"
         assert "n=2" in StateSpec(Family.PHOTON_ADDED, thermal, n=2).describe()
+
+    @pytest.mark.parametrize("entry", sorted(_TAKES_N))
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (-1, "n must be a nonnegative integer, got -1"),
+            (1.5, "n must be a nonnegative integer, got 1.5"),
+            (17, "n = 17 exceeds the supported maximum 16"),
+        ],
+    )
+    def test_every_entry_point_refuses_n_alike(self, entry, n, message):
+        with pytest.raises(ValueError) as exc:
+            _TAKES_N[entry](n)
+        assert str(exc.value) == message
