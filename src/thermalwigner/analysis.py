@@ -5,11 +5,19 @@ taken either from the closed forms or from the Fock oracle; downstream
 consumers (quadrature, negativity, comparison reports) treat the two
 sources interchangeably.
 
-Quadrature is composite Simpson on the uniform grid.  Before it is
-trusted, a cached self-check integrates the exact thermal Gaussian at
-theta = 0.5 on [-6, 6]^2 with 241 x 241 nodes and insists the result is
-within 1e-6 of 1.  Normalization and negativity integrals also refuse
-boxes whose half-width is under 4 * sqrt(cosh 2 theta), the radius that
+Every grid axis comes from :func:`_axis`.  On an axis symmetric about
+zero it is exactly antisymmetric (node i is minus node n-1-i), its end
+points are the box bounds and an odd axis has its centre at exactly
+0, so the closed-form grid evaluator can fold a symmetric box onto its
+distinct |q| and |p|.
+
+Quadrature is composite Simpson on the uniform grid, applied as the
+bilinear form wq @ W @ wp with scipy's own Simpson weights for each
+node count, computed once per count and cached.  Before it is trusted,
+a cached self-check integrates the exact thermal Gaussian at theta =
+0.5 on [-6, 6]^2 with 241 x 241 nodes and insists the result is within
+1e-6 of 1.  Normalization and negativity integrals also refuse boxes
+whose half-width is under 4 * sqrt(cosh 2 theta), the radius that
 captures all but ~1e-7 of the Gaussian envelope mass.
 """
 
@@ -105,11 +113,11 @@ class WignerGrid:
 
     @property
     def q_axis(self) -> np.ndarray:
-        return np.linspace(self.box.q_min, self.box.q_max, self.nq)
+        return _axis(self.box.q_min, self.box.q_max, self.nq)
 
     @property
     def p_axis(self) -> np.ndarray:
-        return np.linspace(self.box.p_min, self.box.p_max, self.np_)
+        return _axis(self.box.p_min, self.box.p_max, self.np_)
 
     def to_dict(self) -> dict:
         return {
@@ -181,11 +189,26 @@ class VerificationReport:
 # grid sampling
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n uniform nodes from lo to hi, exactly mirror-symmetric when lo == -hi.
+
+    ``np.linspace(-R, R, n)`` is symmetric only up to rounding: node i
+    and -node n-1-i differ in their last bits.  Averaging the axis with
+    its mirror image -a[::-1] moves each node by at most one ulp of R
+    and makes the symmetry exact.  The halves are scaled before the
+    difference so that huge bounds do not overflow.
+    """
+    a = np.linspace(lo, hi, int(n))
+    if lo == -hi:
+        a = 0.5 * a - 0.5 * a[::-1]
+    return a
+
+
 def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -> WignerGrid:
     """Evaluate the requested source on every node of the box."""
     source = Source(source)
-    q = np.linspace(box.q_min, box.q_max, int(nq))
-    p = np.linspace(box.p_min, box.p_max, int(np_))
+    q = _axis(box.q_min, box.q_max, nq)
+    p = _axis(box.p_min, box.p_max, np_)
     if source is Source.CLOSED_FORM:
         values = closed_form.wigner_closed_grid(state, q, p)
     else:
@@ -198,15 +221,31 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
 # quadrature
 
 
+@lru_cache(maxsize=8)
+def _unit_simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights of n uniform nodes on [0, 1], read-only.
+
+    Simpson's rule is linear in the samples, so integrating the identity
+    matrix column by column gives scipy's weights, including its end
+    correction for an even n.
+    """
+    weights = simpson(np.eye(n), x=np.linspace(0.0, 1.0, n), axis=0)
+    weights.setflags(write=False)
+    return weights
+
+
 def _simpson2d(values: np.ndarray, q: np.ndarray, p: np.ndarray) -> float:
-    return float(simpson(simpson(values, x=p, axis=1), x=q))
+    """Composite Simpson integral of values[i, j] at (q[i], p[j]) on uniform axes."""
+    wq = (q[-1] - q[0]) * _unit_simpson_weights(q.size)
+    wp = (p[-1] - p[0]) * _unit_simpson_weights(p.size)
+    return float(wq @ values @ wp)
 
 
 @lru_cache(maxsize=1)
 def _quadrature_self_check() -> float:
     """Simpson error on an exactly normalized Gaussian; cached, must be < 1e-6."""
     state = StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.5))
-    q = np.linspace(-6.0, 6.0, 241)
+    q = _axis(-6.0, 6.0, 241)
     values = closed_form.wigner_closed_grid(state, q, q)
     err = abs(_simpson2d(values, q, q) - 1.0)
     if err > 1e-6:
@@ -234,18 +273,43 @@ def negativity_volume(grid: WignerGrid) -> float:
     """Total negative mass integral (|W| - W)/2 dq dp, >= 0."""
     _quadrature_self_check()
     _require_box_captures_mass(grid)
-    negative_part = 0.5 * (np.abs(grid.values) - grid.values)
-    return _simpson2d(negative_part, grid.q_axis, grid.p_axis)
+    # max(-W, 0) is bitwise (|W| - W)/2
+    return _simpson2d(np.maximum(-grid.values, 0.0), grid.q_axis, grid.p_axis)
+
+
+def mean_photon_number(state: StateSpec) -> float:
+    """<a^dag a> of the state, from its closed-form photon statistics.
+
+    With n_c = sinh^2 theta: the thermal state has n_c; subtracting n
+    photons gives (n + 1) n_c and adding them (n + 1)(n_c + 1) - 1; the
+    number state, |n> x |n> squeezed in the doubled space, has
+    n cosh 2 theta + n_c.
+    """
+    theta, n = state.thermal.theta, state.n
+    n_c = math.sinh(theta) ** 2
+    family = state.family
+    if family is Family.THERMAL_VACUUM:
+        return n_c
+    if family is Family.PHOTON_SUBTRACTED:
+        return (n + 1) * n_c
+    if family is Family.PHOTON_ADDED:
+        return (n + 1) * math.cosh(theta) ** 2 - 1.0
+    return n * math.cosh(2.0 * theta) + n_c
 
 
 def default_norm_box(state: StateSpec) -> Box:
     """Auto-sized box for normalization/negativity quadrature.
 
-    Radius sqrt((36 + 2 n) cosh 2 theta) keeps the neglected envelope x
-    polynomial tail at or below ~1e-6 for n <= 16.
+    Radius^2 is the larger of (36 + 2 n) cosh 2 theta, which bounds the
+    Gaussian envelope x polynomial tail, and 6 (2 <a^dag a> + 1), six
+    times the state's second moment <q^2 + p^2> = 2 <a^dag a> + 1.  The
+    second rule takes over for the broad states, the number state from
+    n = 4 and the conditioned states at large n, where the first left
+    up to 5e-3 of the mass outside the box.
     """
-    radius = math.sqrt((36.0 + 2.0 * state.n) * state.thermal.cosh_2theta)
-    return Box.symmetric(radius)
+    second_moment = 2.0 * mean_photon_number(state) + 1.0
+    radius2 = max((36.0 + 2.0 * state.n) * state.thermal.cosh_2theta, 6.0 * second_moment)
+    return Box.symmetric(math.sqrt(radius2))
 
 
 NORM_GRID_POINTS = 241

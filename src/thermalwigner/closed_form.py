@@ -24,6 +24,13 @@ evaluator :func:`wigner_closed_grid` and the per-family ``wigner_*``
 wrappers all go through that table.  The thermal number sum is taken at
 real arguments, with the two-variable Hermite rows built by recurrence
 on the distinct radii of the input.
+
+The grid evaluators fold the product grid onto its distinct |q| and |p|
+before calling a kernel: W(q, p) depends on q^2 and p^2 only, so the
+kernel runs on the quadrant of distinct magnitudes and its values are
+scattered back to every node.  The fold is exact for any axes; on the
+mirror-symmetric axes of ``analysis`` it cuts an odd n x n grid to
+((n + 1) / 2)^2 kernel points.
 """
 
 from __future__ import annotations
@@ -160,27 +167,32 @@ def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:
     return float(_KERNELS[state.family](point.abs2, state.n, state.thermal.theta))
 
 
+def _folded_grid(radial, q, p) -> np.ndarray:
+    """radial(|alpha|^2) on the product of axes q and p, one call per distinct |q|, |p|."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError("grid axes must be finite")
+    q_abs, iq = np.unique(np.abs(q), return_inverse=True)
+    p_abs, ip = np.unique(np.abs(p), return_inverse=True)
+    abs2 = 0.5 * (q_abs[:, None] ** 2 + p_abs[None, :] ** 2)
+    return radial(abs2).take(iq.ravel(), axis=0).take(ip.ravel(), axis=1)
+
+
 def wigner_closed_grid(state: StateSpec, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Evaluate the closed form on the Cartesian product of axes q and p.
 
     Returns an array of shape (len(q), len(p)) with entry [i, j] at
     (q[i], p[j]).
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("grid axes must be finite")
-    abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
-    return _KERNELS[state.family](abs2, state.n, state.thermal.theta)
+    kernel = _KERNELS[state.family]
+    return _folded_grid(lambda abs2: kernel(abs2, state.n, state.thermal.theta), q, p)
 
 
 def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Zero-temperature number-state Wigner function on the axes q x p."""
     n = check_excitation_count(n)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
-    return _number_kernel(abs2, n)
+    return _folded_grid(lambda abs2: _number_kernel(abs2, n), q, p)
 
 
 # ---------------------------------------------------------------------------

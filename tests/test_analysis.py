@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
-from thermalwigner import analysis
+from thermalwigner import analysis, fock_oracle
 from thermalwigner.analysis import (
     NORM_GRID_POINTS,
     Box,
     BoxTooSmallError,
     Source,
+    _axis,
     _quadrature_self_check,
+    _simpson2d,
+    _unit_simpson_weights,
     default_norm_box,
     limit_suite,
+    mean_photon_number,
     negativity_of_state,
     negativity_volume,
     normalization_integral,
@@ -58,6 +62,78 @@ class TestQuadrature:
             spec = state("added", theta, n=5)
             box = default_norm_box(spec)
             assert box.min_half_width >= 4.0 * math.sqrt(spec.thermal.cosh_2theta)
+
+    @pytest.mark.parametrize("nq, np_", [(241, 241), (240, 240), (21, 8), (2, 3)])
+    def test_simpson2d_matches_scipy(self, nq, np_):
+        q = np.linspace(-1.3, 2.9, nq)
+        p = np.linspace(-4.0, 4.0, np_)
+        values = np.exp(-(q[:, None] - 0.4) ** 2 - 0.5 * p[None, :] ** 2) * (1.0 + q[:, None] * p)
+        reference = simpson(simpson(values, x=p, axis=1), x=q)
+        assert _simpson2d(values, q, p) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_simpson_weights_are_cached_and_read_only(self):
+        weights = _unit_simpson_weights(241)
+        assert weights is _unit_simpson_weights(241)
+        assert not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+
+
+class TestNormBox:
+    @pytest.mark.parametrize("family", ["vacuum", "subtracted", "added", "number"])
+    def test_mean_photon_number_matches_oracle(self, family):
+        checked = 0
+        for n in (0, 1, 3, 8):
+            for theta in (0.1, 0.4, 0.8):
+                spec = state(family, theta, n=0 if family == "vacuum" else n)
+                try:
+                    rho = fock_oracle.build_oracle_state(spec, 0.0)
+                except fock_oracle.TruncationError:
+                    continue  # the oracle does not hold this state
+                assert mean_photon_number(spec) == pytest.approx(
+                    rho.mean_photons(), rel=1e-10, abs=1e-12
+                ), (family, n, theta)
+                checked += 1
+        assert checked >= 6
+
+    def test_box_never_shrinks(self):
+        for family in ("vacuum", "subtracted", "added", "number"):
+            for n in (0, 4, 16):
+                for theta in (0.0, 0.7, 2.0):
+                    if family == "number" and theta == 0.0:
+                        continue
+                    spec = state(family, theta, n=n)
+                    old = math.sqrt((36.0 + 2.0 * spec.n) * spec.thermal.cosh_2theta)
+                    assert default_norm_box(spec).q_max >= old
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_broad_number_states_normalize(self, n):
+        for theta in (0.7, 1.0, 1.325, 1.5):
+            spec = state("number", theta, n=n)
+            assert abs(normalization_of_state(spec) - 1.0) <= 1e-6, theta
+
+
+class TestAxis:
+    @pytest.mark.parametrize("n", [2, 9, 49, 240, 241])
+    @pytest.mark.parametrize("half_width", [3.0, 4.0, 7.453247805711868, 1e300])
+    def test_symmetric_axis_is_exactly_mirrored(self, n, half_width):
+        axis = _axis(-half_width, half_width, n)
+        assert np.array_equal(axis, -axis[::-1])
+        assert axis[0] == -half_width and axis[-1] == half_width
+        if n % 2:
+            assert axis[n // 2] == 0.0
+        assert np.all(np.isfinite(axis))
+        # each node moves at most one ulp of the half-width from linspace
+        shift = np.abs(axis - np.linspace(-half_width, half_width, n))
+        assert np.max(shift) <= np.spacing(half_width)
+
+    def test_asymmetric_axis_is_linspace(self):
+        assert np.array_equal(_axis(-1.0, 2.0, 11), np.linspace(-1.0, 2.0, 11))
+
+    def test_grid_axes_are_the_sampled_axes(self):
+        box = Box.symmetric(7.1)
+        grid = sample_grid(state("added", 0.4, n=1), box, 31, 30, Source.CLOSED_FORM)
+        assert np.array_equal(grid.q_axis, _axis(-7.1, 7.1, 31))
+        assert np.array_equal(grid.p_axis, _axis(-7.1, 7.1, 30))
 
 
 class TestSampleGrid:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thermalwigner import closed_form
 from thermalwigner.closed_form import (
     DegenerateStateError,
     norm_const_added,
@@ -327,6 +328,40 @@ class TestDispatchAndGrids:
                     assert grid[i, j] == pytest.approx(
                         wigner_closed_form(state, point), rel=1e-13, abs=1e-16
                     )
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            (np.linspace(-3.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)),  # symmetric, odd
+            (np.linspace(-3.0, 3.0, 10), np.linspace(-2.5, 2.5, 8)),  # even, nq != np
+            (np.linspace(-1.0, 3.0, 11), np.linspace(-2.0, 0.7, 6)),  # asymmetric
+            (np.array([2.0, -0.5, 0.5, -2.0, 0.0]), np.array([-1.0, 1.5])),  # unsorted
+        ],
+    )
+    def test_folded_grid_equals_per_node_kernel(self, q, p):
+        # the grid evaluator folds onto distinct |q|, |p|; the per-node
+        # kernel takes every |alpha|^2 of the product grid as given
+        abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
+        for family, n in [
+            (Family.THERMAL_VACUUM, 0),
+            (Family.PHOTON_SUBTRACTED, 3),
+            (Family.PHOTON_ADDED, 4),
+            (Family.THERMAL_NUMBER, 5),
+        ]:
+            state = StateSpec(family, params_from_theta(0.7), n=n)
+            grid = wigner_closed_grid(state, q, p)
+            per_node = closed_form._KERNELS[family](abs2, n, 0.7)
+            assert grid.shape == (q.size, p.size)
+            if family is Family.THERMAL_NUMBER:
+                np.testing.assert_allclose(grid, per_node, rtol=1e-14, atol=0.0)
+            else:
+                assert np.array_equal(grid, per_node), family
+        assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))
+
+    def test_grid_refuses_non_finite_axis(self):
+        state = StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.3))
+        with pytest.raises(ValueError, match="finite"):
+            wigner_closed_grid(state, [0.0, np.nan], [0.0])
 
     def test_excitation_cap(self):
         thermal = params_from_theta(0.5)

@@ -113,6 +113,17 @@ class TestSubtraction:
         with pytest.raises(AnnihilatedStateError):
             apply_subtraction(thermal_density_matrix(0.0, 8), 1)
 
+    @pytest.mark.parametrize("n, theta", [(16, 0.1), (12, 0.1), (8, 0.05), (16, 1e-6)])
+    def test_tiny_raw_trace_is_a_state(self, n, theta):
+        # tiny raw traces, 5e-16 down to 2e-179, are valid states
+        n_c = math.sinh(theta) ** 2
+        rho = thermal_density_matrix(n_c, min_thermal_dim(n_c) + n + 10)
+        out, raw = apply_subtraction(rho, n)
+        expected = math.factorial(n) * math.sinh(theta) ** (2 * n)
+        assert raw == pytest.approx(expected, rel=1e-8)
+        # the subtracted thermal state is negative binomial: <a^dag a> = (n + 1) n_c
+        assert out.mean_photons() == pytest.approx((n + 1) * n_c, rel=1e-8)
+
     def test_identity_at_n_zero(self):
         rho = thermal_density_matrix(0.5, 60)
         out, raw = apply_subtraction(rho, 0)
