@@ -41,7 +41,7 @@ print()
 print("=== The doubled-space route for the thermal number state ===")
 print("(two-mode squeeze of |n> x |n> in its invariant sector span{|k> x |k>},")
 print(" reduced to the weights |c_k|^2, then the displaced parity once per radius")
-print(" as one real cosine sum over the eigenvalues of the quadrature x)")
+print(" as one Laguerre series over the weights, sum_k w_k (-1)^k exp(-x/2) L_k(x))")
 state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.5), n=2)
 start = time.monotonic()
 report = verify_state(state)

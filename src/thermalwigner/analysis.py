@@ -69,13 +69,6 @@ class Box:
         return cls(-half_width, half_width, -half_width, half_width)
 
     @property
-    def alpha_max_sq(self) -> float:
-        """Largest |alpha|^2 = (q^2 + p^2)/2 over the box corners."""
-        qm = max(abs(self.q_min), abs(self.q_max))
-        pm = max(abs(self.p_min), abs(self.p_max))
-        return 0.5 * (qm * qm + pm * pm)
-
-    @property
     def min_half_width(self) -> float:
         return min(-self.q_min, self.q_max, -self.p_min, self.p_max)
 
@@ -90,7 +83,13 @@ class Box:
 
 @dataclass
 class WignerGrid:
-    """Uniform sampling of one Wigner function plus its provenance."""
+    """Uniform sampling of one Wigner function plus its provenance.
+
+    An oracle grid's ``details`` hold ``oracle_dim``, the levels of the
+    Fock state it was evaluated from, and ``oracle_tail``, the bound on
+    the population mass that truncation cut off (see
+    ``fock_oracle.FockDensityMatrix``).
+    """
 
     state: StateSpec
     source: Source
@@ -98,6 +97,7 @@ class WignerGrid:
     nq: int
     np_: int
     values: np.ndarray
+    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.nq < 2 or self.np_ < 2:
@@ -209,12 +209,15 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
     source = Source(source)
     q = _axis(box.q_min, box.q_max, nq)
     p = _axis(box.p_min, box.p_max, np_)
+    details = {}
     if source is Source.CLOSED_FORM:
         values = closed_form.wigner_closed_grid(state, q, p)
     else:
-        rho = fock_oracle.build_oracle_state(state, box.alpha_max_sq)
+        rho = fock_oracle.build_oracle_state(state)
         values = fock_oracle.wigner_grid_from_density(rho, q, p)
-    return WignerGrid(state=state, source=source, box=box, nq=int(nq), np_=int(np_), values=values)
+        details = {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
+    return WignerGrid(state=state, source=source, box=box, nq=int(nq), np_=int(np_),
+                      values=values, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -
 # Comparison tolerance tiers: the number state's oracle weights may miss
 # up to TWO_MODE_DEFICIT_TOL (1e-8) of population at their fixed per-mode
 # truncation, so its tier is looser than that of the single-mode families,
-# whose thermal weights are truncated below THERMAL_TAIL_TOL (1e-12).
+# whose populations are cut below one ulp of their trace.
 MAX_ERR_TOL_SINGLE_MODE = 1e-8
 MAX_ERR_TOL_TWO_MODE = 1e-6
 NORM_TOL = 1e-4
@@ -367,8 +370,11 @@ def verify_state(
     Runs both evaluators on the grid, reports max/mean pointwise error,
     the closed-form normalization on the auto-sized box, and the
     negativity volume; both integrals come from one sampling of that
-    box.  Stage failures are recorded in ``errors`` and do not abort the
-    remaining stages.  Deterministic for fixed inputs.
+    box.  ``details`` carries the oracle grid's provenance,
+    ``oracle_dim`` and ``oracle_tail``; the oracle's own error is at
+    most 2 oracle_tail / pi.  Stage failures are recorded in ``errors``
+    and do not abort the remaining stages.  Deterministic for fixed
+    inputs.
     """
     default_box, default_nq, default_np = default_verification_grid(state)
     box = box if box is not None else default_box
@@ -381,10 +387,12 @@ def verify_state(
     mean_abs_err = math.inf
     norm_integral = None
     negativity = None
+    details: dict = {}
 
     try:
         closed_grid = sample_grid(state, box, nq, np_, Source.CLOSED_FORM)
         oracle_grid = sample_grid(state, box, nq, np_, Source.ORACLE)
+        details = oracle_grid.details
         diff = np.abs(closed_grid.values - oracle_grid.values)
         max_abs_err = float(np.max(diff))
         mean_abs_err = float(np.mean(diff))
@@ -425,6 +433,7 @@ def verify_state(
         norm_integral=norm_integral,
         negativity_volume=negativity,
         tolerances={"max_abs_err": max_err_tol, "norm": norm_tol},
+        details=details,
         errors=errors,
         passed=passed,
     )

@@ -1,53 +1,45 @@
 """Independent ground truth in a truncated Fock space.
 
 Every state the library has a closed form for is rebuilt here as its
-Fock populations, the diagonal of its density matrix in the number
-basis, and its Wigner function is evaluated through the displaced
-photon-number parity (Royer 1977),
+Fock populations w_k, the diagonal of its density matrix in the number
+basis: thermal weights, ladder conditioning a^n rho a^dag^n (a shifted,
+reweighted slice of the populations), and, for the number family, the
+two-mode squeeze of |n> x |n> restricted to its invariant sector
+span{|k> x |k>} (thermo field dynamics, Takahashi & Umezawa 1975).  Its
+Wigner function is the displaced photon-number parity (Royer 1977),
+W = pref sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>, with
+alpha = (q + i p) / sqrt(2).  Nothing in this module uses the
+closed-form expressions, so pointwise agreement certifies both routes.
 
-    W(q, p) = pref * sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>,
+For a diagonal state the parity identity D(alpha) Pi D(alpha)^dag =
+D(2 alpha) Pi leaves diagonal elements of one displacement,
+<k| D(beta) |k> = l_k(x) = exp(-x/2) L_k(x) with x = |beta|^2 =
+4 |alpha|^2 (Cahill & Glauber 1969), so W = pref sum_k w_k (-1)^k l_k(x).
+The grid evaluator runs the Laguerre recurrence in k once, vectorised
+over the distinct x of the grid, with log-scaled seeds so that
+exp(-x/2) cannot underflow: O(dim) time and memory per distinct x.  The
+displacement is never truncated, and |l_k| <= 1, so cutting population
+mass tail off a state moves W by at most 2 tail / pi.  Each state is
+therefore sized from its own populations, not from a box: thermal and
+conditioned states are cut where their own tail falls below one ulp;
+the number state keeps its 32-level two-mode build.
 
-with D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis
-and alpha = (q + i p) / sqrt(2).  Nothing in this module uses the
-closed-form expressions, so pointwise agreement between the two routes
-certifies both.
-
-Every state is built by an operation that conserves a photon-number
-difference, so it is diagonal in the number basis and its populations
-are the whole state: thermal weights, ladder conditioning
-a^n rho a^dag^n (a shifted, reweighted slice of the populations), and,
-for the number family, the two-mode squeeze of |n> x |n> restricted to
-its invariant sector span{|k> x |k>} (thermo field dynamics, Takahashi
-& Umezawa 1975).  A diagonal state's Wigner function depends on |alpha|
-alone, so the grid evaluator computes the displaced parity once per
-distinct radius, as a displacement along q.
-
-Two symmetries hold exactly in the truncated basis and make that
-evaluation real.  With P = diag(i^k), the q-displacement generator is
-(a^dag - a)/sqrt(2) = P (-i x) P^dag, where x = (a + a^dag)/sqrt(2) is
-real, symmetric and tridiagonal with a zero diagonal; so one real
-eigendecomposition x = U diag(mu) U^T gives every q-displacement.  And the
-parity Pi = diag((-1)^k) anticommutes with x, so Pi D(alpha) Pi =
-D(-alpha) and D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi: the displaced
-parity is a single displacement, and the spectrum of x pairs mu with -mu.
-The dense matrix-exponential evaluator ``wigner_from_density`` stays as
-the reference the grid evaluator is tested against.
+The dense matrix-exponential point evaluator ``wigner_from_density`` is
+the reference.  It zero-pads the state with headroom for its own
+|alpha|, checks the displaced population of a guard band at the top of
+the padded basis, and refuses above ``DENSE_DIM_MAX`` levels before it
+allocates a matrix.
 
 The prefactor is not hard-coded: conventions for the parity identity
 differ across sources, so it is calibrated once by requiring the vacuum
 value at the origin to be 1/pi, the peak height that makes
 integral W dq dp = 1 (a startup self-test, see ``parity_prefactor``).
-
-Truncation policy: the thermal tail beyond the cutoff must be below
-1e-12, and displacement headroom of max(10, 4 n + ceil(8 |alpha|^2_max))
-extra levels is added on top because displacing by alpha pushes
-population up by about |alpha|^2 levels.  Leak past the cutoff is
-monitored at every evaluation through the population of a guard band at
-the top of the basis.
 """
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,10 +56,25 @@ THERMAL_TAIL_TOL = 1e-12
 DEFAULT_LEAK_TOL = 1e-10
 TWO_MODE_DEFICIT_TOL = 1e-8
 
-_SQRT2 = math.sqrt(2.0)
+# An oracle state is cut where the population mass it drops falls below
+# one ulp of its unit trace, so that the cut, and the renormalization
+# after it, are invisible in double precision.  THERMAL_TAIL_TOL is the
+# coarser bound that every thermal state must meet.
+_CUT_TAIL = float(np.finfo(float).eps)
+
+# Largest padded basis of the dense reference: its matrix exponential
+# holds several dim x dim complex matrices, 16 MiB each at this size.
+DENSE_DIM_MAX = 1024
 
 # Vacuum Wigner peak under the integral-one-over-dq-dp convention.
 VACUUM_PEAK = 1.0 / math.pi
+
+# The series recurrence checks its magnitude every _RESCALE_EVERY steps and
+# scales by powers of two above _RESCALE_ABOVE.  One step multiplies it by
+# at most x + 3k + 1, so eight steps from 2^500 cannot overflow while
+# x + 3k < 2^65.
+_RESCALE_EVERY = 8
+_RESCALE_ABOVE = 2.0**500
 
 
 class TruncationError(RuntimeError):
@@ -83,14 +90,16 @@ class FockDensityMatrix:
     """Truncated density matrix diag(populations) in the number basis.
 
     Every state the oracle builds conserves a photon-number difference,
-    so it is diagonal and its populations are the whole state; a real
-    diagonal is Hermitian by construction.  Construction refuses
-    anything but a non-empty 1-D vector of finite entries, checks unit
-    trace (1e-10) and the eigenvalue floor (every population >= -1e-10),
-    and freezes the vector read-only.
+    so it is diagonal and its populations are the whole state.
+    Construction refuses anything but a non-empty 1-D vector of finite
+    entries, checks unit trace (1e-10), the eigenvalue floor (every
+    population >= -1e-10) and ``tail``, the bound on the mass cut off
+    above ``dim`` before renormalization (0 for an exact state), and
+    freezes the vector read-only.
     """
 
     populations: np.ndarray
+    tail: float = 0.0
 
     def __post_init__(self):
         populations = np.array(self.populations, dtype=float)
@@ -106,6 +115,8 @@ class FockDensityMatrix:
         floor = float(np.min(populations))
         if floor < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {floor:.3e} below floor")
+        if not 0.0 <= self.tail <= 1.0:
+            raise ValueError(f"tail must be in [0, 1], got {self.tail!r}")
         populations.setflags(write=False)
         object.__setattr__(self, "populations", populations)
 
@@ -130,9 +141,41 @@ def min_thermal_dim(n_c: float, tail_tol: float = THERMAL_TAIL_TOL) -> int:
     return max(1, math.ceil(math.log(tail_tol) / math.log(ratio)))
 
 
-def displacement_padding(n: int, alpha_max_sq: float) -> int:
-    """Extra levels above the state support needed for displaced parity."""
-    return max(10, 4 * int(n) + math.ceil(8.0 * float(alpha_max_sq)))
+def _log_conditioned_tail(n_c: float, n: int, levels: int) -> float:
+    """Log of a bound on the mass of NegBin(n + 1, r) at levels >= ``levels``.
+
+    Conditioning a thermal state by n photons leaves the populations
+    p_k = C(k + n, n) (1 - r)^(n+1) r^k, r = n_c / (n_c + 1), at level k
+    (subtraction) or k + n (addition).  For levels > n n_c - 1 the ratio
+    p_(k+1) / p_k = r (k + n + 1) / (k + 1) is below 1 and falls, so the
+    tail is at most p_K / (1 - ratio at K); p_K is taken in logs.
+    """
+    log_r = math.log(n_c) - math.log1p(n_c)
+    log_p = (
+        math.lgamma(levels + n + 1) - math.lgamma(levels + 1) - math.lgamma(n + 1)
+        - (n + 1) * math.log1p(n_c) + levels * log_r
+    )
+    ratio = math.exp(log_r) * (levels + n + 1) / (levels + 1)
+    return log_p - math.log1p(-ratio)
+
+
+def _conditioned_levels(n_c: float, n: int) -> int:
+    """Fewest levels whose conditioned tail bound is below ``_CUT_TAIL``.
+
+    The bound falls monotonically past the mode, so the dimension doubles
+    until it holds and is then bisected.  For n = 0, the thermal state,
+    the bound is the exact geometric tail.
+    """
+    if n_c == 0.0:
+        return 1
+    def holds(levels: int) -> bool:
+        return _log_conditioned_tail(n_c, n, levels) <= math.log(_CUT_TAIL)
+
+    lo = math.floor(n * n_c)
+    hi = lo + 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=holds)
 
 
 def thermal_density_matrix(n_c: float, dim: int) -> FockDensityMatrix:
@@ -147,19 +190,14 @@ def thermal_density_matrix(n_c: float, dim: int) -> FockDensityMatrix:
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if n_c > 0.0:
-        tail = (n_c / (n_c + 1.0)) ** dim
-        if tail > THERMAL_TAIL_TOL:
-            raise TruncationError(
-                f"thermal tail {tail:.3e} at dim {dim} exceeds {THERMAL_TAIL_TOL:g}; "
-                f"use dim >= {min_thermal_dim(n_c)}"
-            )
-        levels = np.arange(dim)
-        weights = (n_c / (n_c + 1.0)) ** levels / (n_c + 1.0)
-    else:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-    return FockDensityMatrix(weights / weights.sum())
+    tail = (n_c / (n_c + 1.0)) ** dim
+    if tail > THERMAL_TAIL_TOL:
+        raise TruncationError(
+            f"thermal tail {tail:.3e} at dim {dim} exceeds {THERMAL_TAIL_TOL:g}; "
+            f"use dim >= {min_thermal_dim(n_c)}"
+        )
+    weights = (n_c / (n_c + 1.0)) ** np.arange(dim) / (n_c + 1.0)
+    return FockDensityMatrix(weights / weights.sum(), tail)
 
 
 def _ladder_weights(dim: int, n: int) -> np.ndarray:
@@ -247,6 +285,8 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
     tracing out the tilde mode leaves the populations |c_k|^2.  This is
     the oracle for the finite-temperature number-state Wigner function;
     for n = 0 it reproduces the thermal state with n_c = sinh^2(theta).
+    The truncated exponential loses no mass, so the state's ``tail`` is
+    the deficit, the population of its top two levels, instead.
 
     Raises:
         TruncationError: when population within two levels of the cutoff
@@ -271,7 +311,7 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
             f"two-mode truncation deficit {deficit:.3e} at dim {dim} per mode "
             f"(n = {n}, theta = {theta:g}) exceeds {TWO_MODE_DEFICIT_TOL:g}"
         )
-    return FockDensityMatrix(weights / weights.sum())
+    return FockDensityMatrix(weights / weights.sum(), deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +340,6 @@ def _parity_signs(dim: int) -> np.ndarray:
     return signs
 
 
-def _guard_band(dim: int) -> int:
-    return max(3, dim // 12)
-
-
 @lru_cache(maxsize=1)
 def parity_prefactor() -> float:
     """Calibrated prefactor of the displaced-parity sum.
@@ -325,10 +361,14 @@ def parity_prefactor() -> float:
     return VACUUM_PEAK / parity_sum
 
 
-def _check_leak_tol(leak_tol: float) -> None:
-    # a NaN tolerance would let every leak comparison pass
-    if not (math.isfinite(leak_tol) and leak_tol > 0.0):
-        raise ValueError(f"leak_tol must be positive and finite, got {leak_tol!r}")
+def _dense_headroom(dim: int, alpha_sq: float) -> int:
+    """Zero levels the dense reference adds above a dim-level state.
+
+    8 |alpha|^2 (the former grid padding), |alpha| sqrt(dim) for the
+    spread 2 |alpha| sqrt(k) that displacement gives level k, halved as
+    the top levels hold only the tail, and 16 for a displaced low level.
+    """
+    return 16 + math.ceil(8.0 * alpha_sq + math.sqrt(alpha_sq * dim))
 
 
 def wigner_from_density(
@@ -338,24 +378,39 @@ def wigner_from_density(
 ) -> float:
     """Displaced-parity Wigner value of ``rho`` at one phase-space point.
 
+    The reference evaluator: ``rho`` is zero-padded by
+    :func:`_dense_headroom` for this point's |alpha| and displaced by a
+    dense matrix exponential; the displaced population of a guard band
+    at the top of the padded basis must stay below ``leak_tol``.
+
     Raises:
         ValueError: when ``leak_tol`` is not positive and finite.
-        TruncationError: when the displaced state puts more than
-            ``leak_tol`` population into the guard band at the top of the
-            basis, i.e. |alpha| is too large for the truncation.
+        TruncationError: when the padded basis exceeds ``DENSE_DIM_MAX``
+            levels (before anything is allocated), or when the displaced
+            state puts more than ``leak_tol`` population into the guard
+            band.
     """
-    _check_leak_tol(leak_tol)
-    disp_op = displacement_operator(point.alpha, rho.dim)
+    # a NaN tolerance would let every leak comparison pass
+    if not (math.isfinite(leak_tol) and leak_tol > 0.0):
+        raise ValueError(f"leak_tol must be positive and finite, got {leak_tol!r}")
+    dim = rho.dim + _dense_headroom(rho.dim, point.abs2)
+    if dim > DENSE_DIM_MAX:
+        raise TruncationError(
+            f"dense reference needs {dim} levels for |alpha|^2 = {point.abs2:.3g} "
+            f"at state dim {rho.dim}, above its cap {DENSE_DIM_MAX}"
+        )
+    disp_op = displacement_operator(point.alpha, dim)
+    weights = np.pad(rho.populations, (0, dim - rho.dim))
     # the diagonal of D^dag diag(w) D: sum_k conj(D_ki) w_k D_ki
-    diag = np.einsum("ki,ki->i", disp_op.conj(), rho.populations[:, None] * disp_op)
-    band = _guard_band(rho.dim)
-    leak = float(np.sum(diag.real[rho.dim - band :]))
+    diag = np.einsum("ki,ki->i", disp_op.conj(), weights[:, None] * disp_op)
+    band = max(3, dim // 12)
+    leak = float(np.sum(diag.real[dim - band :]))
     if not leak <= leak_tol:
         raise TruncationError(
-            f"displacement leak {leak:.3e} at dim {rho.dim} for |alpha| = "
+            f"displacement leak {leak:.3e} at dim {dim} for |alpha| = "
             f"{abs(point.alpha):.3g} exceeds {leak_tol:g}"
         )
-    parity_sum = complex(np.sum(_parity_signs(rho.dim) * diag))
+    parity_sum = complex(np.sum(_parity_signs(dim) * diag))
     if not abs(parity_sum.imag) < 1e-10:
         raise RuntimeError(
             f"parity sum acquired an imaginary part {parity_sum.imag:.3e}"
@@ -363,143 +418,79 @@ def wigner_from_density(
     return parity_prefactor() * parity_sum.real
 
 
-@lru_cache(maxsize=8)
-def _quadrature_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigenpairs of the quadrature x = (a + a^dag)/sqrt(2).
+def _parity_series(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k signed_k l_k(x) for every x, with l_k(x) = exp(-x/2) L_k(x).
 
-    x is real, symmetric and tridiagonal with a zero diagonal, so
-    ``eigh_tridiagonal`` returns real ascending eigenvalues mu and a real
-    orthogonal U with x = U diag(mu) U^T.  With P = diag(i^k), the
-    q-displacement generator is (a^dag - a)/sqrt(2) = P (-i x) P^dag, so
-
-        D(r / sqrt(2)) = P U exp(-i r mu) U^T P^dag.
-
-    P is diagonal, so it drops out of every diagonal element and of every
-    diagonal state the grid evaluator handles.  The parity anticommutes
-    with x, so mu_k = -mu_{dim-1-k} and column dim-1-k of U is the parity
-    image of column k, up to sign and rounding.  The arrays are shared
-    between callers and read-only.
+    Runs k L_k = (2k - 1 - x) L_(k-1) - (k - 1) L_(k-2) forward from
+    L_0 = 1, the direction in which l_k grows through the classically
+    forbidden levels k < x/4, and carries exp(-x/2) as a log scale.  Past
+    2^500 each x is scaled by its own power of two, which is exact, and
+    the log scale takes the exponent, so nothing underflows or overflows.
     """
-    mu, vec = scipy.linalg.eigh_tridiagonal(
-        np.zeros(dim), np.sqrt(np.arange(1.0, dim)) / _SQRT2
-    )
-    mu.setflags(write=False)
-    vec.setflags(write=False)
-    return mu, vec
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    acc = signed[0] * cur
+    log_scale = -0.5 * x
+    slope = -1.0 - x  # 2k - 1 - x, before the first step
+    for k in range(1, signed.size):
+        slope += 2.0
+        prev, cur = cur, (slope * cur - (k - 1) * prev) / k
+        acc += signed[k] * cur
+        if k % _RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(cur), np.abs(prev))
+            if big.max() > _RESCALE_ABOVE:
+                exponent = np.maximum(np.frexp(big)[1], 0)
+                scale = np.ldexp(1.0, -exponent)
+                cur, prev, acc = cur * scale, prev * scale, acc * scale
+                log_scale += math.log(2.0) * exponent
+    return acc * np.exp(log_scale)
 
 
-# Radii evaluated together by the grid evaluator: its work buffers hold
-# (chunk, dim / 2) trig values, so memory is O(chunk dim + dim^2) for any grid.
-_RADIUS_CHUNK = 256
-
-
-def wigner_grid_from_density(
-    rho: FockDensityMatrix,
-    q: np.ndarray,
-    p: np.ndarray,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> np.ndarray:
+def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Displaced-parity Wigner values on the product grid q x p.
 
-    ``rho`` is diagonal in the number basis, so its Wigner function depends
-    on |alpha| alone, and each distinct radius r = hypot(q, p) is
-    evaluated once, as a displacement along q, in the real eigenbasis
-    x = U diag(mu) U^T of :func:`_quadrature_eig`.  With w the populations
-    of rho, the reflection identity D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi
-    turns the parity into one displacement,
-
-        W(r) = pref * sum_j g_j cos(2 r mu_j),  g = (U o U)^T (w o (-1)^k),
-
-    whose sine counterpart must vanish (checked to 1e-10).  The
-    guard-band leak is a real quadratic form, with c = cos(r mu) and
-    s = sin(r mu),
-
-        leak(r) = c^T K c + s^T K s,  K = (U^T diag(w) U) o (U_band^T U_band),
-
-    checked at every distinct radius.  K and g are invariant under the
-    pairing mu -> -mu, and c is even and s odd under it, so both sums are
-    folded onto the half spectrum mu >= 0: two trig calls and two
-    (chunk x dim/2) @ (dim/2 x dim/2) products per chunk of radii, where
-    the mu = 0 mode of an odd dim is its own partner and counts half.
-    Agrees with the dense reference :func:`wigner_from_density` to
-    machine precision and is the evaluator the verification grids use.
+    ``rho`` is diagonal, so W depends on x = 4 |alpha|^2 = 2 (q^2 + p^2)
+    alone: each distinct x is evaluated once, as the series
+    W = pref sum_k w_k (-1)^k l_k(x) of :func:`_parity_series`, with no
+    matrix.  Agrees with the dense reference :func:`wigner_from_density`
+    to machine precision and is the evaluator the verification grids use.
 
     Raises:
-        ValueError: for an empty or non-finite axis, or a ``leak_tol``
-            that is not positive and finite.
-        TruncationError: when the leak at some radius exceeds ``leak_tol``.
+        ValueError: for an empty or non-finite axis.
 
     Returns an array of shape (len(q), len(p)).
     """
-    _check_leak_tol(leak_tol)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.size == 0 or p.size == 0:
         raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("grid axes must be finite")
-    dim = rho.dim
-    weights = rho.populations
-    mu, vec = _quadrature_eig(dim)
-    # Columns [half, dim) of vec carry mu >= 0; column dim-1-k pairs with k.
-    half = dim // 2
-    upper = vec[:, half:]
-    band = vec[dim - _guard_band(dim) :]
-    g = (vec * vec).T @ (weights * _parity_signs(dim))
-    kernel = ((upper.T * weights) @ vec) * (band[:, half:].T @ band)
-    g_up, g_down = g[half:], g[: dim - half][::-1]
-    k_up, k_down = kernel[:, half:], kernel[:, : dim - half][:, ::-1]
-    multiplicity = np.ones(dim - half)
-    if dim % 2:
-        multiplicity[0] = 0.5  # the mu = 0 mode is its own partner
-    g_cos = (g_up + g_down) * multiplicity
-    g_sin = (g_up - g_down) * multiplicity
-    pair = 2.0 * np.outer(multiplicity, multiplicity)
-    k_cos = (k_up + k_down) * pair
-    k_sin = (k_up - k_down) * pair
-    mu_up = mu[half:]
-
-    radii, inverse = np.unique(np.hypot(q[:, None], p[None, :]), return_inverse=True)
-    values = np.empty(radii.size)
-    imag = np.empty(radii.size)
-    leak = np.empty(radii.size)
-    for start in range(0, radii.size, _RADIUS_CHUNK):
-        chunk = slice(start, start + _RADIUS_CHUNK)
-        angle = radii[chunk, None] * mu_up
-        cos, sin = np.cos(angle), np.sin(angle)
-        leak[chunk] = np.einsum("ij,ij->i", cos @ k_cos, cos) + np.einsum(
-            "ij,ij->i", sin @ k_sin, sin
-        )
-        values[chunk] = (cos * cos - sin * sin) @ g_cos
-        imag[chunk] = (2.0 * sin * cos) @ g_sin
-
-    worst = float(np.max(leak))
-    if not worst <= leak_tol:
-        raise TruncationError(
-            f"displacement leak up to {worst:.3e} on the grid at dim {dim} "
-            f"exceeds {leak_tol:g}; enlarge the truncation or shrink the box"
-        )
-    worst_imag = float(np.max(np.abs(imag)))
-    if not worst_imag < 1e-10:
-        raise RuntimeError(f"parity sums acquired an imaginary part {worst_imag:.3e}")
+    x, inverse = np.unique(2.0 * (q[:, None] ** 2 + p[None, :] ** 2), return_inverse=True)
+    values = _parity_series(rho.populations * _parity_signs(rho.dim), x)
     return parity_prefactor() * values[inverse].reshape(q.size, p.size)
 
 
-def build_oracle_state(state: StateSpec, alpha_max_sq: float) -> FockDensityMatrix:
-    """Fock populations of ``state`` sized for displacements up to alpha_max_sq.
+def build_oracle_state(state: StateSpec, alpha_max_sq: float | None = None) -> FockDensityMatrix:
+    """Fock populations of ``state``, cut where its own tail is below one ulp.
 
-    The truncation is the smallest thermal-tail-safe dimension plus the
-    displacement padding.  The number state is built in its doubled-space
-    invariant sector at 32 levels per mode, then zero-padded for headroom.
+    A thermal (n = 0) or conditioned state keeps the levels that
+    :func:`_conditioned_levels` asks for, built from a thermal parent
+    with n more so that the shifted slice is exact, and carries its tail
+    bound as ``tail``.  The number state is built in its doubled-space
+    invariant sector at 32 levels per mode.  ``alpha_max_sq`` is ignored,
+    since no evaluator needs the box, and accepted for the callers that
+    still pass it.
     """
-    pad = displacement_padding(state.n, alpha_max_sq)
+    n, n_c = state.n, state.thermal.n_c
     if state.family is Family.THERMAL_NUMBER:
-        reduced = thermal_number_reduced(state.n, state.thermal.theta)
-        return FockDensityMatrix(np.pad(reduced.populations, (0, pad)))
-    dim = min_thermal_dim(state.thermal.n_c) + pad
-    rho = thermal_density_matrix(state.thermal.n_c, dim)
-    if state.family is Family.PHOTON_SUBTRACTED and state.n > 0:
-        rho, _ = apply_subtraction(rho, state.n)
-    elif state.family is Family.PHOTON_ADDED and state.n > 0:
-        rho, _ = apply_addition(rho, state.n)
-    return rho
+        return thermal_number_reduced(n, state.thermal.theta)
+    levels = max(_conditioned_levels(n_c, n), min_thermal_dim(n_c))
+    rho = thermal_density_matrix(n_c, levels + n)
+    if n == 0:
+        return rho
+    if state.family is Family.PHOTON_SUBTRACTED:
+        child, _ = apply_subtraction(rho, n)
+    else:
+        child, _ = apply_addition(rho, n)
+    tail = math.exp(_log_conditioned_tail(n_c, n, levels)) if n_c > 0.0 else 0.0
+    return dataclasses.replace(child, tail=tail)

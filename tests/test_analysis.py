@@ -277,6 +277,26 @@ class TestVerifyState:
         report = verify_state(state("vacuum", 0.2), max_err_tol=1e-30)
         assert not report.passed
 
+    @pytest.mark.parametrize("family, n", [("vacuum", 0), ("subtracted", 3), ("added", 3)])
+    def test_details_carry_oracle_provenance(self, family, n):
+        spec = state(family, 0.8, n=n)
+        report = verify_state(spec)
+        rho = fock_oracle.build_oracle_state(spec)
+        assert report.details == {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
+        assert 0.0 < report.details["oracle_tail"] <= np.finfo(float).eps
+        # the oracle's own error, 2 tail / pi, is far inside the comparison tolerance
+        assert report.passed and 2.0 * rho.tail / math.pi < report.tolerances["max_abs_err"]
+        assert report.to_dict()["details"] == report.details
+
+    def test_number_details_carry_the_two_mode_deficit(self):
+        report = verify_state(state("number", 0.5, n=2))
+        assert report.details["oracle_dim"] == fock_oracle.TWO_MODE_DIM
+        assert 0.0 < report.details["oracle_tail"] <= fock_oracle.TWO_MODE_DEFICIT_TOL
+
+    def test_refused_oracle_leaves_details_empty(self):
+        report = verify_state(state("number", 0.5, n=7))
+        assert not report.passed and report.details == {}
+
 
 class TestLimitSuite:
     def test_all_pass(self):

@@ -119,6 +119,9 @@ class TestVerify:
         assert report["max_abs_err"] < 1e-8
         assert report["tolerances"]["max_abs_err"] == 1e-8
         assert abs(report["norm_integral"] - 1.0) < 1e-4
+        # oracle provenance: its basis size and the population mass it cut off
+        assert report["details"]["oracle_dim"] > 2
+        assert 0.0 < report["details"]["oracle_tail"] < 1e-15
 
     def test_failure_exit_code(self, tmp_path):
         out = tmp_path / "report.json"
@@ -138,6 +141,7 @@ class TestVerify:
         report = strict_json(out)["report"]
         assert report["passed"] is False
         assert report["max_abs_err"] is None and report["mean_abs_err"] is None
+        assert report["details"] == {}
         assert report["errors"][0].startswith("grid comparison: two-mode truncation deficit")
 
     def test_report_to_stdout_by_default(self, capsys):

@@ -1,16 +1,21 @@
 """Truncated Fock-space oracle: states, ladder conditioning, displaced parity."""
 
+import ast
 import math
+from functools import lru_cache
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from thermalwigner import fock_oracle
-from thermalwigner.analysis import default_verification_grid
-from thermalwigner.closed_form import wigner_thermal_vacuum
+from thermalwigner.analysis import _axis, default_verification_grid, verify_state
+from thermalwigner.closed_form import wigner_closed_form, wigner_thermal_vacuum
 from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
+    THERMAL_TAIL_TOL,
     TWO_MODE_DEFICIT_TOL,
     FockDensityMatrix,
     TruncationError,
@@ -294,10 +299,76 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             FockDensityMatrix(np.array([0.7, 0.5, -0.2]))
 
+    @pytest.mark.parametrize("tail", [math.nan, -1e-20, 1.5])
+    def test_rejects_tail_outside_unit_interval(self, tail):
+        with pytest.raises(ValueError, match="tail"):
+            FockDensityMatrix(np.array([0.5, 0.5]), tail)
+
     def test_entries_are_read_only(self):
         rho = thermal_density_matrix(0.2, 30)
         with pytest.raises(ValueError):
             rho.populations[0] = 0.0
+
+
+@lru_cache(maxsize=8)
+def quadrature_eig(dim):
+    """Real eigenpairs of the quadrature x = (a + a^dag)/sqrt(2).
+
+    x is real, symmetric and tridiagonal with a zero diagonal, so
+    ``eigh_tridiagonal`` returns real ascending eigenvalues mu and a real
+    orthogonal U with x = U diag(mu) U^T.  With P = diag(i^k), the
+    q-displacement generator is (a^dag - a)/sqrt(2) = P (-i x) P^dag, so
+
+        D(r / sqrt(2)) = P U exp(-i r mu) U^T P^dag.
+
+    P is diagonal, so it drops out of every diagonal element of a
+    diagonal state.
+    """
+    return scipy.linalg.eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1.0, dim)) / math.sqrt(2.0))
+
+
+def eigenbasis_grid(rho, q, p, leak_tol=1e-10):
+    """The eigenbasis grid evaluator the series replaced, kept as a second reference.
+
+    ``rho`` is zero-padded with the dense reference's headroom for the
+    grid's largest |alpha|^2.  Each distinct radius r = hypot(q, p) is a
+    q-displacement in the eigenbasis of :func:`quadrature_eig`, and the
+    reflection identity D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi turns the
+    parity into one displacement,
+
+        W(r) = pref * sum_j g_j cos(2 r mu_j),  g = (U o U)^T (w o (-1)^k),
+
+    whose sine counterpart must vanish.  The guard-band leak, with
+    c = cos(r mu) and s = sin(r mu),
+
+        leak(r) = c^T K c + s^T K s,  K = (U^T diag(w) U) o (U_band^T U_band),
+
+    must stay below ``leak_tol`` at every radius.  (The module version
+    folded the sums onto mu >= 0 and chunked the radii; this one does
+    neither.)
+    """
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    alpha_max_sq = 0.5 * (np.max(np.abs(q)) ** 2 + np.max(np.abs(p)) ** 2)
+    dim = rho.dim + fock_oracle._dense_headroom(rho.dim, alpha_max_sq)
+    weights = np.pad(rho.populations, (0, dim - rho.dim))
+    signs = (-1.0) ** np.arange(dim)
+    mu, vec = quadrature_eig(dim)
+    band = vec[dim - max(3, dim // 12) :]
+    g = (vec * vec).T @ (weights * signs)
+    kernel = ((vec.T * weights) @ vec) * (band.T @ band)
+    radii, inverse = np.unique(np.hypot(q[:, None], p[None, :]), return_inverse=True)
+    cos, sin = np.cos(radii[:, None] * mu), np.sin(radii[:, None] * mu)
+    leak = np.einsum("ij,ij->i", cos @ kernel, cos) + np.einsum("ij,ij->i", sin @ kernel, sin)
+    if not np.max(leak) <= leak_tol:
+        raise TruncationError(f"eigenbasis reference leaks {np.max(leak):.3e} at dim {dim}")
+    assert np.max(np.abs((2.0 * sin * cos) @ g)) < 1e-10
+    values = (cos * cos - sin * sin) @ g
+    return parity_prefactor() * values[inverse].reshape(q.size, p.size)
+
+
+def verification_axes(state):
+    box, nq, np_ = default_verification_grid(state)
+    return _axis(box.q_min, box.q_max, nq), _axis(box.p_min, box.p_max, np_)
 
 
 class TestDisplacement:
@@ -312,6 +383,7 @@ class TestDisplacement:
         for point in (ORIGIN, PhasePoint(1.0, 0.5), PhasePoint(-0.4, 1.2)):
             expected = math.exp(-2.0 * abs(point.alpha) ** 2) / math.pi
             assert wigner_from_density(rho, point) == pytest.approx(expected, abs=1e-10)
+
 
 
 class TestDisplacedParity:
@@ -334,66 +406,29 @@ class TestDisplacedParity:
             wigner_from_density(rho, point) - wigner_thermal_vacuum(point, thermal)
         ) < 1e-8
 
-    def test_leak_guard(self):
+    def test_leak_guard(self, monkeypatch):
+        # without its own headroom the dense reference must refuse, not truncate
+        monkeypatch.setattr(fock_oracle, "_dense_headroom", lambda dim, alpha_sq: 0)
         rho = thermal_density_matrix(0.0, 10)
         with pytest.raises(TruncationError, match="leak"):
             wigner_from_density(rho, PhasePoint(5.0, 0.0))
 
-    def test_grid_matches_scalar_evaluations(self):
-        q = np.linspace(-3.0, 3.0, 7)
-        p = np.linspace(-2.5, 2.0, 6)
-        states = [
-            build_oracle_state(StateSpec(family, params_from_theta(theta), n=n), alpha_max_sq=4.5)
-            for family, n, theta in [
-                (Family.THERMAL_VACUUM, 0, 0.5),
-                (Family.PHOTON_SUBTRACTED, 2, 0.5),
-                (Family.PHOTON_ADDED, 2, 0.5),
-                (Family.THERMAL_NUMBER, 1, 0.3),
-            ]
-        ]
-        # the folded spectrum has a mu = 0 mode at odd dim only
-        states += [thermal_density_matrix(0.3, 55), thermal_density_matrix(0.3, 56)]
-        for rho in states:
-            grid = wigner_grid_from_density(rho, q, p)
-            assert grid.shape == (7, 6)
-            for i in (0, 2, 5):
-                for j in (1, 3, 5):
-                    # off-axis nodes, away from the q axis the evaluator displaces along
-                    point = PhasePoint(float(q[i]), float(p[j]))
-                    assert point.q != 0.0 and point.p != 0.0
-                    assert grid[i, j] == pytest.approx(
-                        wigner_from_density(rho, point), abs=1e-12
-                    )
+    def test_dense_reference_pads_for_its_own_point(self):
+        # a 10-level vacuum displaced to |alpha|^2 = 12.5 needs levels well past 10
+        rho = thermal_density_matrix(0.0, 10)
+        point = PhasePoint(5.0, 0.0)
+        assert wigner_from_density(rho, point) == pytest.approx(
+            math.exp(-2.0 * point.abs2) / math.pi, rel=1e-6
+        )
 
-    def test_grid_spans_several_radius_chunks(self, monkeypatch):
-        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.4), n=1)
-        rho = build_oracle_state(state, alpha_max_sq=4.5)
-        q = np.linspace(-3.0, 3.0, 41)
-        p = np.linspace(-2.9, 2.9, 37)
-        radii = np.unique(np.hypot(q[:, None], p[None, :])).size
-        assert radii > 2 * fock_oracle._RADIUS_CHUNK
-        grid = wigner_grid_from_density(rho, q, p)
-        monkeypatch.setattr(fock_oracle, "_RADIUS_CHUNK", radii)
-        one_chunk = wigner_grid_from_density(rho, q, p)
-        assert np.max(np.abs(grid - one_chunk)) < 1e-14
-        for i, j in ((0, 0), (17, 29), (40, 36)):
-            point = PhasePoint(float(q[i]), float(p[j]))
-            assert grid[i, j] == pytest.approx(wigner_from_density(rho, point), abs=1e-12)
+    def test_dense_reference_refuses_above_its_cap(self, monkeypatch):
+        def allocation(*args):
+            raise AssertionError("the dense reference allocated above its cap")
 
-    def test_grid_leak_guard(self):
-        rho = thermal_density_matrix(0.0, 12)
-        q = np.linspace(-6.0, 6.0, 5)
-        with pytest.raises(TruncationError, match="leak"):
-            wigner_grid_from_density(rho, q, q)
-
-    def test_grid_leak_refusal_on_verification_grid(self):
-        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(1.2), n=9)
-        box, nq, np_ = default_verification_grid(state)
-        rho = build_oracle_state(state, box.alpha_max_sq)
-        q = np.linspace(box.q_min, box.q_max, nq)
-        p = np.linspace(box.p_min, box.p_max, np_)
-        with pytest.raises(TruncationError, match=r"leak up to 1\.776e-10 on the grid at dim 240 "):
-            wigner_grid_from_density(rho, q, p)
+        monkeypatch.setattr(fock_oracle, "displacement_operator", allocation)
+        rho = thermal_density_matrix(30.0, fock_oracle.DENSE_DIM_MAX)
+        with pytest.raises(TruncationError, match="cap"):
+            wigner_from_density(rho, ORIGIN)
 
     @pytest.mark.parametrize("leak_tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_leak_tolerance_must_be_positive_finite(self, leak_tol):
@@ -401,8 +436,47 @@ class TestDisplacedParity:
         rho = thermal_density_matrix(0.2, 30)
         with pytest.raises(ValueError, match="leak_tol"):
             wigner_from_density(rho, PhasePoint(20.0, 0.0), leak_tol=leak_tol)
-        with pytest.raises(ValueError, match="leak_tol"):
-            wigner_grid_from_density(rho, np.array([-20.0, 20.0]), np.zeros(1), leak_tol=leak_tol)
+
+    @pytest.mark.parametrize(
+        "family", [Family.THERMAL_VACUUM, Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED]
+    )
+    def test_dense_reference_holds_the_checker_states(self, family):
+        # The benchmark checker reads None from the dense reference as "no oracle
+        # value" and then skips its check, so every state it draws must get a
+        # value: the origin and nodes with |q|, |p| <= 2, every n <= 5, theta up
+        # to 2.  The state is radial, so (2, 2), the largest |alpha|, stands for
+        # the other nodes.
+        for n in range(6) if family is not Family.THERMAL_VACUUM else (0,):
+            for theta in (0.1, 1.0, 2.0):
+                state = StateSpec(family, params_from_theta(theta), n=n)
+                for point in (ORIGIN, PhasePoint(2.0, 2.0)):
+                    rho = build_oracle_state(state, point.abs2)
+                    value = wigner_from_density(rho, point)
+                    assert abs(value - wigner_closed_form(state, point)) < 1e-8, (n, theta)
+
+    def test_grid_matches_scalar_evaluations(self):
+        q = np.linspace(-3.0, 3.0, 7)
+        p = np.linspace(-2.5, 2.0, 6)
+        states = [
+            build_oracle_state(StateSpec(family, params_from_theta(theta), n=n))
+            for family, n, theta in [
+                (Family.THERMAL_VACUUM, 0, 0.5),
+                (Family.PHOTON_SUBTRACTED, 2, 0.5),
+                (Family.PHOTON_ADDED, 2, 0.5),
+                (Family.THERMAL_NUMBER, 1, 0.3),
+            ]
+        ]
+        states += [thermal_density_matrix(0.3, 55), number_state_matrix(0, 1)]
+        for rho in states:
+            grid = wigner_grid_from_density(rho, q, p)
+            assert grid.shape == (7, 6)
+            for i in (0, 2, 5):
+                for j in (1, 3, 5):
+                    point = PhasePoint(float(q[i]), float(p[j]))
+                    assert point.q != 0.0 and point.p != 0.0
+                    assert grid[i, j] == pytest.approx(
+                        wigner_from_density(rho, point), abs=1e-12
+                    )
 
     def test_grid_refuses_empty_axis(self):
         rho = thermal_density_matrix(0.2, 30)
@@ -413,12 +487,79 @@ class TestDisplacedParity:
 
     @pytest.mark.parametrize("dim", [9, 10])
     def test_quadrature_eig_reproduces_displacement(self, dim):
-        mu, vec = fock_oracle._quadrature_eig(dim)
+        mu, vec = quadrature_eig(dim)
         phases = np.diag(1j ** np.arange(dim))
         for r in (0.3, -1.1, 2.5):
             expected = displacement_operator(r / math.sqrt(2.0), dim)
             built = phases @ (vec * np.exp(-1j * r * mu)) @ vec.T @ phases.conj().T
             assert np.max(np.abs(built - expected)) < 1e-12
+
+
+class TestSeriesGrid:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_grid_matches_both_references(self, family):
+        # every family x n x theta on its default verification grid, against
+        # the eigenbasis evaluator at every node and the dense reference at an
+        # off-axis node near the corner, wherever the padded basis is <= 400
+        compared = 0
+        for n in (0, 1, 2, 4, 8, 16) if family is not Family.THERMAL_VACUUM else (0,):
+            for theta in (0.1, 0.5, 1.0, 1.5):
+                state = StateSpec(family, params_from_theta(theta), n=n)
+                try:
+                    rho = build_oracle_state(state)
+                except TruncationError:
+                    assert family is Family.THERMAL_NUMBER
+                    continue
+                q, p = verification_axes(state)
+                alpha_max_sq = 0.5 * (q[-1] ** 2 + p[-1] ** 2)
+                if rho.dim + fock_oracle._dense_headroom(rho.dim, alpha_max_sq) > 400:
+                    continue
+                grid = wigner_grid_from_density(rho, q, p)
+                assert np.max(np.abs(grid - eigenbasis_grid(rho, q, p))) < 1e-13, (n, theta)
+                node = PhasePoint(float(q[4]), float(p[-7]))
+                assert grid[4, -7] == pytest.approx(wigner_from_density(rho, node), abs=1e-12)
+                compared += 1
+        assert compared >= {Family.THERMAL_VACUUM: 4, Family.THERMAL_NUMBER: 10}.get(family, 19)
+
+    def test_recurrence_matches_mpmath(self):
+        # l_k(x) = exp(-x/2) L_k(x) to k = 1e5; at x = 2000, exp(-x/2) underflows,
+        # so only the log-scaled seeds give the values of order 1e-2 there
+        xs = np.array([0.5, 10.0, 64.0, 400.0, 2000.0])
+        with mpmath.workdps(50):
+            for k in (0, 1, 7, 100, 1000, 10**4, 10**5):
+                unit = np.zeros(k + 1)
+                unit[k] = 1.0
+                values = fock_oracle._parity_series(unit, xs)
+                for x, value in zip(xs, values):
+                    x = mpmath.mpf(x)
+                    exact = mpmath.exp(-x / 2) * mpmath.laguerre(k, 0, x, maxterms=10**6)
+                    assert abs(value - float(exact)) < 1e-13, (k, float(x))
+
+    def test_added_n16_matches_closed_form(self):
+        for theta in (0.5, 1.5, 3.0):
+            report = verify_state(StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=16))
+            assert report.passed, report.errors
+            assert report.max_abs_err < 1e-12
+
+    def test_formerly_leaking_state_passes_verify(self):
+        # the eigenbasis grid refused this state: leak 1.776e-10 at dim 240
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(1.2), n=9)
+        report = verify_state(state)
+        assert report.tolerances["max_abs_err"] == 1e-8
+        assert report.passed, report.errors
+
+    def test_oracle_imports_no_closed_form_code(self):
+        # the oracle certifies the closed forms only while it shares no code with them
+        tree = ast.parse(Path(fock_oracle.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        assert imported
+        for name in imported:
+            assert not {"specfun", "closed_form"} & set(name.split(".")), name
 
 
 class TestBuildOracleState:
@@ -433,11 +574,45 @@ class TestBuildOracleState:
             rho = build_oracle_state(StateSpec(family, thermal, n=n), alpha_max_sq=8.0)
             assert abs(rho.populations.sum() - 1.0) < 1e-10
 
+    def test_box_argument_is_ignored(self):
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.7), n=3)
+        rho = build_oracle_state(state)
+        for alpha_max_sq in (0.0, 8.0, 400.0):
+            assert np.array_equal(build_oracle_state(state, alpha_max_sq).populations, rho.populations)
+
     def test_embed_preserves_entries(self):
-        # the number state is built at 32 levels per mode, then zero-padded for headroom
+        # the number state is the two-mode reduction itself, with no padding
         state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.3), n=2)
-        rho = build_oracle_state(state, alpha_max_sq=8.0)
+        rho = build_oracle_state(state)
         reduced = thermal_number_reduced(2, 0.3)
-        assert rho.dim == reduced.dim + fock_oracle.displacement_padding(2, 8.0)
-        assert np.array_equal(rho.populations[: reduced.dim], reduced.populations)
-        assert np.all(rho.populations[reduced.dim :] == 0.0)
+        assert rho.dim == fock_oracle.TWO_MODE_DIM
+        assert np.array_equal(rho.populations, reduced.populations)
+        # the two-mode deficit stands in for the tail
+        assert 0.0 < rho.tail == reduced.tail <= TWO_MODE_DEFICIT_TOL
+
+    @pytest.mark.parametrize("family", [Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED])
+    def test_tail_bounds_the_mass_cut_off(self, family):
+        # sized from the conditioned state itself: the mass a far larger build
+        # holds above the cut is below the reported tail, which is below 1e-12
+        for n in (0, 1, 4, 16):
+            for theta in (0.1, 1.0, 2.0, 3.0):
+                n_c = params_from_theta(theta).n_c
+                rho = build_oracle_state(StateSpec(family, params_from_theta(theta), n=n))
+                top = rho.dim if family is Family.PHOTON_ADDED else rho.dim - n
+                parent = thermal_density_matrix(n_c, 2 * rho.dim + 100)
+                condition = apply_addition if family is Family.PHOTON_ADDED else apply_subtraction
+                full, _ = condition(parent, n)
+                cut = float(np.sum(full.populations[top:]))
+                # (for n = 0 the bound is the exact geometric tail, up to rounding)
+                assert cut <= rho.tail * (1.0 + 1e-12) and rho.tail <= THERMAL_TAIL_TOL, (n, theta)
+                assert np.max(np.abs(full.populations[:top] - rho.populations[:top])) < 1e-12
+                # the reported bound is not slack by orders of magnitude
+                assert rho.tail < 1e3 * max(cut, 1e-300) or n_c < 0.02
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+    def test_thermal_state_is_cut_below_one_ulp(self, theta):
+        n_c = params_from_theta(theta).n_c
+        rho = build_oracle_state(StateSpec(Family.THERMAL_VACUUM, params_from_theta(theta)))
+        ratio = n_c / (n_c + 1.0)
+        assert rho.tail == pytest.approx(ratio**rho.dim, rel=1e-9)
+        assert ratio**rho.dim <= np.finfo(float).eps < ratio ** (rho.dim - 1)
