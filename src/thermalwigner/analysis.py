@@ -85,7 +85,9 @@ class Box:
 class WignerGrid:
     """Uniform sampling of one Wigner function plus its provenance.
 
-    An oracle grid's ``details`` hold ``oracle_dim``, the levels of the
+    ``values[i, j]`` is W at node i of the q axis and node j of the p
+    axis, so the node counts ``nq`` and ``np_`` are its shape.  An
+    oracle grid's ``details`` hold ``oracle_dim``, the levels of the
     Fock state it was evaluated from, and ``oracle_tail``, the bound on
     the population mass that truncation cut off (see
     ``fock_oracle.FockDensityMatrix``).
@@ -94,22 +96,26 @@ class WignerGrid:
     state: StateSpec
     source: Source
     box: Box
-    nq: int
-    np_: int
     values: np.ndarray
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nq < 2 or self.np_ < 2:
-            raise ValueError("grids need at least 2 nodes per axis")
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.nq, self.np_):
-            raise ValueError(
-                f"values shape {values.shape} does not match ({self.nq}, {self.np_})"
-            )
+        if values.ndim != 2:
+            raise ValueError(f"grid values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
+        if min(values.shape) < 2:
+            raise ValueError("grids need at least 2 nodes per axis")
         self.values = values
+
+    @property
+    def nq(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def np_(self) -> int:
+        return self.values.shape[1]
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -216,8 +222,7 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
         rho = fock_oracle.build_oracle_state(state)
         values = fock_oracle.wigner_grid_from_density(rho, q, p)
         details = {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
-    return WignerGrid(state=state, source=source, box=box, nq=int(nq), np_=int(np_),
-                      values=values, details=details)
+    return WignerGrid(state=state, source=source, box=box, values=values, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +464,13 @@ def _comparison_report(label, state, box, nq, np_, diff, tol, details=None) -> V
     )
 
 
-def limit_suite(
-    n_values: tuple = (1, 2, 3),
-    small_theta: float = 1e-6,
-    seed: int = 20240817,
-) -> list[VerificationReport]:
+# Excitation counts, temperature and sample seed of the limit checks.
+LIMIT_N_VALUES = (1, 2, 3)
+LIMIT_SMALL_THETA = 1e-6
+LIMIT_SEED = 20240817
+
+
+def limit_suite() -> list[VerificationReport]:
     """Run the reduction matrix of the closed forms.
 
     * n = 0 collapses every family to the thermal-vacuum Gaussian
@@ -496,14 +503,14 @@ def limit_suite(
         )
 
     # theta -> 0 limits
-    tiny = params_from_theta(small_theta)
-    for n in n_values:
+    tiny = params_from_theta(LIMIT_SMALL_THETA)
+    for n in LIMIT_N_VALUES:
         number_vals = closed_form.wigner_number_grid(n, q, q)
         for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER):
             vals = closed_form.wigner_closed_grid(StateSpec(family, tiny, n=n), q, q)
             reports.append(
                 _comparison_report(
-                    f"theta={small_theta:g} {family.value} n={n} reduces to the number state",
+                    f"theta={LIMIT_SMALL_THETA:g} {family.value} n={n} reduces to the number state",
                     StateSpec(family, tiny, n=n),
                     box, q.size, q.size,
                     np.abs(vals - number_vals),
@@ -518,7 +525,7 @@ def limit_suite(
         )
         reports.append(
             _comparison_report(
-                f"theta={small_theta:g} subtracted n={n} reduces to the vacuum Gaussian",
+                f"theta={LIMIT_SMALL_THETA:g} subtracted n={n} reduces to the vacuum Gaussian",
                 StateSpec(Family.PHOTON_SUBTRACTED, tiny, n=n),
                 box, q.size, q.size,
                 np.abs(subtracted - gaussian),
@@ -527,7 +534,7 @@ def limit_suite(
         )
 
     # theta-form vs occupation-form equality on random samples
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LIMIT_SEED)
     samples = 100
     worst = 0.0
     for _ in range(samples):
@@ -548,7 +555,7 @@ def limit_suite(
             max_abs_err=worst,
             mean_abs_err=worst,
             tolerances={"max_abs_err": 1e-12},
-            details={"samples": samples, "seed": seed},
+            details={"samples": samples, "seed": LIMIT_SEED},
             passed=worst <= 1e-12,
         )
     )

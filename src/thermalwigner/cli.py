@@ -125,11 +125,20 @@ def write_report_json(reports, fh, config: dict, tolerances: dict | None = None)
     fh.write("\n")
 
 
+def _error_name(exc: Exception) -> str:
+    """The exception's first public class name.
+
+    numpy reports a failed allocation as its private ``_ArrayMemoryError``,
+    a subclass of ``MemoryError``; the failure JSON names the latter.
+    """
+    return next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
+
+
 def _write_failure(path, config: dict, exc: Exception):
     payload = {
         "version": __version__,
         "config": config,
-        "error": type(exc).__name__,
+        "error": _error_name(exc),
         "message": str(exc),
     }
     try:
@@ -332,7 +341,7 @@ def main(argv=None) -> int:
     try:
         return args.func(parser, args)
     except (analysis.BoxTooSmallError, closed_form.DegenerateStateError,
-            ValueError, RuntimeError, OSError) as exc:
+            ValueError, RuntimeError, OSError, MemoryError) as exc:
         _write_failure(getattr(args, "out", None), _config_echo(args), exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -144,7 +144,7 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     y = scale * (math.sinh(theta) / math.tanh(2.0 * theta))
     coeff = _thermal_number_coefficients(n, theta)
     total = np.zeros_like(radii2)
-    for m, row in enumerate(hermite2_rows(n, n, x, y)):
+    for m, row in enumerate(hermite2_rows(n, x, y)):
         total += coeff[m] @ (row * row)
     values = np.exp(-2.0 * radii2 * sech2) / (math.pi * math.cosh(2.0 * theta)) * total
     return values[inverse].reshape(abs2.shape)

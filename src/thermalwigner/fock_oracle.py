@@ -53,7 +53,7 @@ from .states import Family, PhasePoint, StateSpec
 TWO_MODE_DIM = 32
 
 THERMAL_TAIL_TOL = 1e-12
-DEFAULT_LEAK_TOL = 1e-10
+LEAK_TOL = 1e-10
 TWO_MODE_DEFICIT_TOL = 1e-8
 
 # An oracle state is cut where the population mass it drops falls below
@@ -128,8 +128,8 @@ class FockDensityMatrix:
         return float(np.arange(self.dim) @ self.populations)
 
 
-def min_thermal_dim(n_c: float, tail_tol: float = THERMAL_TAIL_TOL) -> int:
-    """Smallest truncation whose neglected thermal tail is below tail_tol.
+def min_thermal_dim(n_c: float) -> int:
+    """Smallest truncation whose neglected thermal tail is below THERMAL_TAIL_TOL.
 
     The tail of the geometric occupation is (n_c / (n_c+1))^N.
     """
@@ -138,7 +138,7 @@ def min_thermal_dim(n_c: float, tail_tol: float = THERMAL_TAIL_TOL) -> int:
     if n_c == 0.0:
         return 1
     ratio = n_c / (n_c + 1.0)
-    return max(1, math.ceil(math.log(tail_tol) / math.log(ratio)))
+    return max(1, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(ratio)))
 
 
 def _log_conditioned_tail(n_c: float, n: int, levels: int) -> float:
@@ -371,28 +371,20 @@ def _dense_headroom(dim: int, alpha_sq: float) -> int:
     return 16 + math.ceil(8.0 * alpha_sq + math.sqrt(alpha_sq * dim))
 
 
-def wigner_from_density(
-    rho: FockDensityMatrix,
-    point: PhasePoint,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> float:
+def wigner_from_density(rho: FockDensityMatrix, point: PhasePoint) -> float:
     """Displaced-parity Wigner value of ``rho`` at one phase-space point.
 
     The reference evaluator: ``rho`` is zero-padded by
     :func:`_dense_headroom` for this point's |alpha| and displaced by a
     dense matrix exponential; the displaced population of a guard band
-    at the top of the padded basis must stay below ``leak_tol``.
+    at the top of the padded basis must stay below ``LEAK_TOL``.
 
     Raises:
-        ValueError: when ``leak_tol`` is not positive and finite.
         TruncationError: when the padded basis exceeds ``DENSE_DIM_MAX``
             levels (before anything is allocated), or when the displaced
-            state puts more than ``leak_tol`` population into the guard
+            state puts more than ``LEAK_TOL`` population into the guard
             band.
     """
-    # a NaN tolerance would let every leak comparison pass
-    if not (math.isfinite(leak_tol) and leak_tol > 0.0):
-        raise ValueError(f"leak_tol must be positive and finite, got {leak_tol!r}")
     dim = rho.dim + _dense_headroom(rho.dim, point.abs2)
     if dim > DENSE_DIM_MAX:
         raise TruncationError(
@@ -405,10 +397,10 @@ def wigner_from_density(
     diag = np.einsum("ki,ki->i", disp_op.conj(), weights[:, None] * disp_op)
     band = max(3, dim // 12)
     leak = float(np.sum(diag.real[dim - band :]))
-    if not leak <= leak_tol:
+    if not leak <= LEAK_TOL:
         raise TruncationError(
             f"displacement leak {leak:.3e} at dim {dim} for |alpha| = "
-            f"{abs(point.alpha):.3g} exceeds {leak_tol:g}"
+            f"{abs(point.alpha):.3g} exceeds {LEAK_TOL:g}"
         )
     parity_sum = complex(np.sum(_parity_signs(dim) * diag))
     if not abs(parity_sum.imag) < 1e-10:
@@ -476,15 +468,17 @@ def build_oracle_state(state: StateSpec, alpha_max_sq: float | None = None) -> F
     A thermal (n = 0) or conditioned state keeps the levels that
     :func:`_conditioned_levels` asks for, built from a thermal parent
     with n more so that the shifted slice is exact, and carries its tail
-    bound as ``tail``.  The number state is built in its doubled-space
-    invariant sector at 32 levels per mode.  ``alpha_max_sq`` is ignored,
-    since no evaluator needs the box, and accepted for the callers that
-    still pass it.
+    bound as ``tail``.  That tail dominates the parent's geometric one,
+    so the parent always meets ``THERMAL_TAIL_TOL``; its refusal in
+    :func:`thermal_density_matrix` stays as the guard.  The number state
+    is built in its doubled-space invariant sector at 32 levels per
+    mode.  ``alpha_max_sq`` is ignored, since no evaluator needs the
+    box, and accepted for the callers that still pass it.
     """
     n, n_c = state.n, state.thermal.n_c
     if state.family is Family.THERMAL_NUMBER:
         return thermal_number_reduced(n, state.thermal.theta)
-    levels = max(_conditioned_levels(n_c, n), min_thermal_dim(n_c))
+    levels = _conditioned_levels(n_c, n)
     rho = thermal_density_matrix(n_c, levels + n)
     if n == 0:
         return rho

@@ -138,12 +138,12 @@ def hermite2(m: int, n: int, x, y):
     return complex(acc.reshape(-1)[0]) if scalar else acc
 
 
-def hermite2_rows(m_max: int, k_max: int, x, y):
-    """Rows of the two-variable Hermite table at real arguments.
+def hermite2_rows(n: int, x, y):
+    """Rows of the square two-variable Hermite table at real arguments.
 
-    Yields, for m = 0, 1, ..., m_max, the array of shape
-    (k_max + 1,) + broadcast shape of (x, y) whose entry k is
-    H_{m,k}(x, y).  The rows come from the recurrence
+    Yields, for m = 0, 1, ..., n, the array of shape
+    (n + 1,) + broadcast shape of (x, y) whose entry k is H_{m,k}(x, y).
+    The rows come from the recurrence
 
         H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1},
 
@@ -152,24 +152,21 @@ def hermite2_rows(m_max: int, k_max: int, x, y):
     the whole table is never held; every yielded row is a fresh array.
 
     Args:
-        m_max, k_max: largest orders, 0 <= m_max, k_max <= 32.
+        n: largest order in both indices, 0 <= n <= 32.
         x, y: real arguments, scalars or broadcastable arrays.
     """
-    m_max = _check_order(m_max, "m_max")
-    k_max = _check_order(k_max, "k_max")
-    if m_max > HERMITE_ORDER_MAX or k_max > HERMITE_ORDER_MAX:
-        raise ValueError(
-            f"hermite2 orders are limited to {HERMITE_ORDER_MAX}, got ({m_max}, {k_max})"
-        )
+    n = _check_order(n)
+    if n > HERMITE_ORDER_MAX:
+        raise ValueError(f"hermite2 orders are limited to {HERMITE_ORDER_MAX}, got {n}")
     x = _check_finite(x, "x")
     y = _check_finite(y, "y")
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         raise TypeError("hermite2_rows takes real arguments; use hermite2 for complex ones")
     x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
-    k = np.arange(k_max + 1.0).reshape((-1,) + (1,) * x.ndim)
+    k = np.arange(n + 1.0).reshape((-1,) + (1,) * x.ndim)
     row = y ** k
     yield row
-    for _ in range(m_max):
+    for _ in range(n):
         step = x * row
         step[1:] -= k[1:] * row[:-1]
         row = step

@@ -1,15 +1,16 @@
 """Thermal parameterizations of a single bosonic mode.
 
-Three equivalent descriptions are accepted at the boundary and
-normalized into one canonical bundle:
+Every state is written in the thermo-field-dynamics variable ``theta``
+(Takahashi & Umezawa), and ``ThermalParams`` holds it alone.  Three
+equivalent descriptions are accepted at the boundary and converted to
+theta once, here:
 
-  * the squeeze-like parameter ``theta`` with tanh(theta) = exp(-omega/(2 kT)),
+  * ``theta`` itself, with tanh(theta) = exp(-omega/(2 kT)),
   * the mean thermal occupation ``n_c`` = sinh^2(theta),
   * the physical pair (omega, kT), with hbar = 1 and kT in energy units
     so the Boltzmann constant never appears numerically.
 
-Every downstream formula is written in theta, so conversions happen once
-here.  Useful identities: n_c = sinh^2(theta), cosh(2 theta) = 2 n_c + 1.
+Useful identities: n_c = sinh^2(theta), cosh(2 theta) = 2 n_c + 1.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 # validated against double-precision cancellation (n_c ~ 5.5e3 already).
 THETA_MAX = 5.0
 
-_REL_TOL = 1e-12
-
 
 def _check_positive(value, name: str) -> float:
     value = float(value)
@@ -33,50 +32,27 @@ def _check_positive(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Canonical thermal parameter bundle.
+    """The thermal squeeze parameter theta, 0 <= theta <= THETA_MAX.
 
-    Attributes:
-        theta: thermal squeeze parameter, 0 <= theta <= THETA_MAX.
-        n_c: mean thermal photon number, equal to sinh^2(theta).
-        omega: mode frequency (hbar = 1), present only when the bundle
-            was built from a physical (omega, kT) pair.
-        temperature: kT in energy units, present with omega.
+    Every other thermal quantity is derived from it.
     """
 
     theta: float
-    n_c: float
-    omega: float | None = None
-    temperature: float | None = None
 
     def __post_init__(self):
         theta = float(self.theta)
-        n_c = float(self.n_c)
         if not math.isfinite(theta) or theta < 0.0:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
         if theta > THETA_MAX:
             raise ValueError(
                 f"theta = {theta:g} exceeds the validated range (max {THETA_MAX})"
             )
-        if not math.isfinite(n_c) or n_c < 0.0:
-            raise ValueError(f"n_c must be finite and >= 0, got {self.n_c!r}")
-        if abs(n_c - math.sinh(theta) ** 2) > _REL_TOL * (1.0 + n_c):
-            raise ValueError(
-                f"inconsistent bundle: n_c = {n_c!r} but sinh^2(theta) = "
-                f"{math.sinh(theta) ** 2!r}"
-            )
-        if (self.omega is None) != (self.temperature is None):
-            raise ValueError("omega and temperature must be supplied together")
-        if self.omega is not None:
-            omega = _check_positive(self.omega, "omega")
-            kt = _check_positive(self.temperature, "temperature")
-            target = math.exp(-omega / (2.0 * kt))
-            if abs(math.tanh(theta) - target) > _REL_TOL * (1.0 + target):
-                raise ValueError(
-                    "inconsistent bundle: tanh(theta) does not match "
-                    "exp(-omega / (2 kT))"
-                )
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "n_c", n_c)
+
+    @property
+    def n_c(self) -> float:
+        """Mean thermal photon number sinh^2(theta)."""
+        return math.sinh(self.theta) ** 2
 
     @property
     def cosh_2theta(self) -> float:
@@ -105,11 +81,8 @@ def mean_photon_number(omega: float, kt: float) -> float:
 
 
 def params_from_theta(theta: float) -> ThermalParams:
-    """Bundle from theta alone; n_c = sinh^2(theta)."""
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0.0:
-        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
-    return ThermalParams(theta=theta, n_c=math.sinh(theta) ** 2)
+    """Bundle from theta itself."""
+    return ThermalParams(float(theta))
 
 
 def params_from_mean_photons(n_c: float) -> ThermalParams:
@@ -117,8 +90,7 @@ def params_from_mean_photons(n_c: float) -> ThermalParams:
     n_c = float(n_c)
     if not math.isfinite(n_c) or n_c < 0.0:
         raise ValueError(f"n_c must be finite and >= 0, got {n_c!r}")
-    theta = math.asinh(math.sqrt(n_c))
-    return ThermalParams(theta=theta, n_c=math.sinh(theta) ** 2)
+    return ThermalParams(math.asinh(math.sqrt(n_c)))
 
 
 def params_from_temperature(omega: float, kt: float) -> ThermalParams:
@@ -129,9 +101,4 @@ def params_from_temperature(omega: float, kt: float) -> ThermalParams:
             f"kT = {kt:g} at omega = {omega:g} gives theta = {theta:g}, "
             f"beyond the validated range (max {THETA_MAX})"
         )
-    return ThermalParams(
-        theta=theta,
-        n_c=math.sinh(theta) ** 2,
-        omega=float(omega),
-        temperature=float(kt),
-    )
+    return ThermalParams(theta)

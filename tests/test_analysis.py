@@ -181,12 +181,12 @@ class TestSampleGrid:
 
         spec = state("vacuum", 0.2)
         box = Box.symmetric(2.0)
-        with pytest.raises(ValueError, match="shape"):
-            WignerGrid(spec, Source.CLOSED_FORM, box, 5, 5, np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="2-D"):
+            WignerGrid(spec, Source.CLOSED_FORM, box, np.zeros(5))
         with pytest.raises(ValueError, match="finite"):
-            WignerGrid(spec, Source.CLOSED_FORM, box, 2, 2, np.full((2, 2), np.nan))
+            WignerGrid(spec, Source.CLOSED_FORM, box, np.full((2, 2), np.nan))
         with pytest.raises(ValueError, match="nodes"):
-            WignerGrid(spec, Source.CLOSED_FORM, box, 1, 5, np.zeros((1, 5)))
+            WignerGrid(spec, Source.CLOSED_FORM, box, np.zeros((1, 5)))
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -24,6 +24,10 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private subclass of MemoryError."""
+
+
 class TestEval:
     def test_csv_schema_and_roundtrip(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -102,6 +106,18 @@ class TestEval:
             ])
         assert values[1] == pytest.approx(values[0], rel=1e-12)
         assert values[2] == pytest.approx(values[0], rel=1e-12)
+
+    @pytest.mark.parametrize("route", [
+        ["--theta", "0.5"],
+        ["--nc", "0.4"],
+        ["--omega", "1.3", "--kt", "0.9"],
+    ])
+    def test_reported_n_c_is_sinh_squared_of_theta(self, tmp_path, route):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--family", "vacuum", "--res", "5",
+                    "--out", str(out), *route]) == 0
+        state = strict_json(out)["report"]["state"]
+        assert state["n_c"] == math.sinh(state["theta"]) ** 2
 
 
 class TestVerify:
@@ -233,6 +249,20 @@ class TestNumericalFailures:
         assert payload["error"] == "ValueError"
         assert payload["config"]["theta"] is None
         assert "got nan" in payload["message"]
+
+    @pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+    def test_memory_error_reports_reason(self, tmp_path, monkeypatch, capsys, error):
+        def exhausted(*args, **kwargs):
+            raise error("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(cli.analysis, "sample_grid", exhausted)
+        out = tmp_path / "grid.json"
+        assert run(["eval", "--family", "vacuum", "--theta", "0.3", "--res", "40000",
+                    "--out", str(out)]) == 1
+        payload = strict_json(out)
+        assert payload["error"] == "MemoryError"
+        assert "Unable to allocate" in payload["message"]
+        assert "error:" in capsys.readouterr().err
 
 
 class TestNegativityCommand:

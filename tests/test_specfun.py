@@ -149,7 +149,7 @@ class TestHermite2Rows:
         rng = np.random.default_rng(23)
         x = rng.uniform(-4.0, 4.0, 40)
         y = rng.uniform(-4.0, 4.0, 40)
-        table = np.array(list(hermite2_rows(16, 16, x, y)))
+        table = np.array(list(hermite2_rows(16, x, y)))
         assert table.shape == (17, 17, 40)
         for m in range(17):
             for k in range(17):
@@ -159,19 +159,19 @@ class TestHermite2Rows:
 
     def test_rows_keep_the_argument_shape(self):
         x = np.linspace(0.0, 2.0, 6).reshape(2, 3)
-        rows = list(hermite2_rows(3, 2, x, 0.5))
+        rows = list(hermite2_rows(3, x, 0.5))
         assert len(rows) == 4
-        assert all(row.shape == (3, 2, 3) for row in rows)
+        assert all(row.shape == (4, 2, 3) for row in rows)
         assert rows[1][1] == pytest.approx(x * 0.5 - 1.0, abs=1e-15)
-        assert [row[0] for row in hermite2_rows(2, 0, 1.5, 7.0)] == [1.0, 1.5, 2.25]
+        assert [row[0] for row in hermite2_rows(2, 1.5, 7.0)] == [1.0, 1.5, 2.25]
 
     def test_rows_refuse_bad_inputs(self):
         with pytest.raises(ValueError):
-            next(hermite2_rows(33, 0, 1.0, 1.0))
+            next(hermite2_rows(33, 1.0, 1.0))
         with pytest.raises(ValueError):
-            next(hermite2_rows(1, 1, float("nan"), 1.0))
+            next(hermite2_rows(1, float("nan"), 1.0))
         with pytest.raises(TypeError):
-            next(hermite2_rows(1, 1, 1j, 1.0))
+            next(hermite2_rows(1, 1j, 1.0))
 
 
 class TestBridge:

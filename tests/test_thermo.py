@@ -102,8 +102,6 @@ class TestConsistency:
 
     def test_params_from_temperature_bundle(self):
         params = params_from_temperature(1.0, 1.0)
-        assert params.omega == 1.0
-        assert params.temperature == 1.0
         assert params.n_c == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
 
     def test_params_from_mean_photons(self):
@@ -111,16 +109,12 @@ class TestConsistency:
         assert params.theta == pytest.approx(math.asinh(1.0), rel=1e-14)
 
 
-class TestThermalParamsValidation:
-    def test_inconsistent_occupation_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalParams(theta=0.5, n_c=0.5)
+class TestThermalParams:
+    def test_n_c_is_derived_from_theta(self):
+        for theta in (0.0, 0.2, 1.0, THETA_MAX):
+            assert ThermalParams(theta).n_c == math.sinh(theta) ** 2
 
-    def test_inconsistent_temperature_rejected(self):
-        good = params_from_temperature(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ThermalParams(theta=good.theta, n_c=good.n_c, omega=1.0, temperature=2.0)
-
-    def test_lonely_omega_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalParams(theta=0.0, n_c=0.0, omega=1.0)
+    def test_rejects_bad_theta(self):
+        for theta in (-0.1, math.nan, math.inf, THETA_MAX + 0.1):
+            with pytest.raises(ValueError, match="theta"):
+                ThermalParams(theta)
