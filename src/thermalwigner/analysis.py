@@ -13,12 +13,20 @@ distinct |q| and |p|.
 
 Quadrature is composite Simpson on the uniform grid, applied as the
 bilinear form wq @ W @ wp with scipy's own Simpson weights for each
-node count, computed once per count and cached.  Before it is trusted,
-a cached self-check integrates the exact thermal Gaussian at theta =
-0.5 on [-6, 6]^2 with 241 x 241 nodes and insists the result is within
-1e-6 of 1.  Normalization and negativity integrals also refuse boxes
-whose half-width is under 4 * sqrt(cosh 2 theta), the radius that
-captures all but ~1e-7 of the Gaussian envelope mass.
+node count, computed once per count and cached.  The normalization and
+negativity of a state never build that grid: W depends on |alpha|^2
+alone, and node (i, j) of an n x n axis pair of half-width R has
+|alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2 with the integer
+d_i = 2 i - (n - 1).  The cached radial plan holds the distinct keys
+d_i^2 + d_j^2 (5 251 for n = 241) and the Simpson weight products summed
+onto each, so the integral is one dot product over the state's values
+at those radii.  Before either contraction is trusted, a cached
+self-check integrates the exact thermal Gaussian at theta = 0.5 on
+[-6, 6]^2 with 241 x 241 nodes through both; each must be within 1e-6
+of 1 and the two within 1e-14 of each other.  Normalization and
+negativity integrals also refuse boxes whose half-width is under
+4 * sqrt(cosh 2 theta), the radius that captures all but ~1e-7 of the
+Gaussian envelope mass.
 """
 
 from __future__ import annotations
@@ -249,38 +257,80 @@ def _simpson2d(values: np.ndarray, q: np.ndarray, p: np.ndarray) -> float:
     return float(wq @ values @ wp)
 
 
+@lru_cache(maxsize=8)
+def _radial_simpson_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct radius keys of an n x n symmetric grid and their Simpson weights, read-only.
+
+    Node i of an axis of half-width R sits at R d_i / (n - 1) with the
+    integer d_i = 2 i - (n - 1), so node (i, j) has
+    |alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2.  Returns the
+    distinct keys d_i^2 + d_j^2 in increasing order and, per key, the
+    sum of the unit Simpson weight products w_i w_j over its nodes.  The
+    plan carries grid geometry only, so the closed forms and the oracle
+    can both be integrated with it.
+    """
+    d = 2 * np.arange(n) - (n - 1)
+    keys, inverse = np.unique(d[:, None] ** 2 + d[None, :] ** 2, return_inverse=True)
+    unit = _unit_simpson_weights(n)
+    weights = np.bincount(inverse.ravel(), weights=np.outer(unit, unit).ravel())
+    keys.setflags(write=False)
+    weights.setflags(write=False)
+    return keys, weights
+
+
+def _radial_quadrature(half_width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |alpha|^2 of the n x n grid on Box.symmetric(half_width), and weights.
+
+    ``weights @ W(abs2)`` is the composite Simpson integral of a radial W
+    over the box, the plan's unit weights scaled by the box area.
+    """
+    keys, unit = _radial_simpson_plan(n)
+    return (0.5 * (half_width / (n - 1)) ** 2) * keys, (2.0 * half_width) ** 2 * unit
+
+
 @lru_cache(maxsize=1)
 def _quadrature_self_check() -> float:
-    """Simpson error on an exactly normalized Gaussian; cached, must be < 1e-6."""
+    """Simpson error on an exactly normalized Gaussian; cached, must be < 1e-6.
+
+    The Gaussian is integrated both as a materialized grid and through
+    the radial plan; the two contractions must also agree within 1e-14.
+    """
     state = StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.5))
-    q = _axis(-6.0, 6.0, 241)
-    values = closed_form.wigner_closed_grid(state, q, q)
-    err = abs(_simpson2d(values, q, q) - 1.0)
+    half_width, n = 6.0, 241
+    q = _axis(-half_width, half_width, n)
+    on_grid = _simpson2d(closed_form.wigner_closed_grid(state, q, q), q, q)
+    abs2, weights = _radial_quadrature(half_width, n)
+    on_radii = float(weights @ closed_form.wigner_closed_radial(state, abs2))
+    err = max(abs(on_grid - 1.0), abs(on_radii - 1.0))
     if err > 1e-6:
         raise RuntimeError(f"Simpson self-check failed: error {err:.3e} on unit Gaussian")
+    if abs(on_grid - on_radii) > 1e-14:
+        raise RuntimeError(
+            f"Simpson self-check failed: grid {on_grid!r} and radial plan {on_radii!r} disagree"
+        )
     return err
 
 
-def _require_box_captures_mass(grid: WignerGrid):
-    required = 4.0 * math.sqrt(grid.state.thermal.cosh_2theta)
-    if grid.box.min_half_width < required - 1e-12:
+def _require_box_captures_mass(state: StateSpec, box: Box):
+    required = 4.0 * math.sqrt(state.thermal.cosh_2theta)
+    if box.min_half_width < required - 1e-12:
         raise BoxTooSmallError(
-            f"box half-width {grid.box.min_half_width:g} is below the required "
-            f"{required:g} for theta = {grid.state.thermal.theta:g}"
+            f"box half-width {box.min_half_width:g} is below the required "
+            f"{required:g} for theta = {state.thermal.theta:g}"
         )
 
 
 def normalization_integral(grid: WignerGrid) -> float:
     """integral W dq dp over the grid box by composite Simpson; expected ~ 1."""
     _quadrature_self_check()
-    _require_box_captures_mass(grid)
+    _require_box_captures_mass(grid.state, grid.box)
     return _simpson2d(grid.values, grid.q_axis, grid.p_axis)
 
 
 def negativity_volume(grid: WignerGrid) -> float:
     """Total negative mass integral (|W| - W)/2 dq dp, >= 0."""
     _quadrature_self_check()
-    _require_box_captures_mass(grid)
+    _require_box_captures_mass(grid.state, grid.box)
     # max(-W, 0) is bitwise (|W| - W)/2
     return _simpson2d(np.maximum(-grid.values, 0.0), grid.q_axis, grid.p_axis)
 
@@ -323,19 +373,37 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
-def _norm_grid(state: StateSpec, source: Source) -> WignerGrid:
-    """The state sampled on its auto-sized quadrature box."""
-    return sample_grid(state, default_norm_box(state), NORM_GRID_POINTS, NORM_GRID_POINTS, source)
+def _norm_radii(state: StateSpec, source: Source) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights and W of ``state`` at the distinct radii of its norm grid.
+
+    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`;
+    (weights @ values) is the Simpson integral over it.  The state is
+    evaluated once per distinct radius and the grid is never built.
+    """
+    _quadrature_self_check()
+    box = default_norm_box(state)
+    _require_box_captures_mass(state, box)
+    abs2, weights = _radial_quadrature(box.q_max, NORM_GRID_POINTS)
+    if Source(source) is Source.CLOSED_FORM:
+        values = closed_form.wigner_closed_radial(state, abs2)
+    else:
+        rho = fock_oracle.build_oracle_state(state)
+        values = fock_oracle.wigner_radial_from_density(rho, abs2)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite")
+    return weights, values
 
 
 def normalization_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Normalization integral on the auto-sized box."""
-    return normalization_integral(_norm_grid(state, source))
+    weights, values = _norm_radii(state, source)
+    return float(weights @ values)
 
 
 def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Negativity volume on the auto-sized box."""
-    return negativity_volume(_norm_grid(state, source))
+    weights, values = _norm_radii(state, source)
+    return float(weights @ np.maximum(-values, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +442,12 @@ def verify_state(
 
     Runs both evaluators on the grid, reports max/mean pointwise error,
     the closed-form normalization on the auto-sized box, and the
-    negativity volume; both integrals come from one sampling of that
-    box.  ``details`` carries the oracle grid's provenance,
-    ``oracle_dim`` and ``oracle_tail``; the oracle's own error is at
-    most 2 oracle_tail / pi.  Stage failures are recorded in ``errors``
-    and do not abort the remaining stages.  Deterministic for fixed
-    inputs.
+    negativity volume; both integrals come from one evaluation of the
+    state at the distinct radii of that box's quadrature grid.
+    ``details`` carries the oracle grid's provenance, ``oracle_dim`` and
+    ``oracle_tail``; the oracle's own error is at most 2 oracle_tail / pi.
+    Stage failures are recorded in ``errors`` and do not abort the
+    remaining stages.  Deterministic for fixed inputs.
     """
     default_box, default_nq, default_np = default_verification_grid(state)
     box = box if box is not None else default_box
@@ -405,21 +473,12 @@ def verify_state(
         errors.append(f"grid comparison: {exc}")
 
     try:
-        norm_grid = _norm_grid(state, Source.CLOSED_FORM)
+        weights, values = _norm_radii(state, Source.CLOSED_FORM)
     except Exception as exc:
-        norm_grid = None
         errors += [f"normalization: {exc}", f"negativity: {exc}"]
-
-    if norm_grid is not None:
-        try:
-            norm_integral = normalization_integral(norm_grid)
-        except Exception as exc:
-            errors.append(f"normalization: {exc}")
-
-        try:
-            negativity = negativity_volume(norm_grid)
-        except Exception as exc:
-            errors.append(f"negativity: {exc}")
+    else:
+        norm_integral = float(weights @ values)
+        negativity = float(weights @ np.maximum(-values, 0.0))
 
     passed = (
         not errors

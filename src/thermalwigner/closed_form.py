@@ -19,11 +19,12 @@ integral W dq dp = 1 (vacuum peak 1/pi).
 
 Every family is Fock-diagonal, so its Wigner function depends on |a|^2
 alone.  Each family has one radial kernel ``kernel(abs2, n, theta)`` in
-``_KERNELS``; the point evaluator :func:`wigner_closed_form`, the grid
-evaluator :func:`wigner_closed_grid` and the per-family ``wigner_*``
-wrappers all go through that table.  The thermal number sum is taken at
-real arguments, with the two-variable Hermite rows built by recurrence
-on the distinct radii of the input.
+``_KERNELS``, dispatched by :func:`wigner_closed_radial`; the point
+evaluator :func:`wigner_closed_form`, the grid evaluator
+:func:`wigner_closed_grid`, the per-family ``wigner_*`` wrappers and the
+radial quadrature of ``analysis`` all go through it.  The thermal number
+sum is taken at real arguments, with the two-variable Hermite rows built
+by recurrence on the distinct radii of the input.
 
 The grid evaluators fold the product grid onto its distinct |q| and |p|
 before calling a kernel: W(q, p) depends on q^2 and p^2 only, so the
@@ -162,9 +163,14 @@ _KERNELS = {
 # dispatch and grid evaluation
 
 
+def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:
+    """The closed form selected by ``state`` at each |alpha|^2 of ``abs2``."""
+    return _KERNELS[state.family](abs2, state.n, state.thermal.theta)
+
+
 def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:
     """Evaluate the closed form selected by ``state`` at one point."""
-    return float(_KERNELS[state.family](point.abs2, state.n, state.thermal.theta))
+    return float(wigner_closed_radial(state, point.abs2))
 
 
 def _folded_grid(radial, q, p) -> np.ndarray:
@@ -185,8 +191,7 @@ def wigner_closed_grid(state: StateSpec, q: np.ndarray, p: np.ndarray) -> np.nda
     Returns an array of shape (len(q), len(p)) with entry [i, j] at
     (q[i], p[j]).
     """
-    kernel = _KERNELS[state.family]
-    return _folded_grid(lambda abs2: kernel(abs2, state.n, state.thermal.theta), q, p)
+    return _folded_grid(lambda abs2: wigner_closed_radial(state, abs2), q, p)
 
 
 def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -457,9 +457,18 @@ def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarra
         raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("grid axes must be finite")
-    x, inverse = np.unique(2.0 * (q[:, None] ** 2 + p[None, :] ** 2), return_inverse=True)
-    values = _parity_series(rho.populations * _parity_signs(rho.dim), x)
-    return parity_prefactor() * values[inverse].reshape(q.size, p.size)
+    abs2, inverse = np.unique(0.5 * (q[:, None] ** 2 + p[None, :] ** 2), return_inverse=True)
+    return wigner_radial_from_density(rho, abs2)[inverse].reshape(q.size, p.size)
+
+
+def wigner_radial_from_density(rho: FockDensityMatrix, abs2: np.ndarray) -> np.ndarray:
+    """Displaced-parity Wigner values of the diagonal ``rho`` at each |alpha|^2 of ``abs2``.
+
+    One pass of :func:`_parity_series` at x = 4 |alpha|^2; pass each
+    distinct radius once.
+    """
+    x = 4.0 * np.asarray(abs2, dtype=float)
+    return parity_prefactor() * _parity_series(rho.populations * _parity_signs(rho.dim), x)
 
 
 def build_oracle_state(state: StateSpec, alpha_max_sq: float | None = None) -> FockDensityMatrix:

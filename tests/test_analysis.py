@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from thermalwigner import analysis, fock_oracle
+from thermalwigner import analysis, closed_form, fock_oracle
 from thermalwigner.analysis import (
     NORM_GRID_POINTS,
     Box,
@@ -15,6 +15,8 @@ from thermalwigner.analysis import (
     Source,
     _axis,
     _quadrature_self_check,
+    _radial_quadrature,
+    _radial_simpson_plan,
     _simpson2d,
     _unit_simpson_weights,
     default_norm_box,
@@ -76,6 +78,75 @@ class TestQuadrature:
         assert weights is _unit_simpson_weights(241)
         assert not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_self_check_compares_the_two_contractions(self, monkeypatch):
+        # a radial plan off by 1e-13 still integrates to 1 within 1e-6,
+        # but no longer agrees with the materialized grid within 1e-14
+        original = analysis._radial_quadrature
+
+        def skewed(half_width, n):
+            abs2, weights = original(half_width, n)
+            return abs2, weights * (1.0 + 1e-13)
+
+        monkeypatch.setattr(analysis, "_radial_quadrature", skewed)
+        with pytest.raises(RuntimeError, match="disagree"):
+            _quadrature_self_check.__wrapped__()
+
+
+class TestRadialPlan:
+    @pytest.mark.parametrize("n", [2, 81, 240, 241])
+    def test_plan_invariants(self, n):
+        keys, weights = _radial_simpson_plan(n)
+        assert _radial_simpson_plan(n) is _radial_simpson_plan(n)
+        assert not keys.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+        d = 2 * np.arange(n) - (n - 1)
+        index = np.searchsorted(keys, d[:, None] ** 2 + d[None, :] ** 2)
+        for half_width in (3.0, 6.0, 7.453247805711868, 333.3):
+            abs2, _ = _radial_quadrature(half_width, n)
+            q = _axis(-half_width, half_width, n)
+            expected = 0.5 * (q[:, None] ** 2 + q[None, :] ** 2)
+            # axis nodes carry up to one ulp of the half-width, so the error
+            # is counted in ulps of the grid's largest |alpha|^2
+            assert np.max(np.abs(abs2[index] - expected)) <= 4 * np.spacing(expected.max())
+
+    def test_241_nodes_have_5251_distinct_radii(self):
+        keys, _ = _radial_simpson_plan(241)
+        assert keys.size == 5251 and np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("source", list(Source))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_plan_matches_the_materialized_grid(self, family, source):
+        # the plan may differ from integrating the materialized grid only by
+        # rounding: its radii are within a few ulps of the grid's.  The number
+        # kernel's alternating sum amplifies that to the order of its
+        # cancellation floor (about 5e-11 at n = 16, see the README).  At large theta the oracle
+        # series carries its own rounding error, which its grid integral shows
+        # against the closed form's; the plan may move it by no more.
+        checked = 0
+        for n in (0,) if family is Family.THERMAL_VACUUM else (0, 1, 2, 4, 8, 12, 16):
+            for theta in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
+                spec = StateSpec(family, params_from_theta(theta), n=n)
+                try:
+                    grid = sample_grid(spec, default_norm_box(spec), NORM_GRID_POINTS,
+                                       NORM_GRID_POINTS, source)
+                except fock_oracle.TruncationError:
+                    continue  # the oracle does not hold this state
+                tol = 1e-10 if family is Family.THERMAL_NUMBER else 2e-15
+                norm_tol, neg_tol = tol, tol
+                if source is Source.ORACLE:
+                    closed = sample_grid(spec, grid.box, NORM_GRID_POINTS, NORM_GRID_POINTS,
+                                         Source.CLOSED_FORM)
+                    norm_tol = max(tol, abs(normalization_integral(grid)
+                                            - normalization_integral(closed)))
+                    neg_tol = max(tol, abs(negativity_volume(grid) - negativity_volume(closed)))
+                case = (n, theta)
+                assert abs(normalization_of_state(spec, source)
+                           - normalization_integral(grid)) <= norm_tol, case
+                assert abs(negativity_of_state(spec, source)
+                           - negativity_volume(grid)) <= neg_tol, case
+                checked += 1
+        assert checked >= 3
 
 
 class TestNormBox:
@@ -250,19 +321,29 @@ class TestVerifyState:
         )
 
     def test_samples_the_norm_box_once(self, monkeypatch):
-        calls = []
-        original = analysis.sample_grid
-
-        def counting(spec, box, nq, np_, source):
-            calls.append((box, nq, np_, Source(source)))
-            return original(spec, box, nq, np_, source)
-
-        monkeypatch.setattr(analysis, "sample_grid", counting)
         spec = state("added", 0.3, n=1)
+        norm_abs2, _ = _radial_quadrature(default_norm_box(spec).q_max, NORM_GRID_POINTS)
+        radial_calls = []
+        grid_calls = []
+        radial = closed_form.wigner_closed_radial
+        sample = analysis.sample_grid
+
+        def counting_radial(spec_, abs2):
+            radial_calls.append(np.array_equal(abs2, norm_abs2))
+            return radial(spec_, abs2)
+
+        def counting_sample(spec_, box, nq, np_, source):
+            grid_calls.append((nq, np_))
+            return sample(spec_, box, nq, np_, source)
+
+        monkeypatch.setattr(closed_form, "wigner_closed_radial", counting_radial)
+        monkeypatch.setattr(analysis, "sample_grid", counting_sample)
         report = verify_state(spec)
         assert report.passed and report.negativity_volume > 0.0
-        norm = (default_norm_box(spec), NORM_GRID_POINTS, NORM_GRID_POINTS, Source.CLOSED_FORM)
-        assert calls.count(norm) == 1
+        # one evaluation at the norm radii serves both integrals; only the
+        # comparison grids are sampled
+        assert radial_calls.count(True) == 1
+        assert grid_calls == [(81, 81), (81, 81)]
         assert report.norm_integral == normalization_of_state(spec)
         assert report.negativity_volume == negativity_of_state(spec)
 

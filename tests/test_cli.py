@@ -1,5 +1,6 @@
 """Command-line interface: flags, file schemas, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -177,6 +178,63 @@ class TestVerify:
         from thermalwigner.thermo import params_from_theta
         expected = wigner_thermal_number(PhasePoint(0.0, 0.0), 1, params_from_theta(0.3))
         assert w_origin == pytest.approx(expected, abs=1e-10)
+
+
+def _reference_grid_csv(grid, fh):
+    """The CSV writer before its per-row batching: three formats per node."""
+    fh.write("q,p,w\n")
+    for i, qv in enumerate(grid.q_axis):
+        for j, pv in enumerate(grid.p_axis):
+            fh.write(f"{cli._fmt(qv)},{cli._fmt(pv)},{cli._fmt(grid.values[i, j])}\n")
+
+
+class TestGridCsvWriter:
+    @pytest.mark.parametrize("res", [9, 10])
+    def test_bytes_match_the_per_node_writer(self, res):
+        from thermalwigner.analysis import Box, Source, sample_grid
+        from thermalwigner.states import Family, StateSpec
+        from thermalwigner.thermo import params_from_theta
+
+        spec = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.7), n=3)
+        grid = sample_grid(spec, Box(-3.1, 4.0, -2.0, 2.0), res, res + 3, Source.CLOSED_FORM)
+        grid.values[0, 0] = -0.0
+        got, want = io.StringIO(), io.StringIO()
+        cli.write_grid_csv(grid, got)
+        _reference_grid_csv(grid, want)
+        assert got.getvalue() == want.getvalue()
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ["eval", "--family", "added", "--n", "1", "--theta", "0.2", "--res", "7",
+         "--format", "json"],
+        ["verify", "--family", "vacuum", "--nc", "0.4"],
+        ["eval", "--family", "subtracted", "--n", "2", "--omega", "1.3", "--kt", "0.9",
+         "--res", "5"],
+    )
+
+    def _run_all(self, tmp_path, fresh):
+        outputs = []
+        for k, argv in enumerate(self.COMMANDS):
+            if fresh:
+                cli._main_parser.cache_clear()
+            out = tmp_path / f"{'fresh' if fresh else 'shared'}{k}"
+            assert run(argv + ["--out", str(out)]) in (0, 1)
+            outputs.append(out.read_text().replace(str(out), "OUT"))
+        return outputs
+
+    def test_one_parser_gives_the_same_files_as_fresh_ones(self, tmp_path):
+        cli._main_parser.cache_clear()
+        shared = self._run_all(tmp_path, fresh=False)
+        assert cli._main_parser.cache_info().misses == 1
+        assert shared == self._run_all(tmp_path, fresh=True)
+
+    def test_usage_error_after_a_good_call_exits_2(self, tmp_path):
+        assert run(["negativity", "--family", "added", "--n", "1", "--theta", "0.2"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["negativity", "--family", "added", "--n", "1"])
+        assert exc.value.code == 2
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestUsageErrors:
