@@ -370,6 +370,8 @@ def default_norm_box(state: StateSpec) -> Box:
     return Box.symmetric(math.sqrt(radius2))
 
 
+# Odd, so that the norm grid has a node at the origin: the radial plan's
+# first key is 0 and scan_theta reads W(0) off the norm-grid pass.
 NORM_GRID_POINTS = 241
 
 
@@ -634,17 +636,24 @@ def scan_theta(
     """Origin value and negativity volume of one family across temperatures.
 
     Produces the data behind the amplitude-damping plots: each row holds
-    theta, W(0), |W(0)| and (optionally) the negativity volume of the
-    closed-form grid on the auto-sized box.
+    theta, W(0), |W(0)| and (optionally) the closed-form negativity
+    volume on the auto-sized box.  With the negativity, each theta costs
+    one closed-form pass over the distinct radii of the norm grid: the
+    plan's first radius is exactly 0, so W(0) is read off that pass and
+    equals the point evaluator's value.  Without it, W(0) comes from the
+    point evaluator.
     """
     origin = PhasePoint(0.0, 0.0)
     rows = []
     for theta in thetas:
         thermal = params_from_theta(float(theta))
         state = StateSpec(Family(family), thermal, n=n)
-        w0 = closed_form.wigner_closed_form(state, origin)
-        row = {"theta": float(theta), "w0": w0, "abs_w0": abs(w0)}
+        negativity = {}
         if include_negativity:
-            row["negativity_volume"] = negativity_of_state(state)
-        rows.append(row)
+            weights, values = _norm_radii(state, Source.CLOSED_FORM)
+            w0 = float(values[0])
+            negativity["negativity_volume"] = float(weights @ np.maximum(-values, 0.0))
+        else:
+            w0 = closed_form.wigner_closed_form(state, origin)
+        rows.append({"theta": float(theta), "w0": w0, "abs_w0": abs(w0), **negativity})
     return rows

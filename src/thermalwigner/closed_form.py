@@ -24,7 +24,9 @@ evaluator :func:`wigner_closed_form`, the grid evaluator
 :func:`wigner_closed_grid`, the per-family ``wigner_*`` wrappers and the
 radial quadrature of ``analysis`` all go through it.  The thermal number
 sum is taken at real arguments, with the two-variable Hermite rows built
-by recurrence on the distinct radii of the input.
+in place by recurrence on the distinct radii of the input; input that
+is already sorted and distinct, such as the keys of a radial quadrature
+plan, skips the deduplication.
 
 The grid evaluators fold the product grid onto its distinct |q| and |p|
 before calling a kernel: W(q, p) depends on q^2 and p^2 only, so the
@@ -127,10 +129,13 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     |H_{m,j}(E, Y)| = |H_{m,j}(x, y)| at the real arguments
     x = 2 r s cosh(theta), y = 2 r s sinh(theta) / t.  The kernel
     therefore evaluates each distinct |alpha|^2 once, in real arithmetic:
-    the Hermite rows H_{m,0..n} come from one recurrence
+    the Hermite rows H_{m,0..n} come from one in-place recurrence
     (:func:`~thermalwigner.specfun.hermite2_rows`) and each row's
-    squares are contracted with the coefficient matrix, with
-    m = n - k and j = n - l.
+    squares, written into one reused buffer, are contracted with the
+    coefficient matrix, with m = n - k and j = n - l.  An input that is
+    already strictly increasing is taken as its own distinct radii;
+    any other is deduplicated with ``np.unique`` first, so both routes
+    hand the recurrence the same array.
     """
     if theta <= 0.0:
         raise DegenerateStateError(
@@ -138,17 +143,24 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
             "use wigner_number_state for the zero-temperature case"
         )
     abs2 = np.asarray(abs2, dtype=float)
-    radii2, inverse = np.unique(abs2, return_inverse=True)
+    radii2 = abs2.ravel()
+    # sorted distinct input (a radial plan's keys, one point) is used as is
+    distinct = bool(np.all(radii2[1:] > radii2[:-1]))
+    if not distinct:
+        radii2, inverse = np.unique(radii2, return_inverse=True)
     sech2 = 1.0 / math.cosh(2.0 * theta)
     scale = 2.0 * np.sqrt(radii2) * sech2
     x = scale * math.cosh(theta)
     y = scale * (math.sinh(theta) / math.tanh(2.0 * theta))
     coeff = _thermal_number_coefficients(n, theta)
     total = np.zeros_like(radii2)
+    sq = np.empty((n + 1, radii2.size))
     for m, row in enumerate(hermite2_rows(n, x, y)):
-        total += coeff[m] @ (row * row)
+        total += coeff[m] @ np.multiply(row, row, out=sq)
     values = np.exp(-2.0 * radii2 * sech2) / (math.pi * math.cosh(2.0 * theta)) * total
-    return values[inverse].reshape(abs2.shape)
+    if not distinct:
+        values = values[inverse]
+    return values.reshape(abs2.shape)
 
 
 _KERNELS = {

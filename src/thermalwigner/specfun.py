@@ -78,8 +78,15 @@ def laguerre(n: int, x):
     if n == 0:
         return float(prev[0]) if scalar else prev
     cur = 1.0 - x
+    nxt = np.empty_like(x)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        # nxt = ((2k+1 - x) cur - k prev) / (k+1), in place, in that order
+        np.subtract(2 * k + 1, x, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
     return float(cur[0]) if scalar else cur
 
 
@@ -148,8 +155,10 @@ def hermite2_rows(n: int, x, y):
         H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1},
 
     the s-derivative of the generating function exp(s x + t y - s t).
-    Each step is vectorized over k and keeps only the previous row, so
-    the whole table is never held; every yielded row is a fresh array.
+    Each step is vectorized over k and updates one row buffer in place,
+    so the whole table is never held.  Every step yields that same
+    buffer: a yielded row is valid until the next step, and a caller
+    that keeps rows must copy them.
 
     Args:
         n: largest order in both indices, 0 <= n <= 32.
@@ -165,11 +174,12 @@ def hermite2_rows(n: int, x, y):
     x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
     k = np.arange(n + 1.0).reshape((-1,) + (1,) * x.ndim)
     row = y ** k
+    tmp = np.empty_like(row[1:])
     yield row
     for _ in range(n):
-        step = x * row
-        step[1:] -= k[1:] * row[:-1]
-        row = step
+        np.multiply(k[1:], row[:-1], out=tmp)
+        row *= x
+        row[1:] -= tmp
         yield row
 
 

@@ -406,3 +406,22 @@ class TestScanTheta:
         rows = scan_theta(Family.THERMAL_VACUUM, 0, [0.2, 0.4], include_negativity=False)
         assert [set(r) for r in rows] == [{"theta", "w0", "abs_w0"}] * 2
         assert rows[0]["w0"] > rows[1]["w0"]
+
+    def test_norm_plan_starts_at_the_origin(self):
+        # scan_theta reads W(0) off the norm-grid pass: NORM_GRID_POINTS is
+        # odd, so the plan's first key is the centre node, radius exactly 0
+        assert NORM_GRID_POINTS % 2 == 1
+        assert _radial_simpson_plan(NORM_GRID_POINTS)[0][0] == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 16])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_origin_from_the_norm_pass_is_the_point_value(self, family, n):
+        thetas = [0.1, 1.0, 2.0]
+        with_neg = scan_theta(family, n, thetas)
+        without = scan_theta(family, n, thetas, include_negativity=False)
+        origin = PhasePoint(0.0, 0.0)
+        for theta, row, bare in zip(thetas, with_neg, without):
+            spec = state(family, theta, n)
+            assert row["w0"] == bare["w0"] == closed_form.wigner_closed_form(spec, origin)
+            assert row["abs_w0"] == bare["abs_w0"]
+            assert row["negativity_volume"] == negativity_of_state(spec)

@@ -248,6 +248,19 @@ class TestThermalNumber:
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
         assert isinstance(value, float)
 
+    @pytest.mark.parametrize("n", [0, 3, 16])
+    def test_sorted_radii_equal_a_shuffled_copy(self, n):
+        # strictly increasing input skips the kernel's deduplication; a
+        # shuffled copy goes through it, and both must give the same bits
+        abs2 = np.cumsum(np.random.default_rng(11).uniform(1e-3, 0.05, 400))
+        abs2 = np.concatenate(([0.0], abs2))
+        order = np.random.default_rng(12).permutation(abs2.size)
+        kernel = closed_form._thermal_number_kernel
+        shuffled = kernel(abs2[order].reshape(-1, 1), n, 0.7)
+        unscrambled = np.empty(abs2.size)
+        unscrambled[order] = shuffled[:, 0]
+        assert np.array_equal(kernel(abs2, n, 0.7), unscrambled)
+
 
 class TestNormalizationConstants:
     def test_trivial_counts(self):

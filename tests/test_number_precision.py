@@ -13,7 +13,7 @@ from thermalwigner.thermo import params_from_theta
 
 # Largest absolute error allowed per n over every theta and radius below.
 MAX_ABS_ERR = {4: 1e-15, 8: 5e-14, 12: 5e-12, 16: 2e-10}
-THETAS = (0.1, 0.5, 1.0)
+THETAS = (0.1, 0.5, 1.0, 1.5, 2.0)  # up to the scan-theta default maximum
 RADII = 9
 
 

@@ -85,6 +85,16 @@ class TestLaguerre:
         for x, v in zip(xs, vec):
             assert laguerre(4, float(x)) == v
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_leaves_its_input_alone(self, n):
+        # the recurrence works in its own buffers: the argument is never
+        # written to, and the result is never a view of it
+        xs = np.linspace(-3.0, 3.0, 7)
+        before = xs.copy()
+        vals = laguerre(n, xs)
+        assert np.array_equal(xs, before)
+        assert not np.shares_memory(vals, xs)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             laguerre(-1, 1.0)
@@ -149,7 +159,7 @@ class TestHermite2Rows:
         rng = np.random.default_rng(23)
         x = rng.uniform(-4.0, 4.0, 40)
         y = rng.uniform(-4.0, 4.0, 40)
-        table = np.array(list(hermite2_rows(16, x, y)))
+        table = np.array([row.copy() for row in hermite2_rows(16, x, y)])
         assert table.shape == (17, 17, 40)
         for m in range(17):
             for k in range(17):
@@ -159,11 +169,18 @@ class TestHermite2Rows:
 
     def test_rows_keep_the_argument_shape(self):
         x = np.linspace(0.0, 2.0, 6).reshape(2, 3)
-        rows = list(hermite2_rows(3, x, 0.5))
+        rows = [row.copy() for row in hermite2_rows(3, x, 0.5)]
         assert len(rows) == 4
         assert all(row.shape == (4, 2, 3) for row in rows)
         assert rows[1][1] == pytest.approx(x * 0.5 - 1.0, abs=1e-15)
         assert [row[0] for row in hermite2_rows(2, 1.5, 7.0)] == [1.0, 1.5, 2.25]
+
+    def test_rows_reuse_one_buffer(self):
+        # every step overwrites the row it yielded before
+        x = np.linspace(-1.0, 2.0, 5)
+        rows = hermite2_rows(4, x, 0.5)
+        first = next(rows)
+        assert all(row is first for row in rows)
 
     def test_rows_refuse_bad_inputs(self):
         with pytest.raises(ValueError):
