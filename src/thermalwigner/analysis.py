@@ -8,8 +8,9 @@ sources interchangeably.
 Every grid axis comes from :func:`_axis`.  On an axis symmetric about
 zero it is exactly antisymmetric (node i is minus node n-1-i), its end
 points are the box bounds and an odd axis has its centre at exactly
-0, so the closed-form grid evaluator can fold a symmetric box onto its
-distinct |q| and |p|.
+0.  Both sources sample a grid through
+:func:`~thermalwigner.states.radial_grid`, one call on its distinct
+|alpha|^2, so mirrored nodes share one value.
 
 Quadrature is composite Simpson on the uniform grid, applied as the
 bilinear form wq @ W @ wp with scipy's own Simpson weights for each

@@ -16,7 +16,6 @@ printed with 17 significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -35,14 +34,6 @@ from .thermo import (
 )
 
 _FAMILIES = [f.value for f in Family]
-
-# glibc mallopt parameters (malloc.h) and the values the CLI fixes them at:
-# 32 MiB is glibc's own ceiling for its dynamic mmap threshold on 64-bit,
-# and the trim threshold is twice it, as glibc's dynamic rule sets it.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def _fmt(x: float) -> str:
@@ -208,7 +199,9 @@ def _cmd_verify(parser, args) -> int:
             fh.close()
     if args.out not in (None, "-"):
         status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {report.label} (max_abs_err={report.max_abs_err:.3e})")
+        err = (f"{report.max_abs_err:.3e}" if math.isfinite(report.max_abs_err)
+               else "not measured")
+        print(f"{status} {report.label} (max_abs_err={err})")
     return 0 if report.passed else 1
 
 
@@ -312,30 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _keep_grid_buffers_on_heap() -> bool:
-    """Serve grid-sized arrays from the heap and keep freed heap pages.
-
-    By default glibc maps each block above 128 KiB afresh and returns free
-    heap above 128 KiB to the system, raising both thresholds only once
-    the process frees a large mapped block.  A command that evaluates many
-    241^2 grids then page-faults on every temporary: a fresh 40-step
-    ``scan-theta`` took about 28k minor faults and nearly twice as long as
-    with the thresholds fixed here.  Fixing them at startup makes the cost
-    independent of what ran before.  Linux only; returns whether the C
-    library accepted both settings.
-    """
-    if not sys.platform.startswith("linux"):
-        return False
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
-
-
 @lru_cache(maxsize=1)
 def _main_parser() -> argparse.ArgumentParser:
     """The parser every ``main`` call in this process reuses.
@@ -348,7 +317,6 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _keep_grid_buffers_on_heap()
     parser = _main_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,16 +24,12 @@ evaluator :func:`wigner_closed_form`, the grid evaluator
 :func:`wigner_closed_grid`, the per-family ``wigner_*`` wrappers and the
 radial quadrature of ``analysis`` all go through it.  The thermal number
 sum is taken at real arguments, with the two-variable Hermite rows built
-in place by recurrence on the distinct radii of the input; input that
-is already sorted and distinct, such as the keys of a radial quadrature
-plan, skips the deduplication.
+in place by recurrence on the radii it is given.
 
-The grid evaluators fold the product grid onto its distinct |q| and |p|
-before calling a kernel: W(q, p) depends on q^2 and p^2 only, so the
-kernel runs on the quadrant of distinct magnitudes and its values are
-scattered back to every node.  The fold is exact for any axes; on the
-mirror-symmetric axes of ``analysis`` it cuts an odd n x n grid to
-((n + 1) / 2)^2 kernel points.
+The grid evaluators are one call to
+:func:`~thermalwigner.states.radial_grid`, which folds the product grid
+onto its distinct |alpha|^2 and calls the kernel once on them, so every
+kernel sees distinct radii and none deduplicates its input.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import numpy as np
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # ``closed_form.hermite2`` to count its calls.
 from .specfun import factorial, hermite2, hermite2_rows, laguerre  # noqa: F401
-from .states import Family, PhasePoint, StateSpec, check_excitation_count
+from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
 from .thermo import ThermalParams
 
 
@@ -128,14 +124,14 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     H_{m,j}(E, Y) carries the phase e^(i phi (m - j)), so
     |H_{m,j}(E, Y)| = |H_{m,j}(x, y)| at the real arguments
     x = 2 r s cosh(theta), y = 2 r s sinh(theta) / t.  The kernel
-    therefore evaluates each distinct |alpha|^2 once, in real arithmetic:
-    the Hermite rows H_{m,0..n} come from one in-place recurrence
+    therefore works in real arithmetic: the Hermite rows H_{m,0..n} come
+    from one in-place recurrence
     (:func:`~thermalwigner.specfun.hermite2_rows`) and each row's
     squares, written into one reused buffer, are contracted with the
-    coefficient matrix, with m = n - k and j = n - l.  An input that is
-    already strictly increasing is taken as its own distinct radii;
-    any other is deduplicated with ``np.unique`` first, so both routes
-    hand the recurrence the same array.
+    coefficient matrix, with m = n - k and j = n - l.  Every input node
+    is evaluated as given; callers pass distinct radii (the grid fold of
+    :func:`~thermalwigner.states.radial_grid`, a radial plan's keys, or
+    one point).
     """
     if theta <= 0.0:
         raise DegenerateStateError(
@@ -144,10 +140,6 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
         )
     abs2 = np.asarray(abs2, dtype=float)
     radii2 = abs2.ravel()
-    # sorted distinct input (a radial plan's keys, one point) is used as is
-    distinct = bool(np.all(radii2[1:] > radii2[:-1]))
-    if not distinct:
-        radii2, inverse = np.unique(radii2, return_inverse=True)
     sech2 = 1.0 / math.cosh(2.0 * theta)
     scale = 2.0 * np.sqrt(radii2) * sech2
     x = scale * math.cosh(theta)
@@ -158,8 +150,6 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     for m, row in enumerate(hermite2_rows(n, x, y)):
         total += coeff[m] @ np.multiply(row, row, out=sq)
     values = np.exp(-2.0 * radii2 * sech2) / (math.pi * math.cosh(2.0 * theta)) * total
-    if not distinct:
-        values = values[inverse]
     return values.reshape(abs2.shape)
 
 
@@ -185,31 +175,19 @@ def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:
     return float(wigner_closed_radial(state, point.abs2))
 
 
-def _folded_grid(radial, q, p) -> np.ndarray:
-    """radial(|alpha|^2) on the product of axes q and p, one call per distinct |q|, |p|."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("grid axes must be finite")
-    q_abs, iq = np.unique(np.abs(q), return_inverse=True)
-    p_abs, ip = np.unique(np.abs(p), return_inverse=True)
-    abs2 = 0.5 * (q_abs[:, None] ** 2 + p_abs[None, :] ** 2)
-    return radial(abs2).take(iq.ravel(), axis=0).take(ip.ravel(), axis=1)
-
-
 def wigner_closed_grid(state: StateSpec, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Evaluate the closed form on the Cartesian product of axes q and p.
 
     Returns an array of shape (len(q), len(p)) with entry [i, j] at
     (q[i], p[j]).
     """
-    return _folded_grid(lambda abs2: wigner_closed_radial(state, abs2), q, p)
+    return radial_grid(lambda abs2: wigner_closed_radial(state, abs2), q, p)
 
 
 def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Zero-temperature number-state Wigner function on the axes q x p."""
     n = check_excitation_count(n)
-    return _folded_grid(lambda abs2: _number_kernel(abs2, n), q, p)
+    return radial_grid(lambda abs2: _number_kernel(abs2, n), q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .states import Family, PhasePoint, StateSpec
+from .states import Family, PhasePoint, StateSpec, radial_grid
 
 # Default per-mode truncation of the doubled-space number-state build.
 TWO_MODE_DIM = 32
@@ -441,7 +441,8 @@ def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarra
     """Displaced-parity Wigner values on the product grid q x p.
 
     ``rho`` is diagonal, so W depends on x = 4 |alpha|^2 = 2 (q^2 + p^2)
-    alone: each distinct x is evaluated once, as the series
+    alone: :func:`~thermalwigner.states.radial_grid` folds the grid onto
+    its distinct x, each evaluated once as the series
     W = pref sum_k w_k (-1)^k l_k(x) of :func:`_parity_series`, with no
     matrix.  Agrees with the dense reference :func:`wigner_from_density`
     to machine precision and is the evaluator the verification grids use.
@@ -451,14 +452,7 @@ def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarra
 
     Returns an array of shape (len(q), len(p)).
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.size == 0 or p.size == 0:
-        raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("grid axes must be finite")
-    abs2, inverse = np.unique(0.5 * (q[:, None] ** 2 + p[None, :] ** 2), return_inverse=True)
-    return wigner_radial_from_density(rho, abs2)[inverse].reshape(q.size, p.size)
+    return radial_grid(lambda abs2: wigner_radial_from_density(rho, abs2), q, p)
 
 
 def wigner_radial_from_density(rho: FockDensityMatrix, abs2: np.ndarray) -> np.ndarray:

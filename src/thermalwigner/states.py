@@ -1,10 +1,12 @@
-"""Value types shared by the closed-form evaluators and the Fock oracle."""
+"""Value types and grid geometry shared by the closed-form evaluators and the Fock oracle."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .thermo import ThermalParams
 
@@ -83,3 +85,32 @@ class StateSpec:
         if self.family is Family.THERMAL_VACUUM:
             return f"vacuum(theta={self.thermal.theta:g})"
         return f"{self.family.value}(n={self.n}, theta={self.thermal.theta:g})"
+
+
+def radial_grid(radial, q, p) -> np.ndarray:
+    """radial(|alpha|^2) on the product of axes q and p, one call on its distinct radii.
+
+    Every state here is Fock-diagonal, so its Wigner function depends on
+    |alpha|^2 = (q^2 + p^2) / 2 alone.  The grid is folded onto its
+    distinct |q| and |p|, the distinct |alpha|^2 of that quadrant are
+    found with ``np.unique``, ``radial`` is called once on them, as a
+    strictly increasing 1-D array, and its values are scattered back to
+    every node.  The fold is exact on any axes: (-q)^2 == q^2.
+
+    Raises:
+        ValueError: for an empty or non-finite axis.
+
+    Returns an array of shape (len(q), len(p)).
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if q.size == 0 or p.size == 0:
+        raise ValueError(f"grid axes must be non-empty, got {q.size} x {p.size} nodes")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError("grid axes must be finite")
+    q_abs, iq = np.unique(np.abs(q), return_inverse=True)
+    p_abs, ip = np.unique(np.abs(p), return_inverse=True)
+    abs2, inverse = np.unique(0.5 * (q_abs[:, None] ** 2 + p_abs[None, :] ** 2),
+                              return_inverse=True)
+    quadrant = radial(abs2)[inverse].reshape(q_abs.size, p_abs.size)
+    return quadrant.take(iq.ravel(), axis=0).take(ip.ravel(), axis=1)

@@ -21,10 +21,18 @@ from thermalwigner.closed_form import (
     wigner_thermal_vacuum,
 )
 from thermalwigner.specfun import factorial, hermite2
-from thermalwigner.states import Family, PhasePoint, StateSpec
+from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
 from thermalwigner.thermo import params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
+
+# (q, p) axis pairs for the grid fold
+GRID_AXES = [
+    (np.linspace(-3.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)),  # symmetric, odd
+    (np.linspace(-3.0, 3.0, 10), np.linspace(-2.5, 2.5, 8)),  # even, nq != np
+    (np.linspace(-1.0, 3.0, 11), np.linspace(-2.0, 0.7, 6)),  # asymmetric
+    (np.array([2.0, -0.5, 0.5, -2.0, 0.0]), np.array([-1.0, 1.5])),  # unsorted
+]
 
 
 def thermal_number_complex_sum(alpha, n, theta):
@@ -248,19 +256,6 @@ class TestThermalNumber:
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
         assert isinstance(value, float)
 
-    @pytest.mark.parametrize("n", [0, 3, 16])
-    def test_sorted_radii_equal_a_shuffled_copy(self, n):
-        # strictly increasing input skips the kernel's deduplication; a
-        # shuffled copy goes through it, and both must give the same bits
-        abs2 = np.cumsum(np.random.default_rng(11).uniform(1e-3, 0.05, 400))
-        abs2 = np.concatenate(([0.0], abs2))
-        order = np.random.default_rng(12).permutation(abs2.size)
-        kernel = closed_form._thermal_number_kernel
-        shuffled = kernel(abs2[order].reshape(-1, 1), n, 0.7)
-        unscrambled = np.empty(abs2.size)
-        unscrambled[order] = shuffled[:, 0]
-        assert np.array_equal(kernel(abs2, n, 0.7), unscrambled)
-
 
 class TestNormalizationConstants:
     def test_trivial_counts(self):
@@ -342,18 +337,12 @@ class TestDispatchAndGrids:
                         wigner_closed_form(state, point), rel=1e-13, abs=1e-16
                     )
 
-    @pytest.mark.parametrize(
-        "q, p",
-        [
-            (np.linspace(-3.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)),  # symmetric, odd
-            (np.linspace(-3.0, 3.0, 10), np.linspace(-2.5, 2.5, 8)),  # even, nq != np
-            (np.linspace(-1.0, 3.0, 11), np.linspace(-2.0, 0.7, 6)),  # asymmetric
-            (np.array([2.0, -0.5, 0.5, -2.0, 0.0]), np.array([-1.0, 1.5])),  # unsorted
-        ],
-    )
+    @pytest.mark.parametrize("q, p", GRID_AXES)
     def test_folded_grid_equals_per_node_kernel(self, q, p):
-        # the grid evaluator folds onto distinct |q|, |p|; the per-node
-        # kernel takes every |alpha|^2 of the product grid as given
+        # the grid evaluator folds onto distinct |alpha|^2; the per-node
+        # kernel takes every |alpha|^2 of the product grid as given.  The
+        # number kernel's BLAS contraction rounds by position, so its
+        # reference is taken on the distinct radii and scattered back.
         abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
         for family, n in [
             (Family.THERMAL_VACUUM, 0),
@@ -363,18 +352,45 @@ class TestDispatchAndGrids:
         ]:
             state = StateSpec(family, params_from_theta(0.7), n=n)
             grid = wigner_closed_grid(state, q, p)
-            per_node = closed_form._KERNELS[family](abs2, n, 0.7)
-            assert grid.shape == (q.size, p.size)
+            kernel = closed_form._KERNELS[family]
             if family is Family.THERMAL_NUMBER:
-                np.testing.assert_allclose(grid, per_node, rtol=1e-14, atol=0.0)
+                radii, inverse = np.unique(abs2, return_inverse=True)
+                per_node = kernel(radii, n, 0.7)[inverse].reshape(abs2.shape)
             else:
-                assert np.array_equal(grid, per_node), family
+                per_node = kernel(abs2, n, 0.7)
+            assert grid.shape == (q.size, p.size)
+            assert np.array_equal(grid, per_node), family
         assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))
+
+    @pytest.mark.parametrize("q, p", GRID_AXES)
+    def test_radial_grid_calls_its_kernel_once_on_distinct_radii(self, q, p):
+        # the spy returns each radius's position, so the grid names the
+        # radius every node was given
+        calls = []
+
+        def spy(abs2):
+            calls.append(abs2.copy())
+            return np.arange(abs2.size, dtype=float)
+
+        grid = radial_grid(spy, q, p)
+        assert len(calls) == 1
+        (radii,) = calls
+        assert radii.ndim == 1 and np.all(np.diff(radii) > 0.0)
+        assert grid.shape == (q.size, p.size)
+        abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
+        assert np.array_equal(radii[grid.astype(int)], abs2)
 
     def test_grid_refuses_non_finite_axis(self):
         state = StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.3))
         with pytest.raises(ValueError, match="finite"):
             wigner_closed_grid(state, [0.0, np.nan], [0.0])
+
+    def test_grids_refuse_an_empty_axis(self):
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.3), n=2)
+        with pytest.raises(ValueError, match="non-empty"):
+            wigner_closed_grid(state, [], [0.0, 1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            wigner_number_grid(2, [0.0, 1.0], np.array([]))
 
     def test_excitation_cap(self):
         thermal = params_from_theta(0.5)

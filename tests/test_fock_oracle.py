@@ -514,6 +514,34 @@ class TestSeriesGrid:
                 compared += 1
         assert compared >= {Family.THERMAL_VACUUM: 4, Family.THERMAL_NUMBER: 10}.get(family, 19)
 
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            (np.linspace(-3.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)),
+            (np.linspace(-3.0, 3.0, 10), np.linspace(-2.5, 2.5, 8)),
+            (np.linspace(-1.0, 3.0, 11), np.linspace(-2.0, 0.7, 6)),
+            (np.array([2.0, -0.5, 0.5, -2.0, 0.0]), np.array([-1.0, 1.5])),
+            # an eval grid on box 14: |alpha|^2 reaches 196, and the
+            # added n = 16 state's series rescales there
+            (_axis(-14.0, 14.0, 40), _axis(-14.0, 14.0, 40)),
+        ],
+    )
+    def test_folded_grid_equals_the_full_grid_distinct_radii(self, q, p):
+        # the fold onto distinct |q|, |p| hands the series the same sorted
+        # radii as np.unique over every node of the product grid
+        abs2, inverse = np.unique(0.5 * (q[:, None] ** 2 + p[None, :] ** 2),
+                                  return_inverse=True)
+        for family, n, theta in [
+            (Family.THERMAL_VACUUM, 0, 0.3),
+            (Family.PHOTON_SUBTRACTED, 4, 1.2),
+            (Family.PHOTON_ADDED, 16, 1.2),
+            (Family.THERMAL_NUMBER, 3, 0.3),
+        ]:
+            rho = build_oracle_state(StateSpec(family, params_from_theta(theta), n=n))
+            expected = fock_oracle.wigner_radial_from_density(rho, abs2)[inverse]
+            grid = wigner_grid_from_density(rho, q, p)
+            assert np.array_equal(grid, expected.reshape(q.size, p.size)), family
+
     def test_recurrence_matches_mpmath(self):
         # l_k(x) = exp(-x/2) L_k(x) to k = 1e5; at x = 2000, exp(-x/2) underflows,
         # so only the log-scaled seeds give the values of order 1e-2 there
