@@ -14,7 +14,8 @@ points are the box bounds and an odd axis has its centre at exactly
 
 Quadrature is composite Simpson on the uniform grid, applied as the
 bilinear form wq @ W @ wp with scipy's own Simpson weights for each
-node count, computed once per count and cached.  The normalization and
+node count, reproduced bit for bit in numpy (scipy is not imported),
+once per count and cached.  The normalization and
 negativity of a state never build that grid: W depends on |alpha|^2
 alone, and node (i, j) of an n x n axis pair of half-width R has
 |alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2 with the integer
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import closed_form, fock_oracle
 from .states import Family, PhasePoint, StateSpec
@@ -242,11 +242,33 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
 def _unit_simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights of n uniform nodes on [0, 1], read-only.
 
-    Simpson's rule is linear in the samples, so integrating the identity
-    matrix column by column gives scipy's weights, including its end
-    correction for an even n.
+    These are the weights of ``scipy.integrate.simpson`` on
+    ``x = np.linspace(0, 1, n)``, bit for bit, computed without scipy
+    in scipy's own arithmetic.  Each panel of spacings h0, h1 gives its
+    three nodes (hsum / 6) (2 - 1 / r), (hsum / 6) hsum (hsum / hprod)
+    and (hsum / 6) (2 - r), with r = h0 / h1.  For an even n the panels
+    stop one node early, and the last three nodes get the alpha, beta
+    and -eta end correction (Cartwright 2017).  n = 2 is the trapezoid.
     """
-    weights = simpson(np.eye(n), x=np.linspace(0.0, 1.0, n), axis=0)
+    h = np.diff(np.linspace(0.0, 1.0, n))
+    weights = np.zeros(n)
+    if n == 2:
+        weights += 0.5 * h[0]
+    else:
+        end = n - 1 if n % 2 else n - 2  # the panels cover nodes 0 .. end
+        h0, h1 = h[0:end:2], h[1:end:2]
+        hsum = h0 + h1
+        ratio = h0 / h1
+        weights[0:end:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+        weights[1:end:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+        weights[2 : end + 1 : 2] += hsum / 6.0 * (2.0 - ratio)
+        if end < n - 1:
+            # One-element arrays, as scipy holds them: a numpy scalar's
+            # h ** 2 can round differently from the array square.
+            h0, h1 = h[-2:-1], h[-1:]
+            weights[-1:] += (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+            weights[-2:-1] += (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+            weights[-3:-2] -= h1**3 / (6 * h0 * (h0 + h1))
     weights.setflags(write=False)
     return weights
 

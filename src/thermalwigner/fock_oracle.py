@@ -24,6 +24,10 @@ therefore sized from its own populations, not from a box: thermal and
 conditioned states are cut where their own tail falls below one ulp;
 the number state keeps its 32-level two-mode build.
 
+The number-state build and the dense reference below are the only
+users of scipy in the package: each imports ``scipy.linalg`` for its
+``expm`` when it is called, so importing the package loads numpy alone.
+
 The dense matrix-exponential point evaluator ``wigner_from_density`` is
 the reference.  It zero-pads the state with headroom for its own
 |alpha|, checks the displaced population of a guard band at the top of
@@ -45,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .states import Family, PhasePoint, StateSpec, radial_grid
 
@@ -300,6 +303,8 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
         raise ValueError(f"n = {n} does not fit in dim = {dim}")
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
+    import scipy.linalg  # lazily, so that importing the package loads numpy alone
+
     steps = float(theta) * np.arange(1.0, dim)
     generator = np.diag(steps, k=-1) - np.diag(steps, k=1)
     amplitudes = scipy.linalg.expm(generator)[:, n]
@@ -330,6 +335,8 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if dim < 1 or dim != int(dim):
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    import scipy.linalg  # lazily, so that importing the package loads numpy alone
+
     a = np.diag(np.sqrt(np.arange(1.0, int(dim))), k=1)  # <m| a |m+1> = sqrt(m+1)
     return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
 

@@ -79,6 +79,16 @@ class TestQuadrature:
         assert not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, rel=1e-15)
 
+    def test_simpson_weights_are_scipys_bit_for_bit(self):
+        # scipy is imported here as the reference only; the package computes
+        # the same weights, end correction included, with numpy alone
+        for n in [*range(2, 401), 1001]:
+            weights = _unit_simpson_weights(n)
+            reference = simpson(np.eye(n), x=np.linspace(0.0, 1.0, n), axis=0)
+            assert np.array_equal(weights, reference), n
+            assert weights is _unit_simpson_weights(n)
+            assert not weights.flags.writeable
+
     def test_self_check_compares_the_two_contractions(self, monkeypatch):
         # a radial plan off by 1e-13 still integrates to 1 within 1e-6,
         # but no longer agrees with the materialized grid within 1e-14

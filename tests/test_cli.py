@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -367,6 +369,14 @@ class TestScanTheta:
             "--no-negativity", "--out", str(out),
         ]) == 0
         assert out.read_text().splitlines()[0] == "theta,w0,abs_w0"
+
+
+class TestAllocatorSettings:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+    def test_thresholds_accepted_on_linux(self):
+        run(["scan-theta", "--family", "vacuum", "--steps", "1", "--no-negativity",
+             "--out", os.devnull])
+        assert cli._keep_grid_buffers_on_heap() is True
 
 
 class TestLimitsCommand:
