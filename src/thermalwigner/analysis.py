@@ -15,27 +15,28 @@ points are the box bounds and an odd axis has its centre at exactly
 Quadrature is composite Simpson on the uniform grid, applied as the
 bilinear form wq @ W @ wp with scipy's own Simpson weights for each
 node count, reproduced bit for bit in numpy (scipy is not imported),
-once per count and cached.  The normalization and
-negativity of a state never build that grid: W depends on |alpha|^2
-alone, and node (i, j) of an n x n axis pair of half-width R has
+once per count and cached.  The normalization and negativity of a state
+never build that grid: W depends on |alpha|^2 alone, and node (i, j) of
+an n x n axis pair of half-width R has
 |alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2 with the integer
 d_i = 2 i - (n - 1).  The cached radial plan holds the distinct keys
 d_i^2 + d_j^2 (5 251 for n = 241) and the Simpson weight products summed
-onto each, so the integral is one dot product over the state's values
-at those radii.  Before either contraction is trusted, a cached
-self-check integrates the exact thermal Gaussian at theta = 0.5 on
-[-6, 6]^2 with 241 x 241 nodes through both; each must be within 1e-6
-of 1 and the two within 1e-14 of each other.  Normalization and
-negativity integrals also refuse boxes whose half-width is under
-4 * sqrt(cosh 2 theta), the radius that captures all but ~1e-7 of the
-Gaussian envelope mass.
+onto each, so an integral is one dot product over the state's values at
+those radii.  One evaluation there (:func:`_state_integrals`) gives a
+state's normalization, its negativity volume and, at the first radius
+0, W(0).  Before either contraction is trusted, a cached self-check
+integrates the exact thermal Gaussian at theta = 0.5 on [-6, 6]^2 with
+241 x 241 nodes through both; each must be within 1e-6 of 1 and the two
+within 1e-14 of each other.  Normalization and negativity integrals also
+refuse boxes whose half-width is under 4 * sqrt(cosh 2 theta), the
+radius that captures all but ~1e-7 of the Gaussian envelope mass.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -82,12 +83,18 @@ class Box:
         return min(-self.q_min, self.q_max, -self.p_min, self.p_max)
 
     def to_dict(self) -> dict:
-        return {
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-        }
+        return asdict(self)
+
+
+def _state_echo(state: StateSpec | None) -> dict | None:
+    if state is None:
+        return None
+    return {
+        "family": state.family.value,
+        "n": state.n,
+        "theta": state.thermal.theta,
+        "n_c": state.thermal.n_c,
+    }
 
 
 @dataclass
@@ -136,12 +143,7 @@ class WignerGrid:
 
     def to_dict(self) -> dict:
         return {
-            "state": {
-                "family": self.state.family.value,
-                "n": self.state.n,
-                "theta": self.state.thermal.theta,
-                "n_c": self.state.thermal.n_c,
-            },
+            "state": _state_echo(self.state),
             "source": self.source.value,
             "box": self.box.to_dict(),
             "nq": self.nq,
@@ -174,17 +176,9 @@ class VerificationReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        state = None
-        if self.state is not None:
-            state = {
-                "family": self.state.family.value,
-                "n": self.state.n,
-                "theta": self.state.thermal.theta,
-                "n_c": self.state.thermal.n_c,
-            }
         return {
             "label": self.label,
-            "state": state,
+            "state": _state_echo(self.state),
             "box": self.box.to_dict() if self.box is not None else None,
             "nq": self.nq,
             "np": self.np_,
@@ -343,22 +337,25 @@ def _require_box_captures_mass(state: StateSpec, box: Box):
         )
 
 
-def normalization_integral(grid: WignerGrid) -> float:
-    """integral W dq dp over the grid box by composite Simpson; expected ~ 1."""
+def _grid_integral(grid: WignerGrid, values: np.ndarray) -> float:
+    """Simpson integral of ``values`` on the axes of ``grid``, after the quadrature checks."""
     _quadrature_self_check()
     _require_box_captures_mass(grid.state, grid.box)
-    return _simpson2d(grid.values, grid.q_axis, grid.p_axis)
+    return _simpson2d(values, grid.q_axis, grid.p_axis)
+
+
+def normalization_integral(grid: WignerGrid) -> float:
+    """integral W dq dp over the grid box by composite Simpson; expected ~ 1."""
+    return _grid_integral(grid, grid.values)
 
 
 def negativity_volume(grid: WignerGrid) -> float:
     """Total negative mass integral (|W| - W)/2 dq dp, >= 0."""
-    _quadrature_self_check()
-    _require_box_captures_mass(grid.state, grid.box)
     # max(-W, 0) is bitwise (|W| - W)/2
-    return _simpson2d(np.maximum(-grid.values, 0.0), grid.q_axis, grid.p_axis)
+    return _grid_integral(grid, np.maximum(-grid.values, 0.0))
 
 
-def mean_photon_number(state: StateSpec) -> float:
+def _mean_photon_number(state: StateSpec) -> float:
     """<a^dag a> of the state, from its closed-form photon statistics.
 
     With n_c = sinh^2 theta: the thermal state has n_c; subtracting n
@@ -388,22 +385,23 @@ def default_norm_box(state: StateSpec) -> Box:
     n = 4 and the conditioned states at large n, where the first left
     up to 5e-3 of the mass outside the box.
     """
-    second_moment = 2.0 * mean_photon_number(state) + 1.0
+    second_moment = 2.0 * _mean_photon_number(state) + 1.0
     radius2 = max((36.0 + 2.0 * state.n) * state.thermal.cosh_2theta, 6.0 * second_moment)
     return Box.symmetric(math.sqrt(radius2))
 
 
 # Odd, so that the norm grid has a node at the origin: the radial plan's
-# first key is 0 and scan_theta reads W(0) off the norm-grid pass.
+# first key is 0 and _state_integrals reads W(0) off the norm-grid pass.
 NORM_GRID_POINTS = 241
 
 
-def _norm_radii(state: StateSpec, source: Source) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature weights and W of ``state`` at the distinct radii of its norm grid.
+def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, float]:
+    """Normalization, negativity volume and W(0) of ``state`` on its norm grid.
 
-    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`;
-    (weights @ values) is the Simpson integral over it.  The state is
-    evaluated once per distinct radius and the grid is never built.
+    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`.
+    The state is evaluated once per distinct radius of it, the grid is
+    never built, and both integrals are Simpson sums over those values.
+    The first radius is exactly 0, so W(0) is the point evaluator's value.
     """
     _quadrature_self_check()
     box = default_norm_box(state)
@@ -416,19 +414,17 @@ def _norm_radii(state: StateSpec, source: Source) -> tuple[np.ndarray, np.ndarra
         values = fock_oracle.wigner_radial_from_density(rho, abs2)
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
-    return weights, values
+    return float(weights @ values), float(weights @ np.maximum(-values, 0.0)), float(values[0])
 
 
 def normalization_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Normalization integral on the auto-sized box."""
-    weights, values = _norm_radii(state, source)
-    return float(weights @ values)
+    return _state_integrals(state, source)[0]
 
 
 def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Negativity volume on the auto-sized box."""
-    weights, values = _norm_radii(state, source)
-    return float(weights @ np.maximum(-values, 0.0))
+    return _state_integrals(state, source)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +443,6 @@ def default_verification_grid(state: StateSpec) -> tuple[Box, int, int]:
     if state.family is Family.THERMAL_NUMBER:
         return Box.symmetric(3.0), 49, 49
     return Box.symmetric(4.0), 81, 81
-
-
-def default_max_err_tol(state: StateSpec) -> float:
-    if state.family is Family.THERMAL_NUMBER:
-        return MAX_ERR_TOL_TWO_MODE
-    return MAX_ERR_TOL_SINGLE_MODE
 
 
 def verify_state(
@@ -478,7 +468,9 @@ def verify_state(
     box = box if box is not None else default_box
     nq = int(nq) if nq is not None else default_nq
     np_ = int(np_) if np_ is not None else default_np
-    max_err_tol = max_err_tol if max_err_tol is not None else default_max_err_tol(state)
+    if max_err_tol is None:
+        two_mode = state.family is Family.THERMAL_NUMBER
+        max_err_tol = MAX_ERR_TOL_TWO_MODE if two_mode else MAX_ERR_TOL_SINGLE_MODE
 
     errors: list[str] = []
     max_abs_err = math.inf
@@ -498,12 +490,9 @@ def verify_state(
         errors.append(f"grid comparison: {exc}")
 
     try:
-        weights, values = _norm_radii(state, Source.CLOSED_FORM)
+        norm_integral, negativity, _ = _state_integrals(state, Source.CLOSED_FORM)
     except Exception as exc:
         errors += [f"normalization: {exc}", f"negativity: {exc}"]
-    else:
-        norm_integral = float(weights @ values)
-        negativity = float(weights @ np.maximum(-values, 0.0))
 
     passed = (
         not errors
@@ -532,22 +521,6 @@ def verify_state(
 # reduction / limit checks
 
 
-def _comparison_report(label, state, box, nq, np_, diff, tol, details=None) -> VerificationReport:
-    max_err = float(np.max(diff))
-    return VerificationReport(
-        label=label,
-        state=state,
-        box=box,
-        nq=nq,
-        np_=np_,
-        max_abs_err=max_err,
-        mean_abs_err=float(np.mean(diff)),
-        tolerances={"max_abs_err": tol},
-        details=details or {},
-        passed=max_err <= tol,
-    )
-
-
 # Excitation counts, temperature and sample seed of the limit checks.
 LIMIT_N_VALUES = (1, 2, 3)
 LIMIT_SMALL_THETA = 1e-6
@@ -564,56 +537,50 @@ def limit_suite() -> list[VerificationReport]:
       vacuum Gaussian (tolerance 1e-6 at theta = 1e-6);
     * the theta-form and occupation-form subtracted expressions agree
       pointwise (tolerance 1e-12 on seeded random samples).
+
+    Each grid case is (label, state, reference grid, tolerance) and is
+    compared on 41 x 41 nodes of [-4, 4]^2.
     """
-    reports = []
     box = Box.symmetric(4.0)
     q = np.linspace(box.q_min, box.q_max, 41)
 
-    # n = 0 reductions, exact up to rounding
-    thermal = params_from_theta(0.6)
-    vacuum_vals = closed_form.wigner_closed_grid(
-        StateSpec(Family.THERMAL_VACUUM, thermal), q, q
-    )
-    for family in (Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED, Family.THERMAL_NUMBER):
-        vals = closed_form.wigner_closed_grid(StateSpec(family, thermal, n=0), q, q)
-        reports.append(
-            _comparison_report(
-                f"n=0 {family.value} reduces to the thermal Gaussian",
-                StateSpec(family, thermal, n=0),
-                box, q.size, q.size,
-                np.abs(vals - vacuum_vals),
-                1e-12,
-            )
-        )
+    def grid(state):
+        return closed_form.wigner_closed_grid(state, q, q)
 
-    # theta -> 0 limits
-    tiny = params_from_theta(LIMIT_SMALL_THETA)
+    thermal, tiny = params_from_theta(0.6), params_from_theta(LIMIT_SMALL_THETA)
+    thermal_gaussian = grid(StateSpec(Family.THERMAL_VACUUM, thermal))
+    vacuum_gaussian = grid(StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.0)))
+    cases = [
+        (f"n=0 {family.value} reduces to the thermal Gaussian",
+         StateSpec(family, thermal, n=0), thermal_gaussian, 1e-12)
+        for family in (Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED, Family.THERMAL_NUMBER)
+    ]
+    small = f"theta={LIMIT_SMALL_THETA:g}"
     for n in LIMIT_N_VALUES:
-        number_vals = closed_form.wigner_number_grid(n, q, q)
-        for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER):
-            vals = closed_form.wigner_closed_grid(StateSpec(family, tiny, n=n), q, q)
-            reports.append(
-                _comparison_report(
-                    f"theta={LIMIT_SMALL_THETA:g} {family.value} n={n} reduces to the number state",
-                    StateSpec(family, tiny, n=n),
-                    box, q.size, q.size,
-                    np.abs(vals - number_vals),
-                    1e-6,
-                )
-            )
-        subtracted = closed_form.wigner_closed_grid(
-            StateSpec(Family.PHOTON_SUBTRACTED, tiny, n=n), q, q
-        )
-        gaussian = closed_form.wigner_closed_grid(
-            StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.0)), q, q
-        )
+        number_state = closed_form.wigner_number_grid(n, q, q)
+        cases += [
+            (f"{small} {family.value} n={n} reduces to the number state",
+             StateSpec(family, tiny, n=n), number_state, 1e-6)
+            for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER)
+        ]
+        cases.append((f"{small} subtracted n={n} reduces to the vacuum Gaussian",
+                      StateSpec(Family.PHOTON_SUBTRACTED, tiny, n=n), vacuum_gaussian, 1e-6))
+
+    reports = []
+    for label, state, reference, tol in cases:
+        diff = np.abs(grid(state) - reference)
+        max_err = float(np.max(diff))
         reports.append(
-            _comparison_report(
-                f"theta={LIMIT_SMALL_THETA:g} subtracted n={n} reduces to the vacuum Gaussian",
-                StateSpec(Family.PHOTON_SUBTRACTED, tiny, n=n),
-                box, q.size, q.size,
-                np.abs(subtracted - gaussian),
-                1e-6,
+            VerificationReport(
+                label=label,
+                state=state,
+                box=box,
+                nq=q.size,
+                np_=q.size,
+                max_abs_err=max_err,
+                mean_abs_err=float(np.mean(diff)),
+                tolerances={"max_abs_err": tol},
+                passed=max_err <= tol,
             )
         )
 
@@ -673,9 +640,7 @@ def scan_theta(
         state = StateSpec(Family(family), thermal, n=n)
         negativity = {}
         if include_negativity:
-            weights, values = _norm_radii(state, Source.CLOSED_FORM)
-            w0 = float(values[0])
-            negativity["negativity_volume"] = float(weights @ np.maximum(-values, 0.0))
+            _, negativity["negativity_volume"], w0 = _state_integrals(state, Source.CLOSED_FORM)
         else:
             w0 = closed_form.wigner_closed_form(state, origin)
         rows.append({"theta": float(theta), "w0": w0, "abs_w0": abs(w0), **negativity})

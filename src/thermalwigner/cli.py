@@ -16,6 +16,7 @@ printed with 17 significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import math
@@ -49,12 +50,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _add_state_arguments(parser: argparse.ArgumentParser, need_n: bool = True):
+def _add_state_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--family", required=True, choices=_FAMILIES,
                         help="state family to evaluate")
-    if need_n:
-        parser.add_argument("--n", type=int, default=0,
-                            help="photon subtraction/addition or excitation count")
+    parser.add_argument("--n", type=int, default=0,
+                        help="photon subtraction/addition or excitation count")
     parser.add_argument("--theta", type=float, default=None,
                         help="thermal squeeze parameter")
     parser.add_argument("--nc", type=float, default=None,
@@ -80,9 +80,7 @@ def _thermal_from_args(parser: argparse.ArgumentParser, args) -> ThermalParams:
 
 
 def _state_from_args(parser, args) -> StateSpec:
-    thermal = _thermal_from_args(parser, args)
-    n = getattr(args, "n", 0)
-    return StateSpec(Family(args.family), thermal, n=n)
+    return StateSpec(Family(args.family), _thermal_from_args(parser, args), n=args.n)
 
 
 def _config_echo(args) -> dict:
@@ -91,10 +89,19 @@ def _config_echo(args) -> dict:
             for k, v in vars(args).items() if k != "func"}
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The text stream a command writes to: stdout for None or "-", else the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _dump_json(payload: dict, fh):
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
 
 
 def write_grid_csv(grid: analysis.WignerGrid, fh):
@@ -110,9 +117,7 @@ def write_grid_csv(grid: analysis.WignerGrid, fh):
 
 
 def write_grid_json(grid: analysis.WignerGrid, fh, config: dict):
-    payload = {"version": __version__, "config": config, "grid": grid.to_dict()}
-    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
+    _dump_json({"version": __version__, "config": config, "grid": grid.to_dict()}, fh)
 
 
 def write_report_json(reports, fh, config: dict, tolerances: dict | None = None):
@@ -123,8 +128,7 @@ def write_report_json(reports, fh, config: dict, tolerances: dict | None = None)
     payload = {"version": __version__, "config": config, "report": body}
     if tolerances is not None:
         payload["tolerances"] = tolerances
-    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
+    _dump_json(payload, fh)
 
 
 def _error_name(exc: Exception) -> str:
@@ -144,15 +148,10 @@ def _write_failure(path, config: dict, exc: Exception):
         "message": str(exc),
     }
     try:
-        fh, close = _open_out(path)
-    except OSError:
-        fh, close = sys.stderr, False
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+        with _output(path) as fh:
+            _dump_json(payload, fh)
+    except OSError:  # the report cannot be written there: put it on stderr
+        _dump_json(payload, sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +159,9 @@ def _write_failure(path, config: dict, exc: Exception):
 
 
 def _check_grid_args(parser, args):
-    res = getattr(args, "res", None)
-    if res is not None and res < 2:
+    if args.res is not None and args.res < 2:
         parser.error("--res must be at least 2")
-    box = getattr(args, "box", None)
-    if box is not None and not (math.isfinite(box) and box > 0.0):
+    if args.box is not None and not (math.isfinite(args.box) and args.box > 0.0):
         parser.error("--box must be a positive finite half-width")
 
 
@@ -173,15 +170,11 @@ def _cmd_eval(parser, args) -> int:
     state = _state_from_args(parser, args)
     box = Box.symmetric(args.box)
     grid = analysis.sample_grid(state, box, args.res, args.res, Source(args.source))
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         if args.format == "csv":
             write_grid_csv(grid, fh)
         else:
             write_grid_json(grid, fh, _config_echo(args))
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -200,12 +193,8 @@ def _cmd_verify(parser, args) -> int:
         max_err_tol=args.tol_max_err,
         norm_tol=args.tol_norm,
     )
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_report_json(report, fh, _config_echo(args), tolerances=report.tolerances)
-    finally:
-        if close:
-            fh.close()
     if args.out not in (None, "-"):
         status = "PASS" if report.passed else "FAIL"
         err = (f"{report.max_abs_err:.3e}" if math.isfinite(report.max_abs_err)
@@ -228,12 +217,8 @@ def _cmd_limits(parser, args) -> int:
         print(f"{status} {rep.label} (max_abs_err={rep.max_abs_err:.3e}, "
               f"tol={rep.tolerances['max_abs_err']:g})")
     if args.out is not None:
-        fh, close = _open_out(args.out)
-        try:
+        with _output(args.out) as fh:
             write_report_json(reports, fh, _config_echo(args))
-        finally:
-            if close:
-                fh.close()
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -245,17 +230,13 @@ def _cmd_scan_theta(parser, args) -> int:
         Family(args.family), args.n, thetas,
         include_negativity=not args.no_negativity,
     )
-    fh, close = _open_out(args.out)
-    try:
-        columns = ["theta", "w0", "abs_w0"]
-        if not args.no_negativity:
-            columns.append("negativity_volume")
+    columns = ["theta", "w0", "abs_w0"]
+    if not args.no_negativity:
+        columns.append("negativity_volume")
+    with _output(args.out) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 

@@ -7,14 +7,15 @@ reweighted slice of the populations), and, for the number family, the
 two-mode squeeze of |n> x |n> restricted to its invariant sector
 span{|k> x |k>} (thermo field dynamics, Takahashi & Umezawa 1975).  Its
 Wigner function is the displaced photon-number parity (Royer 1977),
-W = pref sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>, with
-alpha = (q + i p) / sqrt(2).  Nothing in this module uses the
+W = (1/pi) sum_k (-1)^k <k| D(alpha)^dag rho D(alpha) |k>, with
+alpha = (q + i p) / sqrt(2): the vacuum peak 1/pi makes W integrate to
+one over dq dp.  Nothing in this module uses the
 closed-form expressions, so pointwise agreement certifies both routes.
 
 For a diagonal state the parity identity D(alpha) Pi D(alpha)^dag =
 D(2 alpha) Pi leaves diagonal elements of one displacement,
 <k| D(beta) |k> = l_k(x) = exp(-x/2) L_k(x) with x = |beta|^2 =
-4 |alpha|^2 (Cahill & Glauber 1969), so W = pref sum_k w_k (-1)^k l_k(x).
+4 |alpha|^2 (Cahill & Glauber 1969), so W = (1/pi) sum_k w_k (-1)^k l_k(x).
 The grid evaluator runs the Laguerre recurrence in k once, vectorised
 over the distinct x of the grid, with log-scaled seeds so that
 exp(-x/2) cannot underflow: O(dim) time and memory per distinct x.  The
@@ -33,11 +34,6 @@ the reference.  It zero-pads the state with headroom for its own
 |alpha|, checks the displaced population of a guard band at the top of
 the padded basis, and refuses above ``DENSE_DIM_MAX`` levels before it
 allocates a matrix.
-
-The prefactor is not hard-coded: conventions for the parity identity
-differ across sources, so it is calibrated once by requiring the vacuum
-value at the origin to be 1/pi, the peak height that makes
-integral W dq dp = 1 (a startup self-test, see ``parity_prefactor``).
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,7 +64,8 @@ _CUT_TAIL = float(np.finfo(float).eps)
 # holds several dim x dim complex matrices, 16 MiB each at this size.
 DENSE_DIM_MAX = 1024
 
-# Vacuum Wigner peak under the integral-one-over-dq-dp convention.
+# Vacuum Wigner peak under the integral-one-over-dq-dp convention, and the
+# prefactor of the displaced-parity sum.
 VACUUM_PEAK = 1.0 / math.pi
 
 # The series recurrence checks its magnitude every _RESCALE_EVERY steps and
@@ -347,27 +343,6 @@ def _parity_signs(dim: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=1)
-def parity_prefactor() -> float:
-    """Calibrated prefactor of the displaced-parity sum.
-
-    Fixed by requiring the vacuum Wigner value at the origin to equal
-    1/pi (the convention in which W integrates to 1 over dq dp with
-    alpha = (q + i p)/sqrt(2)).  The undisplaced vacuum parity sum is
-    computed numerically and must be 1 to 1e-12; anything else means the
-    parity machinery is broken, so this doubles as a startup self-test.
-    """
-    dim = 8
-    vacuum = np.zeros(dim)
-    vacuum[0] = 1.0
-    parity_sum = float(_parity_signs(dim) @ vacuum)
-    if abs(parity_sum - 1.0) > 1e-12:
-        raise RuntimeError(
-            f"displaced-parity self-test failed: vacuum parity sum {parity_sum!r}"
-        )
-    return VACUUM_PEAK / parity_sum
-
-
 def _dense_headroom(dim: int, alpha_sq: float) -> int:
     """Zero levels the dense reference adds above a dim-level state.
 
@@ -414,7 +389,7 @@ def wigner_from_density(rho: FockDensityMatrix, point: PhasePoint) -> float:
         raise RuntimeError(
             f"parity sum acquired an imaginary part {parity_sum.imag:.3e}"
         )
-    return parity_prefactor() * parity_sum.real
+    return VACUUM_PEAK * parity_sum.real
 
 
 def _parity_series(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -450,7 +425,7 @@ def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarra
     ``rho`` is diagonal, so W depends on x = 4 |alpha|^2 = 2 (q^2 + p^2)
     alone: :func:`~thermalwigner.states.radial_grid` folds the grid onto
     its distinct x, each evaluated once as the series
-    W = pref sum_k w_k (-1)^k l_k(x) of :func:`_parity_series`, with no
+    W = (1/pi) sum_k w_k (-1)^k l_k(x) of :func:`_parity_series`, with no
     matrix.  Agrees with the dense reference :func:`wigner_from_density`
     to machine precision and is the evaluator the verification grids use.
 
@@ -469,7 +444,7 @@ def wigner_radial_from_density(rho: FockDensityMatrix, abs2: np.ndarray) -> np.n
     distinct radius once.
     """
     x = 4.0 * np.asarray(abs2, dtype=float)
-    return parity_prefactor() * _parity_series(rho.populations * _parity_signs(rho.dim), x)
+    return VACUUM_PEAK * _parity_series(rho.populations * _parity_signs(rho.dim), x)
 
 
 def build_oracle_state(state: StateSpec, alpha_max_sq: float | None = None) -> FockDensityMatrix:

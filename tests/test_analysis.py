@@ -14,6 +14,7 @@ from thermalwigner.analysis import (
     BoxTooSmallError,
     Source,
     _axis,
+    _mean_photon_number,
     _quadrature_self_check,
     _radial_quadrature,
     _radial_simpson_plan,
@@ -21,7 +22,6 @@ from thermalwigner.analysis import (
     _unit_simpson_weights,
     default_norm_box,
     limit_suite,
-    mean_photon_number,
     negativity_of_state,
     negativity_volume,
     normalization_integral,
@@ -170,7 +170,7 @@ class TestNormBox:
                     rho = fock_oracle.build_oracle_state(spec, 0.0)
                 except fock_oracle.TruncationError:
                     continue  # the oracle does not hold this state
-                assert mean_photon_number(spec) == pytest.approx(
+                assert _mean_photon_number(spec) == pytest.approx(
                     rho.mean_photons(), rel=1e-10, abs=1e-12
                 ), (family, n, theta)
                 checked += 1
@@ -396,11 +396,21 @@ class TestLimitSuite:
             assert rep.passed, f"{rep.label}: max_abs_err={rep.max_abs_err:.3e}"
 
     def test_expected_coverage(self):
-        labels = [rep.label for rep in limit_suite()]
-        assert sum("n=0" in lab for lab in labels) == 3
-        assert sum("number state" in lab for lab in labels) == 6
-        assert sum("vacuum Gaussian" in lab for lab in labels) == 3
-        assert any("occupation-form" in lab for lab in labels)
+        # every report, in order, with its tolerance
+        expected = [
+            (f"n=0 {family} reduces to the thermal Gaussian", 1e-12)
+            for family in ("subtracted", "added", "number")
+        ]
+        for n in (1, 2, 3):
+            expected += [
+                (f"theta=1e-06 added n={n} reduces to the number state", 1e-6),
+                (f"theta=1e-06 number n={n} reduces to the number state", 1e-6),
+                (f"theta=1e-06 subtracted n={n} reduces to the vacuum Gaussian", 1e-6),
+            ]
+        expected.append(("subtracted theta-form vs occupation-form pointwise equality", 1e-12))
+        reports = limit_suite()
+        assert [rep.label for rep in reports] == [label for label, _ in expected]
+        assert [rep.tolerances for rep in reports] == [{"max_abs_err": tol} for _, tol in expected]
 
 
 class TestScanTheta:

@@ -312,6 +312,18 @@ class TestNumericalFailures:
         assert "null state" in payload["message"]
         assert "error:" in capsys.readouterr().err
 
+    def test_unopenable_out_reports_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "w.csv"
+        assert run(["eval", "--family", "added", "--n", "1", "--theta", "0.4",
+                    "--res", "11", "--out", str(out)]) == 1
+        assert not out.parent.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload, end = json.JSONDecoder().raw_decode(captured.err)
+        assert payload["error"] == "FileNotFoundError"
+        assert payload["config"]["out"] == str(out)
+        assert captured.err[end:].startswith("\nerror: ")
+
     def test_non_finite_argument_is_echoed_as_null(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["verify", "--family", "vacuum", "--theta", "nan", "--out", str(out)]) == 1

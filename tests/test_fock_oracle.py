@@ -17,6 +17,7 @@ from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
     THERMAL_TAIL_TOL,
     TWO_MODE_DEFICIT_TOL,
+    VACUUM_PEAK,
     FockDensityMatrix,
     TruncationError,
     apply_addition,
@@ -24,7 +25,6 @@ from thermalwigner.fock_oracle import (
     build_oracle_state,
     displacement_operator,
     min_thermal_dim,
-    parity_prefactor,
     thermal_density_matrix,
     thermal_number_reduced,
     wigner_from_density,
@@ -336,7 +336,7 @@ def eigenbasis_grid(rho, q, p, leak_tol=1e-10):
     reflection identity D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi turns the
     parity into one displacement,
 
-        W(r) = pref * sum_j g_j cos(2 r mu_j),  g = (U o U)^T (w o (-1)^k),
+        W(r) = (1/pi) sum_j g_j cos(2 r mu_j),  g = (U o U)^T (w o (-1)^k),
 
     whose sine counterpart must vanish.  The guard-band leak, with
     c = cos(r mu) and s = sin(r mu),
@@ -363,7 +363,7 @@ def eigenbasis_grid(rho, q, p, leak_tol=1e-10):
         raise TruncationError(f"eigenbasis reference leaks {np.max(leak):.3e} at dim {dim}")
     assert np.max(np.abs((2.0 * sin * cos) @ g)) < 1e-10
     values = (cos * cos - sin * sin) @ g
-    return parity_prefactor() * values[inverse].reshape(q.size, p.size)
+    return VACUUM_PEAK * values[inverse].reshape(q.size, p.size)
 
 
 def verification_axes(state):
@@ -387,9 +387,6 @@ class TestDisplacement:
 
 
 class TestDisplacedParity:
-    def test_prefactor_self_calibration(self):
-        assert parity_prefactor() == pytest.approx(1.0 / math.pi, rel=1e-12)
-
     def test_vacuum_origin(self):
         rho = thermal_density_matrix(0.0, 12)
         assert wigner_from_density(rho, ORIGIN) == pytest.approx(1.0 / math.pi, rel=1e-12)
