@@ -542,7 +542,7 @@ def limit_suite() -> list[VerificationReport]:
     compared on 41 x 41 nodes of [-4, 4]^2.
     """
     box = Box.symmetric(4.0)
-    q = np.linspace(box.q_min, box.q_max, 41)
+    q = _axis(box.q_min, box.q_max, 41)
 
     def grid(state):
         return closed_form.wigner_closed_grid(state, q, q)

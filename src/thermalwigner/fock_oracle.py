@@ -25,15 +25,16 @@ therefore sized from its own populations, not from a box: thermal and
 conditioned states are cut where their own tail falls below one ulp;
 the number state keeps its 32-level two-mode build.
 
-The number-state build and the dense reference below are the only
-users of scipy in the package: each imports ``scipy.linalg`` for its
-``expm`` when it is called, so importing the package loads numpy alone.
+Both exponentials here, the number-state squeeze and the dense
+displacement, are of anti-Hermitian generators, so each is taken from
+one Hermitian eigendecomposition (:func:`_expm_antihermitian`) whose
+eigenvector matrix is unitary.  The package needs numpy alone.
 
-The dense matrix-exponential point evaluator ``wigner_from_density`` is
-the reference.  It zero-pads the state with headroom for its own
-|alpha|, checks the displaced population of a guard band at the top of
-the padded basis, and refuses above ``DENSE_DIM_MAX`` levels before it
-allocates a matrix.
+The dense point evaluator ``wigner_from_density`` is the reference.  It
+zero-pads the state with headroom for its own |alpha|, displaces it by
+the dense D(alpha), checks the displaced population of a guard band at
+the top of the padded basis, and refuses above ``DENSE_DIM_MAX`` levels
+before it allocates a matrix.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ TWO_MODE_DEFICIT_TOL = 1e-8
 # coarser bound that every thermal state must meet.
 _CUT_TAIL = float(np.finfo(float).eps)
 
-# Largest padded basis of the dense reference: its matrix exponential
-# holds several dim x dim complex matrices, 16 MiB each at this size.
+# Largest padded basis of the dense reference: its eigendecomposition
+# holds a few dim x dim complex matrices, 16 MiB each at this size.
 DENSE_DIM_MAX = 1024
 
 # Vacuum Wigner peak under the integral-one-over-dq-dp convention, and the
@@ -272,6 +273,18 @@ def apply_addition(rho: FockDensityMatrix, n: int) -> tuple[FockDensityMatrix, f
     return FockDensityMatrix(out / raw), raw
 
 
+def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
+    """exp(generator) of an anti-Hermitian matrix, as a complex array.
+
+    i G is Hermitian, so i G = V diag(w) V^dag with V unitary and w real,
+    and exp(G) = V diag(exp(-i w)) V^dag.  For a normal matrix this
+    eigenvector method is well conditioned (Moler & Van Loan, SIAM
+    Review 45, 2003) and the result is unitary to machine precision.
+    """
+    w, v = np.linalg.eigh(1j * generator)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> FockDensityMatrix:
     """Single-mode reduction of the squeezed doubled-space number state.
 
@@ -299,12 +312,10 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
         raise ValueError(f"n = {n} does not fit in dim = {dim}")
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
-    import scipy.linalg  # lazily, so that importing the package loads numpy alone
-
     steps = float(theta) * np.arange(1.0, dim)
     generator = np.diag(steps, k=-1) - np.diag(steps, k=1)
-    amplitudes = scipy.linalg.expm(generator)[:, n]
-    weights = amplitudes * amplitudes
+    amplitudes = _expm_antihermitian(generator)[:, n]
+    weights = amplitudes.real**2 + amplitudes.imag**2
     guard = 2
     deficit = float(np.sum(weights[dim - guard :]))
     if deficit > TWO_MODE_DEFICIT_TOL:
@@ -322,8 +333,8 @@ def thermal_number_reduced(n: int, theta: float, dim: int = TWO_MODE_DIM) -> Foc
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis.
 
-    The generator is exactly anti-Hermitian, so the Pade
-    scaling-and-squaring exponential returns a unitary matrix to machine
+    The generator is exactly anti-Hermitian, so
+    :func:`_expm_antihermitian` returns a unitary matrix to machine
     precision.
     """
     alpha = complex(alpha)
@@ -331,10 +342,8 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if dim < 1 or dim != int(dim):
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    import scipy.linalg  # lazily, so that importing the package loads numpy alone
-
     a = np.diag(np.sqrt(np.arange(1.0, int(dim))), k=1)  # <m| a |m+1> = sqrt(m+1)
-    return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+    return _expm_antihermitian(alpha * a.T - np.conj(alpha) * a)
 
 
 def _parity_signs(dim: int) -> np.ndarray:
@@ -357,9 +366,10 @@ def wigner_from_density(rho: FockDensityMatrix, point: PhasePoint) -> float:
     """Displaced-parity Wigner value of ``rho`` at one phase-space point.
 
     The reference evaluator: ``rho`` is zero-padded by
-    :func:`_dense_headroom` for this point's |alpha| and displaced by a
-    dense matrix exponential; the displaced population of a guard band
-    at the top of the padded basis must stay below ``LEAK_TOL``.
+    :func:`_dense_headroom` for this point's |alpha| and displaced by the
+    dense :func:`displacement_operator`; the displaced population of a
+    guard band at the top of the padded basis must stay below
+    ``LEAK_TOL``.
 
     Raises:
         TruncationError: when the padded basis exceeds ``DENSE_DIM_MAX``

@@ -272,6 +272,22 @@ class TestThermoNumberReduced:
         assert {n for n, _ in refused} == {0, 1, 3}
         assert len(refused) < 45
 
+    @pytest.mark.parametrize("n", [0, 2, 5, 16])
+    @pytest.mark.parametrize("theta", [0.1, 0.5])
+    def test_sector_matches_scipy_expm_at_32_levels(self, n, theta):
+        steps = theta * np.arange(1.0, 32)
+        amplitudes = scipy.linalg.expm(np.diag(steps, k=-1) - np.diag(steps, k=1))[:, n]
+        weights = amplitudes**2
+        deficit = float(np.sum(weights[-2:]))
+        if deficit > TWO_MODE_DEFICIT_TOL:
+            with pytest.raises(TruncationError, match="deficit"):
+                thermal_number_reduced(n, theta)
+            return
+        reduced = thermal_number_reduced(n, theta)
+        assert reduced.dim == 32
+        assert abs(reduced.tail - deficit) <= 1e-14
+        assert np.max(np.abs(reduced.populations - weights / weights.sum())) <= 1e-14
+
     def test_dim_64_agrees_with_dim_32(self):
         # no level cap: where both truncations have converged they agree
         small = np.pad(thermal_number_reduced(2, 0.3, 32).populations, (0, 32))
@@ -375,6 +391,12 @@ class TestDisplacement:
     def test_unitary(self):
         disp = displacement_operator(0.7 - 0.4j, 40)
         assert np.max(np.abs(disp @ disp.conj().T - np.eye(40))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5 + 0.5j, -1.2 + 1.6j, 2.4j, -1.5 - 1.8j, 2.0 - 2.0j])
+    def test_matches_scipy_expm_at_400_levels(self, alpha):
+        a = annihilator(400)
+        expected = scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement_operator(alpha, 400) - expected)) <= 1e-13
 
     def test_displaced_vacuum_is_coherent_gaussian(self):
         # textbook check: the vacuum, displaced by alpha, has parity exp(-2|alpha|^2),

@@ -1,4 +1,9 @@
-"""The runtime imports numpy alone: scipy is loaded only by the two expm builds."""
+"""The runtime imports numpy alone: no command, the number oracle included, loads scipy.
+
+scipy stays installed for the tests, which use it as a reference, so the
+first check runs commands with it importable and asserts that none of
+them imported it; the second refuses every scipy import outright.
+"""
 
 import os
 import subprocess
@@ -33,18 +38,27 @@ def run_fresh(code, cwd):
     return result.stdout
 
 
-def test_import_loads_no_scipy_and_the_number_build_loads_it_lazily(tmp_path):
-    run_fresh(textwrap.dedent('''
+NUMBER_ORACLE_COMMANDS = [
+    ["verify", "--family", "number", "--n", "2", "--theta", "0.4", "--out", "number.json"],
+    ["eval", "--family", "number", "--n", "2", "--theta", "0.4", "--res", "21",
+     "--source", "oracle", "--out", "number-oracle.csv"],
+]
+
+
+def test_number_oracle_commands_load_no_scipy(tmp_path):
+    run_fresh(textwrap.dedent(f'''
+        import importlib.util
         import sys
 
-        import thermalwigner, thermalwigner.cli
+        import thermalwigner.cli
 
+        assert importlib.util.find_spec("scipy") is not None
+        for argv in {NUMBER_ORACLE_COMMANDS!r}:
+            assert thermalwigner.cli.main(argv) == 0, argv
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
-        argv = ["verify", "--family", "number", "--n", "2", "--theta", "0.4", "--out", "number.json"]
-        assert thermalwigner.cli.main(argv) == 0
-        assert "scipy.linalg" in sys.modules
     '''), tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {"number.json", "number-oracle.csv"}
 
 
 def test_commands_run_with_scipy_refused(tmp_path):
@@ -57,6 +71,7 @@ def test_commands_run_with_scipy_refused(tmp_path):
         ["negativity", "--family", "number", "--n", "3", "--theta", "0.4"],
         ["verify", "--family", "added", "--n", "1", "--theta", "0.4", "--out", "added.json"],
         ["limits", "--out", "limits.json"],
+        *NUMBER_ORACLE_COMMANDS,
     ]
     run_fresh(REFUSE_SCIPY + textwrap.dedent(f'''
         from thermalwigner import cli
@@ -67,4 +82,5 @@ def test_commands_run_with_scipy_refused(tmp_path):
     '''), tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {
         "closed.csv", "oracle.csv", "scan.csv", "added.json", "limits.json",
+        "number.json", "number-oracle.csv",
     }
