@@ -13,9 +13,10 @@ points are the box bounds and an odd axis has its centre at exactly
 |alpha|^2, so mirrored nodes share one value.
 
 Quadrature is composite Simpson on the uniform grid, applied as the
-bilinear form wq @ W @ wp with scipy's own Simpson weights for each
-node count, reproduced bit for bit in numpy (scipy is not imported),
-once per count and cached.  The normalization and negativity of a state
+bilinear form wq @ W @ wp.  The weights for each node count are the
+uniform-node rule (with the Cartwright end interval for an even count),
+each the exact rational weight correctly rounded, computed once per
+count and cached.  The normalization and negativity of a state
 never build that grid: W depends on |alpha|^2 alone, and node (i, j) of
 an n x n axis pair of half-width R has
 |alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2 with the integer
@@ -236,33 +237,24 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
 def _unit_simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights of n uniform nodes on [0, 1], read-only.
 
-    These are the weights of ``scipy.integrate.simpson`` on
-    ``x = np.linspace(0, 1, n)``, bit for bit, computed without scipy
-    in scipy's own arithmetic.  Each panel of spacings h0, h1 gives its
-    three nodes (hsum / 6) (2 - 1 / r), (hsum / 6) hsum (hsum / hprod)
-    and (hsum / 6) (2 - r), with r = h0 / h1.  For an even n the panels
-    stop one node early, and the last three nodes get the alpha, beta
-    and -eta end correction (Cartwright 2017).  n = 2 is the trapezoid.
+    With h = 1 / (n - 1), an odd n gets h/3 (1, 4, 2, 4, ..., 2, 4, 1).
+    An even n gets that rule on its first n - 1 nodes plus the
+    uniform-spacing end interval h (-1/12, 2/3, 5/12) on its last three
+    (Cartwright 2017); n = 2 is the trapezoid.  Each weight is an
+    integer over 12 (n - 1), divided once, so it is the exact weight
+    correctly rounded.
     """
-    h = np.diff(np.linspace(0.0, 1.0, n))
-    weights = np.zeros(n)
     if n == 2:
-        weights += 0.5 * h[0]
+        twelfths = np.array([6.0, 6.0])
     else:
-        end = n - 1 if n % 2 else n - 2  # the panels cover nodes 0 .. end
-        h0, h1 = h[0:end:2], h[1:end:2]
-        hsum = h0 + h1
-        ratio = h0 / h1
-        weights[0:end:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
-        weights[1:end:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
-        weights[2 : end + 1 : 2] += hsum / 6.0 * (2.0 - ratio)
-        if end < n - 1:
-            # One-element arrays, as scipy holds them: a numpy scalar's
-            # h ** 2 can round differently from the array square.
-            h0, h1 = h[-2:-1], h[-1:]
-            weights[-1:] += (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-            weights[-2:-1] += (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-            weights[-3:-2] -= h1**3 / (6 * h0 * (h0 + h1))
+        odd = n - 1 + n % 2  # the Simpson panels cover nodes 0 .. odd - 1
+        twelfths = np.zeros(n)
+        twelfths[:odd:2] = 8.0
+        twelfths[1:odd:2] = 16.0
+        twelfths[[0, odd - 1]] = 4.0
+        if odd < n:
+            twelfths[-3:] += (-1.0, 8.0, 5.0)
+    weights = twelfths / (12 * (n - 1))
     weights.setflags(write=False)
     return weights
 

@@ -212,10 +212,11 @@ def _cmd_negativity(parser, args) -> int:
 
 def _cmd_limits(parser, args) -> int:
     reports = analysis.limit_suite()
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.label} (max_abs_err={rep.max_abs_err:.3e}, "
-              f"tol={rep.tolerances['max_abs_err']:g})")
+    if args.out != "-":  # stdout carries the JSON report alone
+        for rep in reports:
+            status = "PASS" if rep.passed else "FAIL"
+            print(f"{status} {rep.label} (max_abs_err={rep.max_abs_err:.3e}, "
+                  f"tol={rep.tolerances['max_abs_err']:g})")
     if args.out is not None:
         with _output(args.out) as fh:
             write_report_json(reports, fh, _config_echo(args))

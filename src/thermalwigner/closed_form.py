@@ -41,7 +41,7 @@ import numpy as np
 # The kernels never call ``hermite2``.  It stays importable from here
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # ``closed_form.hermite2`` to count its calls.
-from .specfun import factorial, hermite2, hermite2_rows, laguerre  # noqa: F401
+from .specfun import factorial, hermite2, laguerre  # noqa: F401
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
 from .thermo import ThermalParams
 
@@ -124,12 +124,17 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     H_{m,j}(E, Y) carries the phase e^(i phi (m - j)), so
     |H_{m,j}(E, Y)| = |H_{m,j}(x, y)| at the real arguments
     x = 2 r s cosh(theta), y = 2 r s sinh(theta) / t.  The kernel
-    therefore works in real arithmetic: the Hermite rows H_{m,0..n} come
-    from one in-place recurrence
-    (:func:`~thermalwigner.specfun.hermite2_rows`) and each row's
-    squares, written into one reused buffer, are contracted with the
-    coefficient matrix, with m = n - k and j = n - l.  Every input node
-    is evaluated as given; callers pass distinct radii (the grid fold of
+    therefore works in real arithmetic.  The Hermite rows H_{m,0..n}
+    come from the recurrence
+
+        H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1}
+
+    (the s-derivative of the generating function exp(s x + t y - s t)),
+    vectorized over k and updated in one row buffer, so the whole table
+    is never held.  Each row's squares, written into one reused buffer,
+    are contracted with the coefficient matrix, with m = n - k and
+    j = n - l.  Every input node is evaluated as given; callers pass
+    distinct radii (the grid fold of
     :func:`~thermalwigner.states.radial_grid`, a radial plan's keys, or
     one point).
     """
@@ -145,9 +150,15 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     x = scale * math.cosh(theta)
     y = scale * (math.sinh(theta) / math.tanh(2.0 * theta))
     coeff = _thermal_number_coefficients(n, theta)
-    total = np.zeros_like(radii2)
-    sq = np.empty((n + 1, radii2.size))
-    for m, row in enumerate(hermite2_rows(n, x, y)):
+    k = np.arange(n + 1.0)[:, None]
+    row = y ** k  # H_{0,k}
+    tmp = np.empty_like(row[1:])
+    sq = np.empty_like(row)
+    total = coeff[0] @ np.multiply(row, row, out=sq)
+    for m in range(1, n + 1):
+        np.multiply(k[1:], row[:-1], out=tmp)
+        row *= x
+        row[1:] -= tmp
         total += coeff[m] @ np.multiply(row, row, out=sq)
     values = np.exp(-2.0 * radii2 * sech2) / (math.pi * math.cosh(2.0 * theta)) * total
     return values.reshape(abs2.shape)

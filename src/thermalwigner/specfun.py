@@ -8,11 +8,12 @@ two-variable Hermite polynomials H_{m,n}(x, y) defined by the double sum
 
 which satisfy the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
 
-Both families are produced by recurrences: Laguerre values by the
-stable three-term recurrence, and the Hermite table at real arguments
-row by row (``hermite2_rows``).  The explicit factorial sums are kept
-(``laguerre_sum``, ``hermite2``) as independent references that the
-tests replay against the recurrences.
+Laguerre values come from the stable three-term recurrence, with the
+explicit factorial sum (``laguerre_sum``) kept as the independent
+reference the tests replay against it.  ``hermite2`` is the explicit
+double sum at complex arguments; the thermal number kernel of
+``closed_form`` runs its own in-place Hermite recurrence at real
+arguments and never calls it.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -143,44 +144,6 @@ def hermite2(m: int, n: int, x, y):
         )
         acc += coeff * x ** (m - l) * y ** (n - l)
     return complex(acc.reshape(-1)[0]) if scalar else acc
-
-
-def hermite2_rows(n: int, x, y):
-    """Rows of the square two-variable Hermite table at real arguments.
-
-    Yields, for m = 0, 1, ..., n, the array of shape
-    (n + 1,) + broadcast shape of (x, y) whose entry k is H_{m,k}(x, y).
-    The rows come from the recurrence
-
-        H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1},
-
-    the s-derivative of the generating function exp(s x + t y - s t).
-    Each step is vectorized over k and updates one row buffer in place,
-    so the whole table is never held.  Every step yields that same
-    buffer: a yielded row is valid until the next step, and a caller
-    that keeps rows must copy them.
-
-    Args:
-        n: largest order in both indices, 0 <= n <= 32.
-        x, y: real arguments, scalars or broadcastable arrays.
-    """
-    n = _check_order(n)
-    if n > HERMITE_ORDER_MAX:
-        raise ValueError(f"hermite2 orders are limited to {HERMITE_ORDER_MAX}, got {n}")
-    x = _check_finite(x, "x")
-    y = _check_finite(y, "y")
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        raise TypeError("hermite2_rows takes real arguments; use hermite2 for complex ones")
-    x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
-    k = np.arange(n + 1.0).reshape((-1,) + (1,) * x.ndim)
-    row = y ** k
-    tmp = np.empty_like(row[1:])
-    yield row
-    for _ in range(n):
-        np.multiply(k[1:], row[:-1], out=tmp)
-        row *= x
-        row[1:] -= tmp
-        yield row
 
 
 def laguerre_from_hermite(n: int, x, y):

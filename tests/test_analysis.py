@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,15 +80,35 @@ class TestQuadrature:
         assert not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, rel=1e-15)
 
-    def test_simpson_weights_are_scipys_bit_for_bit(self):
-        # scipy is imported here as the reference only; the package computes
-        # the same weights, end correction included, with numpy alone
+    @staticmethod
+    def exact_simpson_weights(n):
+        """Composite Simpson weights of n uniform nodes on [0, 1] as exact rationals."""
+        h = Fraction(1, n - 1)
+        if n == 2:
+            return [h / 2, h / 2]
+        odd = n - 1 + n % 2
+        weights = [h / 3 * (1 if i in (0, odd - 1) else 4 if i % 2 else 2) for i in range(odd)]
+        if odd < n:  # the end interval on the last three nodes
+            weights[-2] -= h / 12
+            weights[-1] += 2 * h / 3
+            weights.append(5 * h / 12)
+        return weights
+
+    def test_simpson_weights_are_the_exact_rule_rounded(self):
         for n in [*range(2, 401), 1001]:
+            exact = self.exact_simpson_weights(n)
+            assert sum(exact) == 1
             weights = _unit_simpson_weights(n)
+            assert len(weights) == n
+            err = max(abs(Fraction(float(w)) - e) for w, e in zip(weights, exact))
+            assert err <= 1e-16, n
+
+    def test_simpson_weights_match_scipy(self):
+        # scipy is imported here as the reference only: its non-uniform panel
+        # arithmetic lands within rounding of the uniform rule
+        for n in [*range(2, 401), 1001]:
             reference = simpson(np.eye(n), x=np.linspace(0.0, 1.0, n), axis=0)
-            assert np.array_equal(weights, reference), n
-            assert weights is _unit_simpson_weights(n)
-            assert not weights.flags.writeable
+            assert np.max(np.abs(_unit_simpson_weights(n) - reference)) <= 2e-16, n
 
     def test_self_check_compares_the_two_contractions(self, monkeypatch):
         # a radial plan off by 1e-13 still integrates to 1 within 1e-6,

@@ -399,3 +399,9 @@ class TestLimitsCommand:
         assert "PASS" in stdout and "FAIL" not in stdout
         payload = json.loads(out.read_text())
         assert all(rep["passed"] for rep in payload["report"])
+
+    def test_report_to_stdout_is_json_alone(self, capsys):
+        assert run(["limits", "--out", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["report"]) == 13
+        assert all(rep["passed"] for rep in payload["report"])

@@ -252,6 +252,23 @@ class TestThermalNumber:
                         expected, rel=1e-12
                     )
 
+    def test_kernel_keeps_the_argument_shape(self):
+        # the kernel's Hermite buffers run over the flattened radii; the
+        # result comes back in the shape of |alpha|^2, 0-d included
+        abs2 = np.array([[0.1, 0.5, 2.0], [0.0, 1.3, 4.2]])
+        for n in (0, 1, 5):
+            values = closed_form._thermal_number_kernel(abs2, n, 0.6)
+            assert values.shape == (2, 3)
+            flat = closed_form._thermal_number_kernel(abs2.ravel(), n, 0.6)
+            assert values.ravel() == pytest.approx(flat, rel=1e-14)
+            single = closed_form._thermal_number_kernel(1.3, n, 0.6)
+            assert single.shape == ()
+            assert float(single) == pytest.approx(values[1, 1], rel=1e-14)
+        # n = 0 runs no recurrence step and is the thermal vacuum
+        assert closed_form._thermal_number_kernel(abs2, 0, 0.6) == pytest.approx(
+            closed_form._vacuum_kernel(abs2, 0, 0.6), rel=1e-14
+        )
+
     def test_returns_float(self):
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
         assert isinstance(value, float)

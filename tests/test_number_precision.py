@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from thermalwigner import closed_form
 from thermalwigner.analysis import default_norm_box
 from thermalwigner.closed_form import wigner_closed_grid
 from thermalwigner.states import Family, StateSpec
@@ -63,6 +64,19 @@ def test_number_kernel_against_50_digit_sum(n):
         ref = np.array([thermal_number_mp(n, theta, float(qi), 0.0) for qi in q])
         worst = max(worst, float(np.max(np.abs(got - ref))))
     assert worst <= MAX_ABS_ERR[n], f"n={n}: max abs error {worst:.2e}"
+
+
+def test_every_order_to_the_cap_against_50_digit_sum():
+    # every recurrence depth 0..16 in the kernel, each held to the bound of
+    # the nearest tabulated n at or above it
+    q = np.array([0.0, 0.7, 1.9, 3.1])
+    for n in range(17):
+        bound = MAX_ABS_ERR[min(k for k in MAX_ABS_ERR if k >= n)]
+        for theta in (0.3, 1.2):
+            got = closed_form._thermal_number_kernel(0.5 * q**2, n, theta)
+            ref = np.array([thermal_number_mp(n, theta, float(qi), 0.0) for qi in q])
+            worst = float(np.max(np.abs(got - ref)))
+            assert worst <= bound, f"n={n}, theta={theta}: max abs error {worst:.2e}"
 
 
 def test_reference_reproduces_the_vacuum_at_n_zero():
