@@ -43,7 +43,6 @@ from .fock_oracle import (
     FockDensityMatrix,
     TruncationError,
     build_oracle_state,
-    wigner_from_density,
     wigner_grid_from_density,
 )
 from .specfun import laguerre
@@ -95,7 +94,6 @@ __all__ = [
     "verify_state",
     "wigner_closed_form",
     "wigner_closed_grid",
-    "wigner_from_density",
     "wigner_grid_from_density",
     "wigner_number_state",
     "wigner_photon_added",

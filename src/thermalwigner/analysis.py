@@ -1,9 +1,8 @@
 """Phase-space post-processing and closed-form vs oracle verification.
 
 Grids are rectangular (q, p) samplings of one state's Wigner function,
-taken either from the closed forms or from the Fock oracle; downstream
-consumers (quadrature, negativity, comparison reports) treat the two
-sources interchangeably.
+taken either from the closed forms or from the Fock oracle; quadrature
+and negativity treat the two sources interchangeably.
 
 Every grid axis comes from :func:`_axis`.  On an axis symmetric about
 zero it is exactly antisymmetric (node i is minus node n-1-i), its end
@@ -23,14 +22,16 @@ an n x n axis pair of half-width R has
 d_i = 2 i - (n - 1).  The cached radial plan holds the distinct keys
 d_i^2 + d_j^2 (5 251 for n = 241) and the Simpson weight products summed
 onto each, so an integral is one dot product over the state's values at
-those radii.  One evaluation there (:func:`_state_integrals`) gives a
-state's normalization, its negativity volume and, at the first radius
-0, W(0).  Before either contraction is trusted, a cached self-check
-integrates the exact thermal Gaussian at theta = 0.5 on [-6, 6]^2 with
-241 x 241 nodes through both; each must be within 1e-6 of 1 and the two
-within 1e-14 of each other.  Normalization and negativity integrals also
-refuse boxes whose half-width is under 4 * sqrt(cosh 2 theta), the
-radius that captures all but ~1e-7 of the Gaussian envelope mass.
+those radii.  One evaluation there (:func:`_norm_pass`) gives a
+state's normalization, its negativity volume, W(0) at the first radius
+0 and, at the radii of every third node, the closed-form values that
+:func:`verify_state` compares with the oracle.  Before either
+contraction is trusted, a cached self-check integrates the exact thermal
+Gaussian at theta = 0.5 on [-6, 6]^2 with 241 x 241 nodes through both;
+each must be within 1e-6 of 1 and the two within 1e-14 of each other.
+Normalization and negativity integrals also refuse boxes whose
+half-width is under 4 * sqrt(cosh 2 theta), the radius that captures
+all but ~1e-7 of the Gaussian envelope mass.
 """
 
 from __future__ import annotations
@@ -387,13 +388,13 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
-def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, float]:
-    """Normalization, negativity volume and W(0) of ``state`` on its norm grid.
+def _norm_pass(state: StateSpec, source: Source):
+    """``state`` on its norm grid: (box, abs2, values, normalization, negativity volume).
 
     The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`.
-    The state is evaluated once per distinct radius of it, the grid is
-    never built, and both integrals are Simpson sums over those values.
-    The first radius is exactly 0, so W(0) is the point evaluator's value.
+    The state is evaluated once per distinct radius ``abs2`` of it, the
+    grid is never built, and both integrals are Simpson sums over those
+    ``values``.
     """
     _quadrature_self_check()
     box = default_norm_box(state)
@@ -404,9 +405,23 @@ def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, fl
     else:
         rho = fock_oracle.build_oracle_state(state)
         values = fock_oracle.wigner_radial_from_density(rho, abs2)
+    values = _require_finite(values)
+    return box, abs2, values, float(weights @ values), float(weights @ np.maximum(-values, 0.0))
+
+
+def _require_finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
-    return float(weights @ values), float(weights @ np.maximum(-values, 0.0)), float(values[0])
+    return values
+
+
+def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, float]:
+    """Normalization, negativity volume and W(0) of ``state`` from one :func:`_norm_pass`.
+
+    The first radius is exactly 0, so W(0) is the point evaluator's value.
+    """
+    _, _, values, norm, negativity = _norm_pass(state, source)
+    return norm, negativity, float(values[0])
 
 
 def normalization_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
@@ -422,49 +437,50 @@ def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -
 # ---------------------------------------------------------------------------
 # verification
 
-# Comparison tolerance tiers: the number state's oracle weights may miss
-# up to TWO_MODE_DEFICIT_TOL (1e-8) of population at their fixed per-mode
+# Comparison tolerance tiers, on the absolute error at the comparison
+# radii: the number state's oracle weights may miss up to
+# TWO_MODE_DEFICIT_TOL (1e-8) of population at their fixed per-mode
 # truncation, so its tier is looser than that of the single-mode families,
 # whose populations are cut below one ulp of their trace.
 MAX_ERR_TOL_SINGLE_MODE = 1e-8
 MAX_ERR_TOL_TWO_MODE = 1e-6
 NORM_TOL = 1e-4
 
-
-def default_verification_grid(state: StateSpec) -> tuple[Box, int, int]:
-    if state.family is Family.THERMAL_NUMBER:
-        return Box.symmetric(3.0), 49, 49
-    return Box.symmetric(4.0), 81, 81
+# The routes are compared on every third node of the norm grid's axes,
+# the 81 x 81 grid on the same box.  Norm-grid node i has the integer
+# d_i = 2 i - 240, a multiple of 6 exactly when i is a multiple of 3, and
+# a key d_i^2 + d_j^2 of even d is divisible by 36 exactly when both d
+# are (squares are 0 or 1 mod 3).  So the comparison radii are the norm
+# plan's keys divisible by 36: 687 of its 5 251, 9 times the keys of the
+# 81-node plan.
+COMPARISON_GRID_POINTS = 81
 
 
 def verify_state(
     state: StateSpec,
-    box: Box | None = None,
-    nq: int | None = None,
-    np_: int | None = None,
     max_err_tol: float | None = None,
     norm_tol: float = NORM_TOL,
 ) -> VerificationReport:
     """Compare closed form against the Fock oracle and integrate.
 
-    Runs both evaluators on the grid, reports max/mean pointwise error,
-    the closed-form normalization on the auto-sized box, and the
-    negativity volume; both integrals come from one evaluation of the
-    state at the distinct radii of that box's quadrature grid.
-    ``details`` carries the oracle grid's provenance, ``oracle_dim`` and
+    One closed-form :func:`_norm_pass` gives the normalization, the
+    negativity volume and the values that are compared with one oracle
+    series call at the radii of the COMPARISON_GRID_POINTS^2 sub-grid of
+    the state's norm box; ``box``, ``nq`` and ``np_`` name that grid, and
+    the max/mean error is over its distinct radii.  The box is sized from
+    the state, so the comparison covers its mass at every temperature.
+    ``details`` carries the oracle's provenance, ``oracle_dim`` and
     ``oracle_tail``; the oracle's own error is at most 2 oracle_tail / pi.
     Stage failures are recorded in ``errors`` and do not abort the
-    remaining stages.  Deterministic for fixed inputs.
+    remaining stages; a failed closed-form pass fails all three.
+    Deterministic for fixed inputs.
     """
-    default_box, default_nq, default_np = default_verification_grid(state)
-    box = box if box is not None else default_box
-    nq = int(nq) if nq is not None else default_nq
-    np_ = int(np_) if np_ is not None else default_np
     if max_err_tol is None:
         two_mode = state.family is Family.THERMAL_NUMBER
         max_err_tol = MAX_ERR_TOL_TWO_MODE if two_mode else MAX_ERR_TOL_SINGLE_MODE
 
     errors: list[str] = []
+    box = None
     max_abs_err = math.inf
     mean_abs_err = math.inf
     norm_integral = None
@@ -472,19 +488,21 @@ def verify_state(
     details: dict = {}
 
     try:
-        closed_grid = sample_grid(state, box, nq, np_, Source.CLOSED_FORM)
-        oracle_grid = sample_grid(state, box, nq, np_, Source.ORACLE)
-        details = oracle_grid.details
-        diff = np.abs(closed_grid.values - oracle_grid.values)
-        max_abs_err = float(np.max(diff))
-        mean_abs_err = float(np.mean(diff))
-    except Exception as exc:  # collected, remaining stages still run
-        errors.append(f"grid comparison: {exc}")
-
-    try:
-        norm_integral, negativity, _ = _state_integrals(state, Source.CLOSED_FORM)
-    except Exception as exc:
-        errors += [f"normalization: {exc}", f"negativity: {exc}"]
+        box, abs2, closed, norm_integral, negativity = _norm_pass(state, Source.CLOSED_FORM)
+    except Exception as exc:  # collected: every stage needs this pass
+        errors += [f"{stage}: {exc}" for stage in ("grid comparison", "normalization",
+                                                   "negativity")]
+    else:
+        try:
+            compared = _radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0
+            rho = fock_oracle.build_oracle_state(state)
+            oracle = _require_finite(fock_oracle.wigner_radial_from_density(rho, abs2[compared]))
+            details = {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
+            diff = np.abs(closed[compared] - oracle)
+            max_abs_err = float(np.max(diff))
+            mean_abs_err = float(np.mean(diff))
+        except Exception as exc:  # collected, the integrals still stand
+            errors.append(f"grid comparison: {exc}")
 
     passed = (
         not errors
@@ -496,8 +514,8 @@ def verify_state(
         label=f"oracle-vs-closed-form {state.describe()}",
         state=state,
         box=box,
-        nq=nq,
-        np_=np_,
+        nq=COMPARISON_GRID_POINTS,
+        np_=COMPARISON_GRID_POINTS,
         max_abs_err=max_abs_err,
         mean_abs_err=mean_abs_err,
         norm_integral=norm_integral,

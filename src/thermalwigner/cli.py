@@ -3,7 +3,7 @@
 Subcommands:
 
   eval        sample one state's Wigner function on a box and write it
-  verify      run the closed-form vs oracle comparison, write a report
+  verify      compare closed form and oracle on the state's norm box, write a report
   negativity  print the negativity volume of one state
   limits      run the reduction/limit checks
   scan-theta  tabulate W(0) and negativity volume across temperatures
@@ -158,15 +158,11 @@ def _write_failure(path, config: dict, exc: Exception):
 # subcommands
 
 
-def _check_grid_args(parser, args):
-    if args.res is not None and args.res < 2:
-        parser.error("--res must be at least 2")
-    if args.box is not None and not (math.isfinite(args.box) and args.box > 0.0):
-        parser.error("--box must be a positive finite half-width")
-
-
 def _cmd_eval(parser, args) -> int:
-    _check_grid_args(parser, args)
+    if args.res < 2:
+        parser.error("--res must be at least 2")
+    if not (math.isfinite(args.box) and args.box > 0.0):
+        parser.error("--box must be a positive finite half-width")
     state = _state_from_args(parser, args)
     box = Box.symmetric(args.box)
     grid = analysis.sample_grid(state, box, args.res, args.res, Source(args.source))
@@ -179,20 +175,11 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    _check_grid_args(parser, args)
     for flag, tol in (("--tol-max-err", args.tol_max_err), ("--tol-norm", args.tol_norm)):
         if tol is not None and not (math.isfinite(tol) and tol > 0.0):
             parser.error(f"{flag} must be a positive finite number, got {tol!r}")
-    state = _state_from_args(parser, args)
-    box = Box.symmetric(args.box) if args.box is not None else None
-    report = analysis.verify_state(
-        state,
-        box=box,
-        nq=args.res,
-        np_=args.res,
-        max_err_tol=args.tol_max_err,
-        norm_tol=args.tol_norm,
-    )
+    report = analysis.verify_state(_state_from_args(parser, args),
+                                   max_err_tol=args.tol_max_err, norm_tol=args.tol_norm)
     with _output(args.out) as fh:
         write_report_json(report, fh, _config_echo(args), tolerances=report.tolerances)
     if args.out not in (None, "-"):
@@ -262,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="closed form vs Fock oracle report")
     _add_state_arguments(p_verify)
-    p_verify.add_argument("--box", type=float, default=None,
-                          help="half-width override (default per family)")
-    p_verify.add_argument("--res", type=int, default=None,
-                          help="nodes per axis override (default per family)")
     p_verify.add_argument("--tol-max-err", type=float, default=None,
                           help="max pointwise error tolerance (default per family)")
     p_verify.add_argument("--tol-norm", type=float, default=analysis.NORM_TOL)

@@ -437,7 +437,8 @@ def wigner_grid_from_density(rho: FockDensityMatrix, q: np.ndarray, p: np.ndarra
     its distinct x, each evaluated once as the series
     W = (1/pi) sum_k w_k (-1)^k l_k(x) of :func:`_parity_series`, with no
     matrix.  Agrees with the dense reference :func:`wigner_from_density`
-    to machine precision and is the evaluator the verification grids use.
+    to machine precision and is the evaluator of oracle grids; verification
+    calls :func:`wigner_radial_from_density` on its radii directly.
 
     Raises:
         ValueError: for an empty or non-finite axis.

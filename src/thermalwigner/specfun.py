@@ -8,12 +8,11 @@ two-variable Hermite polynomials H_{m,n}(x, y) defined by the double sum
 
 which satisfy the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
 
-Laguerre values come from the stable three-term recurrence, with the
-explicit factorial sum (``laguerre_sum``) kept as the independent
-reference the tests replay against it.  ``hermite2`` is the explicit
-double sum at complex arguments; the thermal number kernel of
-``closed_form`` runs its own in-place Hermite recurrence at real
-arguments and never calls it.
+Laguerre values come from the stable three-term recurrence; the tests
+replay it against the explicit factorial sum and, through the bridge
+identity, against ``hermite2``, the explicit double sum at complex
+arguments.  The thermal number kernel of ``closed_form`` runs its own
+in-place Hermite recurrence at real arguments and never calls it.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -91,24 +90,6 @@ def laguerre(n: int, x):
     return float(cur[0]) if scalar else cur
 
 
-def laguerre_sum(n: int, x):
-    """L_n(x) by the explicit factorial sum.
-
-    Reference implementation: sum_{l=0}^{n} n! / ((l!)^2 (n-l)!) (-x)^l.
-    Exact for n = 0, 1 by construction; used by the tests as the
-    independent check on :func:`laguerre`.
-    """
-    n = _check_order(n)
-    x = _check_finite(x, "x")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    acc = np.zeros_like(x)
-    for l in range(n + 1):
-        coeff = factorial(n) / (factorial(l) ** 2 * factorial(n - l))
-        acc += coeff * (-x) ** l
-    return float(acc[0]) if scalar else acc
-
-
 def hermite2(m: int, n: int, x, y):
     """Two-variable Hermite polynomial H_{m,n}(x, y).
 
@@ -144,14 +125,3 @@ def hermite2(m: int, n: int, x, y):
         )
         acc += coeff * x ** (m - l) * y ** (n - l)
     return complex(acc.reshape(-1)[0]) if scalar else acc
-
-
-def laguerre_from_hermite(n: int, x, y):
-    """L_n(x*y) assembled from the diagonal Hermite polynomial.
-
-    Returns (-1)^n / n! * H_{n,n}(x, y), which equals L_n(x*y) whenever
-    the product x*y is real.  Useful as a consistency bridge between the
-    two polynomial families.
-    """
-    n = _check_order(n)
-    return (-1.0) ** n / factorial(n) * hermite2(n, n, x, y)

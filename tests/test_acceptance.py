@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from specfun_reference import laguerre_from_hermite
 from thermalwigner.analysis import (
     Box,
     Source,
@@ -29,7 +30,7 @@ from thermalwigner.fock_oracle import (
     min_thermal_dim,
     thermal_density_matrix,
 )
-from thermalwigner.specfun import hermite2, laguerre, laguerre_from_hermite
+from thermalwigner.specfun import hermite2, laguerre
 from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 from thermalwigner import cli

@@ -338,7 +338,7 @@ class TestVerifyState:
         report = verify_state(state("number", 0.5, n=2))
         assert report.passed
         assert report.max_abs_err < 1e-6
-        assert report.nq == 49 and report.np_ == 49
+        assert report.nq == 81 and report.np_ == 81
 
     def test_hot_vacuum_passes(self):
         report = verify_state(state("vacuum", 1.0))
@@ -353,30 +353,73 @@ class TestVerifyState:
 
     def test_samples_the_norm_box_once(self, monkeypatch):
         spec = state("added", 0.3, n=1)
-        norm_abs2, _ = _radial_quadrature(default_norm_box(spec).q_max, NORM_GRID_POINTS)
+        box = default_norm_box(spec)
+        norm_abs2, _ = _radial_quadrature(box.q_max, NORM_GRID_POINTS)
+        compared_abs2 = norm_abs2[_radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0]
         radial_calls = []
+        oracle_calls = []
         grid_calls = []
         radial = closed_form.wigner_closed_radial
-        sample = analysis.sample_grid
+        oracle_radial = fock_oracle.wigner_radial_from_density
 
         def counting_radial(spec_, abs2):
             radial_calls.append(np.array_equal(abs2, norm_abs2))
             return radial(spec_, abs2)
 
-        def counting_sample(spec_, box, nq, np_, source):
-            grid_calls.append((nq, np_))
-            return sample(spec_, box, nq, np_, source)
+        def counting_oracle(rho, abs2):
+            oracle_calls.append(np.array_equal(abs2, compared_abs2))
+            return oracle_radial(rho, abs2)
 
+        _quadrature_self_check()  # cached: its own closed-form pass runs before the count
         monkeypatch.setattr(closed_form, "wigner_closed_radial", counting_radial)
-        monkeypatch.setattr(analysis, "sample_grid", counting_sample)
+        monkeypatch.setattr(fock_oracle, "wigner_radial_from_density", counting_oracle)
+        monkeypatch.setattr(analysis, "sample_grid", lambda *args: grid_calls.append(args))
         report = verify_state(spec)
         assert report.passed and report.negativity_volume > 0.0
-        # one evaluation at the norm radii serves both integrals; only the
-        # comparison grids are sampled
-        assert radial_calls.count(True) == 1
-        assert grid_calls == [(81, 81), (81, 81)]
+        # one closed-form evaluation at the norm radii serves both integrals
+        # and the comparison; the oracle runs once, on the comparison radii
+        assert radial_calls == [True]
+        assert oracle_calls == [True]
+        assert grid_calls == []
+        assert report.box == box and report.nq == report.np_ == 81
         assert report.norm_integral == normalization_of_state(spec)
         assert report.negativity_volume == negativity_of_state(spec)
+
+    def test_compares_every_third_node_of_the_norm_grid(self, monkeypatch):
+        # the comparison radii are those of the 81 x 81 grid on the norm box:
+        # the norm plan's keys that are 9 times a key of the 81-node plan
+        spec = state("subtracted", 1.2, n=4)
+        half_width = default_norm_box(spec).q_max
+        norm_keys = _radial_simpson_plan(NORM_GRID_POINTS)[0]
+        norm_abs2, _ = _radial_quadrature(half_width, NORM_GRID_POINTS)
+        sub_keys = 9 * _radial_simpson_plan(81)[0]
+        seen = []
+        oracle_radial = fock_oracle.wigner_radial_from_density
+
+        def recording_oracle(rho, abs2):
+            seen.append(np.array(abs2))
+            return oracle_radial(rho, abs2)
+
+        monkeypatch.setattr(fock_oracle, "wigner_radial_from_density", recording_oracle)
+        assert verify_state(spec).passed
+        (compared,) = seen
+        assert compared.size == sub_keys.size == 687
+        assert np.array_equal(compared, norm_abs2[np.isin(norm_keys, sub_keys)])
+        # the same radii as the 81-node plan on that box, to rounding
+        sub_abs2, _ = _radial_quadrature(half_width, 81)
+        assert np.allclose(compared, sub_abs2, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [1.5, 3.0])
+    @pytest.mark.parametrize("family", ["added", "subtracted"])
+    def test_a_zero_oracle_fails(self, monkeypatch, family, theta):
+        # a broad state's mass lies far outside a fixed small box; on its
+        # own norm box a wrong route cannot hide below the tolerance
+        monkeypatch.setattr(fock_oracle, "wigner_radial_from_density",
+                            lambda rho, abs2: np.zeros(np.shape(abs2)))
+        report = verify_state(state(family, theta, n=16))
+        assert not report.passed
+        assert report.errors == []
+        assert report.max_abs_err > 1e3 * report.tolerances["max_abs_err"]
 
     def test_collects_errors_without_aborting(self):
         # degenerate subtraction: every stage fails but none aborts the run

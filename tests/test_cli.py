@@ -115,8 +115,7 @@ class TestEval:
     ])
     def test_reported_n_c_is_sinh_squared_of_theta(self, tmp_path, route):
         out = tmp_path / "report.json"
-        assert run(["verify", "--family", "vacuum", "--res", "5",
-                    "--out", str(out), *route]) == 0
+        assert run(["verify", "--family", "vacuum", "--out", str(out), *route]) == 0
         state = strict_json(out)["report"]["state"]
         assert state["n_c"] == math.sinh(state["theta"]) ** 2
 
@@ -285,6 +284,15 @@ class TestUsageErrors:
         out = tmp_path / "scan.csv"
         with pytest.raises(SystemExit) as exc:
             run(["scan-theta", "--family", "vacuum", f"--steps={steps}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--box", "3"], ["--res", "5"]])
+    def test_verify_takes_no_grid_options(self, tmp_path, option):
+        # verify compares on the state's own norm box, with no override
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--family", "vacuum", "--theta", "0.2", *option, "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 

@@ -32,3 +32,13 @@ def test_readme_and_demo_imports_are_exported():
     imported = set().union(*(package_imports(source) for source in sources))
     assert imported, "expected the README and demos to import from thermalwigner"
     assert imported <= set(thermalwigner.__all__)
+
+
+def test_test_only_references_are_not_exported():
+    # the dense point evaluator and the explicit Laguerre references serve
+    # the tests alone: they stay out of the public surface
+    from thermalwigner import specfun
+
+    assert "wigner_from_density" not in thermalwigner.__all__
+    assert not hasattr(thermalwigner, "wigner_from_density")
+    assert not hasattr(specfun, "laguerre_sum") and not hasattr(specfun, "laguerre_from_hermite")

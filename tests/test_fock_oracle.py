@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from thermalwigner import fock_oracle
-from thermalwigner.analysis import _axis, default_verification_grid, verify_state
+from thermalwigner.analysis import _axis, verify_state
 from thermalwigner.closed_form import wigner_closed_form, wigner_thermal_vacuum
 from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
@@ -383,8 +383,10 @@ def eigenbasis_grid(rho, q, p, leak_tol=1e-10):
 
 
 def verification_axes(state):
-    box, nq, np_ = default_verification_grid(state)
-    return _axis(box.q_min, box.q_max, nq), _axis(box.p_min, box.p_max, np_)
+    """Fixed axes near the origin: 49 x 49 on [-3, 3]^2 for number, else 81 x 81 on [-4, 4]^2."""
+    if state.family is Family.THERMAL_NUMBER:
+        return _axis(-3.0, 3.0, 49), _axis(-3.0, 3.0, 49)
+    return _axis(-4.0, 4.0, 81), _axis(-4.0, 4.0, 81)
 
 
 class TestDisplacement:
@@ -510,7 +512,7 @@ class TestDisplacedParity:
 class TestSeriesGrid:
     @pytest.mark.parametrize("family", list(Family))
     def test_grid_matches_both_references(self, family):
-        # every family x n x theta on its default verification grid, against
+        # every family x n x theta on its verification_axes, against
         # the eigenbasis evaluator at every node and the dense reference at an
         # off-axis node near the corner, wherever the padded basis is <= 400
         compared = 0
