@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import math
 import sys
@@ -36,14 +35,6 @@ from .thermo import (
 )
 
 _FAMILIES = [f.value for f in Family]
-
-# glibc mallopt parameters (malloc.h) and the values the CLI fixes them at:
-# 32 MiB is glibc's own ceiling for its dynamic mmap threshold on 64-bit,
-# and the trim threshold is twice it, as glibc's dynamic rule sets it.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def _fmt(x: float) -> str:
@@ -107,13 +98,15 @@ def _dump_json(payload: dict, fh):
 def write_grid_csv(grid: analysis.WignerGrid, fh):
     """q,p,w rows, row-major in q then p.
 
-    Each axis is formatted once and each q row is written in one call.
+    Each axis is formatted once and each q row is converted and written
+    in one call, so the writer holds one row of Python floats at a time.
     """
     fh.write("q,p,w\n")
     q_text = [_fmt(v) for v in grid.q_axis]
     p_text = [_fmt(v) for v in grid.p_axis]
-    for q_str, row in zip(q_text, grid.values.tolist()):
-        fh.write("".join(f"{q_str},{p_str},{w:.17g}\n" for p_str, w in zip(p_text, row)))
+    for q_str, row in zip(q_text, grid.values):
+        fh.write("".join(f"{q_str},{p_str},{w:.17g}\n"
+                         for p_str, w in zip(p_text, row.tolist())))
 
 
 def write_grid_json(grid: analysis.WignerGrid, fh, config: dict):
@@ -279,32 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _keep_grid_buffers_on_heap() -> bool:
-    """Serve large temporaries from the heap and keep freed heap pages.
-
-    By default glibc maps each block above 128 KiB afresh and returns free
-    heap above 128 KiB to the system, raising both thresholds only once
-    the process frees a large mapped block, so a command's cost depends on
-    what ran before it.  A ``number`` ``scan-theta`` at n >= 6, whose
-    Hermite rows over the 5 251 norm radii pass 128 KiB, then page-faults
-    on its temporaries at every step: in a long-lived process that had not
-    imported scipy (whose import used to raise both thresholds), one such
-    call took about 4 200 minor faults and 35 ms, against about 290 and
-    23 ms with the thresholds fixed here.  Linux only; returns whether the
-    C library accepted both settings.
-    """
-    if not sys.platform.startswith("linux"):
-        return False
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
-
-
 @lru_cache(maxsize=1)
 def _main_parser() -> argparse.ArgumentParser:
     """The parser every ``main`` call in this process reuses.
@@ -317,7 +284,6 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _keep_grid_buffers_on_heap()
     parser = _main_parser()
     args = parser.parse_args(argv)
     try:

@@ -98,7 +98,8 @@ def radial_grid(radial, q, p) -> np.ndarray:
     every node.  The fold is exact on any axes: (-q)^2 == q^2.
 
     Raises:
-        ValueError: for an empty or non-finite axis.
+        ValueError: for an empty or non-finite axis, or when the largest
+            |alpha|^2 of the grid overflows; either before ``radial`` runs.
 
     Returns an array of shape (len(q), len(p)).
     """
@@ -110,6 +111,10 @@ def radial_grid(radial, q, p) -> np.ndarray:
         raise ValueError("grid axes must be finite")
     q_abs, iq = np.unique(np.abs(q), return_inverse=True)
     p_abs, ip = np.unique(np.abs(p), return_inverse=True)
+    q_max, p_max = float(q_abs[-1]), float(p_abs[-1])
+    if not math.isfinite(0.5 * (q_max * q_max + p_max * p_max)):
+        raise ValueError(f"|alpha|^2 = (q^2 + p^2) / 2 overflows at the grid corner "
+                         f"|q| = {q_max:g}, |p| = {p_max:g}")
     abs2, inverse = np.unique(0.5 * (q_abs[:, None] ** 2 + p_abs[None, :] ** 2),
                               return_inverse=True)
     quadrant = radial(abs2)[inverse].reshape(q_abs.size, p_abs.size)

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,28 @@ class TestNegativity:
         assert negativity_of_state(state("number", 0.3, n=1)) >= 0.0
 
 
+class TestSampleGridMemoryGuard:
+    def test_a_grid_within_physical_memory_runs(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_physical_memory_bytes",
+                            lambda: 21 * 21 * analysis._SAMPLE_GRID_BYTES_PER_NODE)
+        grid = sample_grid(state("vacuum", 0.3), Box.symmetric(4.0), 21, 21, Source.CLOSED_FORM)
+        assert grid.values.shape == (21, 21)
+
+    def test_no_check_where_sysconf_cannot_tell(self, monkeypatch):
+        def unavailable(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(analysis.os, "sysconf", unavailable)
+        assert analysis._physical_memory_bytes() is None
+        grid = sample_grid(state("vacuum", 0.3), Box.symmetric(4.0), 5, 5, Source.CLOSED_FORM)
+        assert grid.values.shape == (5, 5)
+
+    def test_physical_memory_is_read_from_sysconf(self):
+        if not hasattr(analysis.os, "sysconf"):
+            pytest.skip("os.sysconf is unavailable")
+        assert analysis._physical_memory_bytes() > 0
+
+
 class TestVerifyState:
     def test_subtracted_passes(self):
         report = verify_state(state("subtracted", 0.2, n=1))
@@ -437,11 +464,25 @@ class TestVerifyState:
         spec = state(family, 0.8, n=n)
         report = verify_state(spec)
         rho = fock_oracle.build_oracle_state(spec)
-        assert report.details == {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
+        assert set(report.details) == {"oracle_dim", "oracle_tail", "max_abs_w", "max_err_abs2"}
+        assert (report.details["oracle_dim"], report.details["oracle_tail"]) == (rho.dim, rho.tail)
         assert 0.0 < report.details["oracle_tail"] <= np.finfo(float).eps
         # the oracle's own error, 2 tail / pi, is far inside the comparison tolerance
         assert report.passed and 2.0 * rho.tail / math.pi < report.tolerances["max_abs_err"]
         assert report.to_dict()["details"] == report.details
+
+    def test_details_say_where_the_comparison_was_decided(self):
+        spec = state("added", 0.4, n=2)
+        abs2, _ = _radial_quadrature(default_norm_box(spec).q_max, NORM_GRID_POINTS)
+        compared = abs2[_radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0]
+        closed = closed_form.wigner_closed_radial(spec, compared)
+        report = verify_state(spec)
+        assert report.details["max_abs_w"] == np.max(np.abs(closed))
+        worst = report.details["max_err_abs2"]
+        assert worst in compared
+        rho = fock_oracle.build_oracle_state(spec)
+        oracle = fock_oracle.wigner_radial_from_density(rho, compared)
+        assert abs(closed - oracle)[compared == worst][0] == report.max_abs_err
 
     def test_number_details_carry_the_two_mode_deficit(self):
         report = verify_state(state("number", 0.5, n=2))
@@ -509,3 +550,33 @@ class TestScanTheta:
             assert row["w0"] == bare["w0"] == closed_form.wigner_closed_form(spec, origin)
             assert row["abs_w0"] == bare["abs_w0"]
             assert row["negativity_volume"] == negativity_of_state(spec)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts the process's minor page faults on Linux")
+    def test_library_scan_reuses_its_memory(self):
+        # a repeated number scan takes its kernel's work arrays from memory
+        # the process already holds, without the command-line front end
+        code = textwrap.dedent("""
+            import resource
+            import sys
+
+            import numpy as np
+
+            from thermalwigner import analysis
+            from thermalwigner.states import Family
+
+            thetas = np.linspace(0.1, 2.0, 20)
+            analysis.scan_theta(Family.THERMAL_NUMBER, 6, thetas)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            analysis.scan_theta(Family.THERMAL_NUMBER, 6, thetas)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print("thermalwigner.cli" in sys.modules)
+        """)
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                    filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert result.returncode == 0, result.stderr
+        faults, cli_loaded = result.stdout.split()
+        assert cli_loaded == "False"
+        assert int(faults) < 200, faults

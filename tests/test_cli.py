@@ -3,14 +3,14 @@
 import io
 import json
 import math
-import os
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from thermalwigner import __version__, cli
 from thermalwigner.cli import main
+from thermalwigner.states import Family
 
 
 def run(argv):
@@ -354,6 +354,45 @@ class TestNumericalFailures:
         assert "Unable to allocate" in payload["message"]
         assert "error:" in capsys.readouterr().err
 
+    def test_grid_beyond_physical_memory_is_refused_before_allocating(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.analysis, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setitem(cli.closed_form._KERNELS, Family.THERMAL_VACUUM,
+                            lambda *args: calls.append(args))
+        out = tmp_path / "grid.json"
+        assert run(["eval", "--family", "vacuum", "--theta", "0.3", "--res", "401",
+                    "--out", str(out)]) == 1
+        payload = strict_json(out)
+        assert payload["error"] == "MemoryError"
+        estimate = 160801 * cli.analysis._SAMPLE_GRID_BYTES_PER_NODE
+        assert f"(160801 nodes) needs about {estimate} bytes" in payload["message"]
+        assert f"more than the {1 << 20} bytes of physical memory" in payload["message"]
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("source", ["closed-form", "oracle"])
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_overflowing_box_is_refused_alike(self, tmp_path, monkeypatch, capsys,
+                                              family, source):
+        calls = []
+        monkeypatch.setitem(cli.closed_form._KERNELS, Family(family),
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(cli.analysis.fock_oracle, "wigner_radial_from_density",
+                            lambda *args: calls.append(args))
+        out = tmp_path / "grid.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["eval", "--family", family, "--n", "2", "--theta", "0.3",
+                        "--res", "3", "--box", "1e200", "--source", source,
+                        "--out", str(out)]) == 1
+        assert caught == []
+        payload = strict_json(out)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("|alpha|^2 = (q^2 + p^2) / 2 overflows")
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert calls == []
+
 
 class TestNegativityCommand:
     def test_prints_scalar(self, capsys):
@@ -389,14 +428,6 @@ class TestScanTheta:
             "--no-negativity", "--out", str(out),
         ]) == 0
         assert out.read_text().splitlines()[0] == "theta,w0,abs_w0"
-
-
-class TestAllocatorSettings:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
-    def test_thresholds_accepted_on_linux(self):
-        run(["scan-theta", "--family", "vacuum", "--steps", "1", "--no-negativity",
-             "--out", os.devnull])
-        assert cli._keep_grid_buffers_on_heap() is True
 
 
 class TestLimitsCommand:

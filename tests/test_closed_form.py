@@ -1,6 +1,7 @@
 """Closed-form evaluators: frozen values, reductions, sign structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,17 @@ class TestDispatchAndGrids:
         state = StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.3))
         with pytest.raises(ValueError, match="finite"):
             wigner_closed_grid(state, [0.0, np.nan], [0.0])
+
+    @pytest.mark.parametrize("q, p", [([-1e200, 0.0, 1e200], [0.0]),
+                                      ([0.0, 1.0], [1.4e154]),
+                                      ([1e154], [1e154])])
+    def test_radial_grid_refuses_an_overflowing_radius_before_the_kernel(self, q, p):
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows at the grid corner"):
+                radial_grid(calls.append, q, p)
+        assert calls == []
 
     def test_grids_refuse_an_empty_axis(self):
         state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.3), n=2)
