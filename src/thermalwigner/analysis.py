@@ -144,15 +144,23 @@ class WignerGrid:
     def p_axis(self) -> np.ndarray:
         return _axis(self.box.p_min, self.box.p_max, self.np_)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, *, values: bool = True) -> dict:
+        """The grid as JSON-ready data: provenance, node counts and values.
+
+        With ``values=False`` the ``"values"`` lists are left out, for a
+        writer that streams them row by row instead of holding every
+        node as a Python float (about 48 bytes per node).
+        """
+        out = {
             "state": _state_echo(self.state),
             "source": self.source.value,
             "box": self.box.to_dict(),
             "nq": self.nq,
             "np": self.np_,
-            "values": self.values.tolist(),
         }
+        if values:
+            out["values"] = self.values.tolist()
+        return out
 
 
 @dataclass

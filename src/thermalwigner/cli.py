@@ -28,6 +28,7 @@ from . import __version__, analysis, closed_form
 from .analysis import Box, Source
 from .states import Family, StateSpec
 from .thermo import (
+    THETA_MAX,
     ThermalParams,
     params_from_mean_photons,
     params_from_temperature,
@@ -109,8 +110,31 @@ def write_grid_csv(grid: analysis.WignerGrid, fh):
                          for p_str, w in zip(p_text, row.tolist())))
 
 
+# Stands in for the grid values in the dumped JSON report; see write_grid_json.
+_VALUES_MARK = "values follow"
+
+
 def write_grid_json(grid: analysis.WignerGrid, fh, config: dict):
-    _dump_json({"version": __version__, "config": config, "grid": grid.to_dict()}, fh)
+    """The grid report, byte for byte what ``_dump_json`` makes of it.
+
+    The report is dumped with a placeholder for the values, which are
+    then written in the same indent-2 layout one q row at a time, so the
+    writer holds one row of Python floats instead of the whole grid.
+    json writes a float as its ``repr``; grid values are finite.
+    """
+    body = dict(grid.to_dict(values=False), values=_VALUES_MARK)
+    text = json.dumps({"version": __version__, "config": config, "grid": body},
+                      indent=2, sort_keys=True, allow_nan=False)
+    # "values" is the last key of "grid", so its placeholder is the last
+    # occurrence of the string, after any config value that might equal it
+    head, _, tail = text.rpartition(json.dumps(_VALUES_MARK))
+    fh.write(head + "[")
+    sep = "\n"
+    for row in grid.values:  # rows at depth 3, their values at depth 4
+        fh.write(sep + "      [\n        " + ",\n        ".join(map(repr, row.tolist()))
+                 + "\n      ]")
+        sep = ",\n"
+    fh.write("\n    ]" + tail + "\n")
 
 
 def write_report_json(reports, fh, config: dict, tolerances: dict | None = None):
@@ -206,6 +230,10 @@ def _cmd_limits(parser, args) -> int:
 def _cmd_scan_theta(parser, args) -> int:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
+    # refused as typed, before any step runs, not at the first interior step beyond it
+    for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not 0.0 <= theta <= THETA_MAX:
+            parser.error(f"{flag} must lie in [0, {THETA_MAX:g}], got {theta!r}")
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     rows = analysis.scan_theta(
         Family(args.family), args.n, thetas,

@@ -154,9 +154,9 @@ class TestRadialPlan:
     @pytest.mark.parametrize("family", list(Family))
     def test_plan_matches_the_materialized_grid(self, family, source):
         # the plan may differ from integrating the materialized grid only by
-        # rounding: its radii are within a few ulps of the grid's.  The number
-        # kernel's alternating sum amplifies that to the order of its
-        # cancellation floor (about 5e-11 at n = 16, see the README).  At large theta the oracle
+        # rounding: its radii are within a few ulps of the grid's, and every
+        # closed kernel, the number kernel's Laguerre series included, is
+        # well conditioned in |alpha|^2.  At large theta the oracle
         # series carries its own rounding error, which its grid integral shows
         # against the closed form's; the plan may move it by no more.
         checked = 0
@@ -168,7 +168,7 @@ class TestRadialPlan:
                                        NORM_GRID_POINTS, source)
                 except fock_oracle.TruncationError:
                     continue  # the oracle does not hold this state
-                tol = 1e-10 if family is Family.THERMAL_NUMBER else 2e-15
+                tol = 2e-15
                 norm_tol, neg_tol = tol, tol
                 if source is Source.ORACLE:
                     closed = sample_grid(spec, grid.box, NORM_GRID_POINTS, NORM_GRID_POINTS,

@@ -215,6 +215,44 @@ class TestGridCsvWriter:
         assert got.getvalue() == want.getvalue()
 
 
+class TestGridJsonWriter:
+    @staticmethod
+    def _grid(nq, np_):
+        from thermalwigner.analysis import Box, Source, sample_grid
+        from thermalwigner.states import Family, StateSpec
+        from thermalwigner.thermo import params_from_theta
+
+        spec = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.7), n=3)
+        return sample_grid(spec, Box(-3.1, 4.0, -2.0, 2.0), nq, np_, Source.CLOSED_FORM)
+
+    @pytest.mark.parametrize("nq, np_", [(2, 2), (5, 8), (9, 4)])
+    def test_bytes_match_json_dump_of_the_whole_grid(self, nq, np_):
+        grid = self._grid(nq, np_)
+        grid.values[0, 0] = -0.0
+        grid.values[-1, -1] = 1e-300
+        # a config value equal to the placeholder must not be taken for it
+        config = {"family": "added", "out": cli._VALUES_MARK, "theta": 0.7}
+        got, want = io.StringIO(), io.StringIO()
+        cli.write_grid_json(grid, got, config)
+        cli._dump_json({"version": __version__, "config": config, "grid": grid.to_dict()}, want)
+        assert got.getvalue() == want.getvalue()
+        assert json.loads(got.getvalue())["grid"]["values"] == grid.values.tolist()
+
+    def test_holds_one_row_of_python_floats(self, tmp_path):
+        # json.dump of the whole 301 x 301 grid as Python lists peaks near 3 MB
+        import tracemalloc
+
+        grid = self._grid(301, 301)
+        with open(tmp_path / "grid.json", "w") as fh:
+            tracemalloc.start()
+            try:
+                cli.write_grid_json(grid, fh, {})
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 200_000, peak
+
+
 class TestParserReuse:
     COMMANDS = (
         ["eval", "--family", "added", "--n", "1", "--theta", "0.2", "--res", "7",
@@ -286,6 +324,32 @@ class TestUsageErrors:
             run(["scan-theta", "--family", "vacuum", f"--steps={steps}", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta-max", "6"), ("--theta-max", "5.0001"), ("--theta-min", "-0.1"),
+        ("--theta-min", "nan"), ("--theta-max", "inf"),
+    ])
+    def test_scan_refuses_a_theta_bound_outside_the_validated_range(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        # refused as typed, naming the flag, before any step is evaluated
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan_theta ran")
+
+        monkeypatch.setattr(cli.analysis, "scan_theta", no_scan)
+        out = tmp_path / "scan.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["scan-theta", "--family", "number", "--n", "2", f"{flag}={value}",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag} must lie in [0, 5]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_accepts_the_validated_range_bounds(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["scan-theta", "--family", "vacuum", "--theta-min", "0",
+                    "--theta-max", "5", "--steps", "2", "--no-negativity",
+                    "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["theta", "0", "5"]
 
     @pytest.mark.parametrize("option", [["--box", "3"], ["--res", "5"]])
     def test_verify_takes_no_grid_options(self, tmp_path, option):

@@ -21,7 +21,7 @@ from thermalwigner.closed_form import (
     wigner_thermal_number,
     wigner_thermal_vacuum,
 )
-from thermalwigner.specfun import factorial, hermite2
+from thermalwigner.specfun import factorial, hermite2, laguerre
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
 from thermalwigner.thermo import params_from_theta
 
@@ -254,8 +254,8 @@ class TestThermalNumber:
                     )
 
     def test_kernel_keeps_the_argument_shape(self):
-        # the kernel's Hermite buffers run over the flattened radii; the
-        # result comes back in the shape of |alpha|^2, 0-d included
+        # the kernel sums its series over the flattened radii; the result
+        # comes back in the shape of |alpha|^2, 0-d included
         abs2 = np.array([[0.1, 0.5, 2.0], [0.0, 1.3, 4.2]])
         for n in (0, 1, 5):
             values = closed_form._thermal_number_kernel(abs2, n, 0.6)
@@ -273,6 +273,50 @@ class TestThermalNumber:
     def test_returns_float(self):
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
         assert isinstance(value, float)
+
+
+class TestGaussLaguerreRule:
+    # the thermal number kernel projects onto Laguerre polynomials with the
+    # rule of order 2n + 1, for every n up to the cap
+    ORDERS = [2 * n + 1 for n in range(17)]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_weights_sum_to_one(self, order):
+        _, weights, _ = closed_form._gauss_laguerre(order)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.all(weights > 0.0)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_moments_are_factorials_to_the_rule_degree(self, order):
+        # integral exp(-v) v^k dv = k!, exact for k <= 2 order - 1 = 4n + 1
+        nodes, weights, _ = closed_form._gauss_laguerre(order)
+        for k in range(2 * order):
+            moment = float(np.dot(weights, nodes**k))
+            assert moment == pytest.approx(math.factorial(k), rel=1e-13), k
+
+    def test_nodes_are_the_roots_of_the_laguerre_polynomial(self):
+        nodes, _, rows = closed_form._gauss_laguerre(9)
+        assert np.all(np.diff(nodes) > 0.0)
+        # |L_9| runs up to about 1e4 between the largest nodes
+        assert np.max(np.abs(laguerre(9, nodes))) < 1e-10
+        # the cached rows are L_0 ... L_8 at the nodes, as specfun rounds them
+        for j in range(9):
+            assert np.array_equal(rows[j], laguerre(j, nodes)), j
+
+    def test_cached_arrays_are_read_only(self):
+        cached = [*closed_form._gauss_laguerre(7), closed_form._thermal_number_factorials(3)]
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert closed_form._gauss_laguerre(7)[0] is cached[0]
+
+    def test_laguerre_series_against_the_explicit_sum(self):
+        coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
+        x = np.array([0.0, 0.5, 3.0, 11.0])
+        expected = sum(c * laguerre(j, x) for j, c in enumerate(coeffs))
+        assert closed_form._laguerre_series(coeffs, x) == pytest.approx(expected, rel=1e-14)
+        assert np.array_equal(closed_form._laguerre_series(coeffs[:1], x), np.full(4, 0.3))
 
 
 class TestNormalizationConstants:
@@ -358,9 +402,8 @@ class TestDispatchAndGrids:
     @pytest.mark.parametrize("q, p", GRID_AXES)
     def test_folded_grid_equals_per_node_kernel(self, q, p):
         # the grid evaluator folds onto distinct |alpha|^2; the per-node
-        # kernel takes every |alpha|^2 of the product grid as given.  The
-        # number kernel's BLAS contraction rounds by position, so its
-        # reference is taken on the distinct radii and scattered back.
+        # kernel takes every |alpha|^2 of the product grid as given.  Every
+        # kernel is elementwise in its radii, so the two agree bit for bit.
         abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
         for family, n in [
             (Family.THERMAL_VACUUM, 0),
@@ -370,12 +413,7 @@ class TestDispatchAndGrids:
         ]:
             state = StateSpec(family, params_from_theta(0.7), n=n)
             grid = wigner_closed_grid(state, q, p)
-            kernel = closed_form._KERNELS[family]
-            if family is Family.THERMAL_NUMBER:
-                radii, inverse = np.unique(abs2, return_inverse=True)
-                per_node = kernel(radii, n, 0.7)[inverse].reshape(abs2.shape)
-            else:
-                per_node = kernel(abs2, n, 0.7)
+            per_node = closed_form._KERNELS[family](abs2, n, 0.7)
             assert grid.shape == (q.size, p.size)
             assert np.array_equal(grid, per_node), family
         assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))

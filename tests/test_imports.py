@@ -2,7 +2,9 @@
 
 scipy stays installed for the tests, which use it as a reference, so the
 first check runs commands with it importable and asserts that none of
-them imported it; the second refuses every scipy import outright.
+them imported it; the second refuses every scipy import outright.  The
+number kernel builds its own Gauss-Laguerre rule, so the last check
+asserts that the number commands load no ``numpy.polynomial`` either.
 """
 
 import os
@@ -84,3 +86,26 @@ def test_commands_run_with_scipy_refused(tmp_path):
         "closed.csv", "oracle.csv", "scan.csv", "added.json", "limits.json",
         "number.json", "number-oracle.csv",
     }
+
+
+def test_number_commands_load_no_numpy_polynomial(tmp_path):
+    # numpy.polynomial costs milliseconds to import and its laggauss more
+    # to run; the kernel's rule comes from eigvalsh and specfun.laguerre
+    commands = [
+        ["scan-theta", "--family", "number", "--n", "3", "--steps", "3", "--out", "scan.csv"],
+        ["verify", "--family", "number", "--n", "2", "--theta", "0.4", "--out", "number.json"],
+        ["eval", "--family", "number", "--n", "2", "--theta", "0.4", "--res", "21",
+         "--out", "closed.csv"],
+    ]
+    run_fresh(textwrap.dedent(f'''
+        import sys
+
+        from thermalwigner import cli
+
+        for argv in {commands!r}:
+            assert cli.main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules
+                        if m == "numpy.polynomial" or m.startswith("numpy.polynomial."))
+        assert not loaded, loaded
+    '''), tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {"scan.csv", "number.json", "closed.csv"}

@@ -72,11 +72,26 @@ def test_every_order_to_the_cap_against_50_digit_sum():
     q = np.array([0.0, 0.7, 1.9, 3.1])
     for n in range(17):
         bound = MAX_ABS_ERR[min(k for k in MAX_ABS_ERR if k >= n)]
-        for theta in (0.3, 1.2):
+        for theta in (0.3, 1.2, 3.0, 5.0):
             got = closed_form._thermal_number_kernel(0.5 * q**2, n, theta)
             ref = np.array([thermal_number_mp(n, theta, float(qi), 0.0) for qi in q])
             worst = float(np.max(np.abs(got - ref)))
             assert worst <= bound, f"n={n}, theta={theta}: max abs error {worst:.2e}"
+
+
+@pytest.mark.parametrize("order", [9, 17, 33])
+def test_gauss_laguerre_rule_against_40_digit_rule(order):
+    # nodes polished as roots of L_order and weights from the Christoffel
+    # sum, both in 40 digits; the kernel's projection is as good as these
+    nodes, weights, _ = closed_form._gauss_laguerre(order)
+    with mpmath.workdps(40):
+        roots = [mpmath.findroot(lambda v: mpmath.laguerre(order, 0, v), float(v)) for v in nodes]
+        exact = [1 / mpmath.fsum(mpmath.laguerre(j, 0, r) ** 2 for j in range(order))
+                 for r in roots]
+        roots = np.array([float(r) for r in roots])
+        exact = np.array([float(w) for w in exact])
+    assert np.max(np.abs(nodes - roots) / roots) < 1e-14
+    assert np.max(np.abs(weights - exact) / exact) < 2e-14
 
 
 def test_reference_reproduces_the_vacuum_at_n_zero():
