@@ -20,12 +20,19 @@ never build that grid: W depends on |alpha|^2 alone, and node (i, j) of
 an n x n axis pair of half-width R has
 |alpha|^2 = (R / (n - 1))^2 (d_i^2 + d_j^2) / 2 with the integer
 d_i = 2 i - (n - 1).  The cached radial plan holds the distinct keys
-d_i^2 + d_j^2 (5 251 for n = 241) and the Simpson weight products summed
-onto each, so an integral is one dot product over the state's values at
-those radii.  One evaluation there (:func:`_norm_pass`) gives a
-state's normalization, its negativity volume, W(0) at the first radius
-0 and, at the radii of every third node, the closed-form values that
-:func:`verify_state` compares with the oracle.  Before either
+d_i^2 + d_j^2 (5 251 for n = 241), as floats, and the unit Simpson
+weight products summed onto each, so an integral is one dot product over
+the state's values at those radii, times the box area.  The norm box
+(:func:`default_norm_box`) is sized in Gaussian widths: every closed
+form is exp(-2u) times a polynomial in u = |alpha|^2 sech 2theta, and
+R^2 = cosh 2theta * max(36 + 2n, 6M), with M the state's second moment
+in widths.  The closed form is handed u straight from the keys and that
+width count, so for the vacuum and number states it sees bitwise the
+same u at every temperature.  One evaluation there (:func:`_norm_pass`)
+gives a state's normalization, its negativity volume, W(0) at the first
+radius 0 and, at the radii of every third node (cached positions in the
+plan), the closed-form values that :func:`verify_state` compares with
+the oracle.  Before either
 contraction is trusted, a cached self-check integrates the exact thermal
 Gaussian at theta = 0.5 on [-6, 6]^2 with 241 x 241 nodes through both;
 each must be within 1e-6 of 1 and the two within 1e-14 of each other.
@@ -326,6 +333,7 @@ def _radial_simpson_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     keys, inverse = np.unique(d[:, None] ** 2 + d[None, :] ** 2, return_inverse=True)
     unit = _unit_simpson_weights(n)
     weights = np.bincount(inverse.ravel(), weights=np.outer(unit, unit).ravel())
+    keys = keys.astype(float)  # exact: every key is below 2^53
     keys.setflags(write=False)
     weights.setflags(write=False)
     return keys, weights
@@ -391,39 +399,47 @@ def negativity_volume(grid: WignerGrid) -> float:
     return _grid_integral(grid, np.maximum(-grid.values, 0.0))
 
 
-def _mean_photon_number(state: StateSpec) -> float:
-    """<a^dag a> of the state, from its closed-form photon statistics.
+def _second_moment_in_widths(state: StateSpec) -> float:
+    """M = (2 <a^dag a> + 1) sech 2theta, the state's <q^2 + p^2> in thermal widths.
 
-    With n_c = sinh^2 theta: the thermal state has n_c; subtracting n
-    photons gives (n + 1) n_c and adding them (n + 1)(n_c + 1) - 1; the
-    number state, |n> x |n> squeezed in the doubled space, has
-    n cosh 2 theta + n_c.
+    With n_c = sinh^2 theta the thermal state has <a^dag a> = n_c, so
+    2 <a^dag a> + 1 = cosh 2theta and M = 1; subtracting n photons gives
+    (n + 1) n_c, M = (n + 1) - n sech 2theta; adding them gives
+    (n + 1)(n_c + 1) - 1, M = (n + 1) + n sech 2theta; the number state,
+    |n> x |n> squeezed in the doubled space, has n cosh 2theta + n_c,
+    M = 2n + 1.
     """
-    theta, n = state.thermal.theta, state.n
-    n_c = math.sinh(theta) ** 2
-    family = state.family
+    n, family = state.n, state.family
     if family is Family.THERMAL_VACUUM:
-        return n_c
+        return 1.0
+    if family is Family.THERMAL_NUMBER:
+        return 2.0 * n + 1.0
+    sech2 = 1.0 / state.thermal.cosh_2theta
     if family is Family.PHOTON_SUBTRACTED:
-        return (n + 1) * n_c
-    if family is Family.PHOTON_ADDED:
-        return (n + 1) * math.cosh(theta) ** 2 - 1.0
-    return n * math.cosh(2.0 * theta) + n_c
+        return (n + 1) - n * sech2
+    return (n + 1) + n * sech2
+
+
+def _norm_box_widths(state: StateSpec) -> float:
+    """max(36 + 2n, 6M): the norm box's radius^2 over cosh 2theta; see default_norm_box."""
+    return max(36.0 + 2.0 * state.n, 6.0 * _second_moment_in_widths(state))
 
 
 def default_norm_box(state: StateSpec) -> Box:
-    """Auto-sized box for normalization/negativity quadrature.
+    """Auto-sized box for normalization/negativity quadrature, sized in Gaussian widths.
 
-    Radius^2 is the larger of (36 + 2 n) cosh 2 theta, which bounds the
-    Gaussian envelope x polynomial tail, and 6 (2 <a^dag a> + 1), six
-    times the state's second moment <q^2 + p^2> = 2 <a^dag a> + 1.  The
-    second rule takes over for the broad states, the number state from
-    n = 4 and the conditioned states at large n, where the first left
-    up to 5e-3 of the mass outside the box.
+    Every state here is exp(-2u) times a polynomial in
+    u = |alpha|^2 sech 2theta, so its scale is the thermal width
+    cosh 2theta.  Radius^2 is cosh 2theta times the larger of 36 + 2n,
+    which bounds the Gaussian envelope x polynomial tail, and 6M, six
+    times the state's second moment <q^2 + p^2> = 2 <a^dag a> + 1 in
+    those widths (:func:`_second_moment_in_widths`).  The second rule
+    takes over for the broad states, the number state from n = 4 and the
+    conditioned states at large n, where the first left up to 5e-3 of the
+    mass outside the box.  For the vacuum and number states the box
+    holds the same u at every temperature.
     """
-    second_moment = 2.0 * _mean_photon_number(state) + 1.0
-    radius2 = max((36.0 + 2.0 * state.n) * state.thermal.cosh_2theta, 6.0 * second_moment)
-    return Box.symmetric(math.sqrt(radius2))
+    return Box.symmetric(math.sqrt(state.thermal.cosh_2theta * _norm_box_widths(state)))
 
 
 # Odd, so that the norm grid has a node at the origin: the radial plan's
@@ -432,28 +448,38 @@ NORM_GRID_POINTS = 241
 
 
 def _norm_pass(state: StateSpec, source: Source):
-    """``state`` on its norm grid: (box, abs2, values, normalization, negativity volume).
+    """``state`` on its norm grid: (box, values, normalization, negativity volume).
 
-    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`.
-    The state is evaluated once per distinct radius ``abs2`` of it, the
-    grid is never built, and both integrals are Simpson sums over those
-    ``values``.
+    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`,
+    and ``values`` holds the state once per distinct radius of it, in the
+    order of the radial plan's keys; the grid is never built.  Node key
+    d_i^2 + d_j^2 has |alpha|^2 = (R / (N - 1))^2 key / 2, so the closed
+    form gets u = (R^2 sech 2theta / (2 (N - 1)^2)) key straight from the
+    box's size in widths: for the vacuum and number states that u is
+    bitwise the same at every temperature, and a number scan reuses its
+    Laguerre rows.  The oracle gets |alpha|^2.  Both integrals are Simpson
+    sums over ``values`` with the plan's unit weights, scaled by the box
+    area after the dot; the negativity sums min(W, 0).
     """
     _quadrature_self_check()
     box = default_norm_box(state)
     _require_box_captures_mass(state, box)
-    abs2, weights = _radial_quadrature(box.q_max, NORM_GRID_POINTS)
+    keys, unit = _radial_simpson_plan(NORM_GRID_POINTS)
     if Source(source) is Source.CLOSED_FORM:
-        values = closed_form.wigner_closed_radial(state, abs2)
+        u = (0.5 * _norm_box_widths(state) / (NORM_GRID_POINTS - 1) ** 2) * keys
+        values = closed_form.wigner_closed_gaussian(state, u)
     else:
         rho = fock_oracle.build_oracle_state(state)
+        abs2 = _radial_quadrature(box.q_max, NORM_GRID_POINTS)[0]
         values = fock_oracle.wigner_radial_from_density(rho, abs2)
     values = _require_finite(values)
-    return box, abs2, values, float(weights @ values), float(weights @ np.maximum(-values, 0.0))
+    area = (2.0 * box.q_max) ** 2
+    return (box, values, area * float(unit @ values),
+            area * abs(float(unit @ np.minimum(values, 0.0))))
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
     return values
 
@@ -463,7 +489,7 @@ def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, fl
 
     The first radius is exactly 0, so W(0) is the point evaluator's value.
     """
-    _, _, values, norm, negativity = _norm_pass(state, source)
+    _, values, norm, negativity = _norm_pass(state, source)
     return norm, negativity, float(values[0])
 
 
@@ -497,6 +523,14 @@ NORM_TOL = 1e-4
 # plan's keys divisible by 36: 687 of its 5 251, 9 times the keys of the
 # 81-node plan.
 COMPARISON_GRID_POINTS = 81
+
+
+@lru_cache(maxsize=1)
+def _comparison_indices() -> np.ndarray:
+    """Positions of the comparison radii in the norm plan: its keys divisible by 36, read-only."""
+    indices = np.flatnonzero(_radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0)
+    indices.setflags(write=False)
+    return indices
 
 
 def verify_state(
@@ -535,14 +569,15 @@ def verify_state(
     details: dict = {}
 
     try:
-        box, abs2, closed, norm_integral, negativity = _norm_pass(state, Source.CLOSED_FORM)
+        box, closed, norm_integral, negativity = _norm_pass(state, Source.CLOSED_FORM)
     except Exception as exc:  # collected: every stage needs this pass
         errors += [f"{stage}: {exc}" for stage in ("grid comparison", "normalization",
                                                    "negativity")]
     else:
         try:
-            compared = _radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0
-            abs2, closed = abs2[compared], closed[compared]
+            compared = _comparison_indices()
+            abs2 = _radial_quadrature(box.q_max, NORM_GRID_POINTS)[0][compared]
+            closed = closed[compared]
             rho = fock_oracle.build_oracle_state(state)
             oracle = _require_finite(fock_oracle.wigner_radial_from_density(rho, abs2))
             diff = np.abs(closed - oracle)

@@ -1,39 +1,41 @@
 """Closed-form Wigner functions of the four finite-temperature families.
 
-All evaluators share the structure Gaussian envelope x polynomial
-modulation.  Writing s = sech(2 theta), c = cosh(2 theta):
+Every family is a Gaussian-Laguerre function of the temperature, as the
+paper finds: exp(-2u) times a polynomial in the Gaussian variable
+u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
 
-  * thermal vacuum:      W = s/pi * exp(-2|a|^2 s)
-  * photon-subtracted:   W = exp(-2|a|^2 s) / (pi c^(n+1))
-                              * L_n(-(4 sinh^2 theta / c) |a|^2)   >= 0
-  * photon-added:        W = (-1)^n exp(-2|a|^2 s) / (pi c^(n+1))
-                              * L_n((4 cosh^2 theta / c) |a|^2)
+  * thermal vacuum:      W = s/pi * exp(-2u)
+  * photon-subtracted:   W = exp(-2u) / (pi c^(n+1)) * L_n(-4 sinh^2(theta) u)   >= 0
+  * photon-added:        W = (-1)^n exp(-2u) / (pi c^(n+1)) * L_n(4 cosh^2(theta) u)
   * thermal number:      double polynomial sum over two-variable
-                          Hermite moduli, exp(-2|a|^2 s) times a polynomial
-                          of degree 2n in |a|^2, see :func:`_thermal_number_kernel`
+                          Hermite moduli, exp(-2u) times a polynomial
+                          of degree 2n in u, see :func:`_thermal_number_kernel`
   * zero-T number state: W = (-1)^n / pi * exp(-2|a|^2) L_n(4 |a|^2),
                           the theta -> 0 limit of the added and thermal
-                          number families.
+                          number families, where u = |a|^2.
 
 Here |a|^2 = (q^2 + p^2)/2 and the normalization is
 integral W dq dp = 1 (vacuum peak 1/pi).
 
 Every family is Fock-diagonal, so its Wigner function depends on |a|^2
-alone.  Each family has one radial kernel ``kernel(abs2, n, theta)`` in
-``_KERNELS``, dispatched by :func:`wigner_closed_radial`; the point
-evaluator :func:`wigner_closed_form`, the grid evaluator
-:func:`wigner_closed_grid`, the per-family ``wigner_*`` wrappers and the
-radial quadrature of ``analysis`` all go through it.  The thermal number
-sum is taken at real arguments at the 2n + 1 nodes of a Gauss-Laguerre
-rule, projected onto Laguerre polynomials and summed by Clenshaw's
-recurrence at the radii it is given.
+alone.  Each family has one radial kernel ``kernel(u, n, theta)`` in
+``_KERNELS``, dispatched by :func:`wigner_closed_gaussian`;
+:func:`wigner_closed_radial` passes it u = |a|^2 * sech(2 theta), and
+the point evaluator :func:`wigner_closed_form`, the grid evaluator
+:func:`wigner_closed_grid` and the per-family ``wigner_*`` wrappers go
+through it.  The radial quadrature of ``analysis`` builds u itself from
+its plan.  The thermal number sum is taken at the 2n + 1 nodes of a
+Gauss-Laguerre rule, from a theta-free table of Hermite squares, and
+projected onto Laguerre polynomials; the series is summed over rows
+exp(-v/2) L_j(v), v = 4u, that a call keeps for the next call on the
+same radii, so a temperature scan on a fixed u builds them once.
 
 The grid evaluators are one call to
 :func:`~thermalwigner.states.radial_grid`, which folds the product grid
 onto its distinct |alpha|^2 and calls the kernel once on them, so every
 kernel sees distinct radii and none deduplicates its input.  Every kernel
 is elementwise in its radii: a radius gets the same value, bit for bit,
-whatever else the call evaluates.
+whatever else the call evaluates and whatever was evaluated before.
 """
 
 from __future__ import annotations
@@ -56,28 +58,25 @@ class DegenerateStateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# radial kernels: kernel(abs2, n, theta) -> W, vectorized over |alpha|^2
+# radial kernels: kernel(u, n, theta) -> W, vectorized over u = |alpha|^2 sech 2theta
 
 
-def _vacuum_kernel(abs2, n: int, theta: float):
-    sech2 = 1.0 / math.cosh(2.0 * theta)
-    return sech2 / math.pi * np.exp(-2.0 * abs2 * sech2)
+def _vacuum_kernel(u, n: int, theta: float):
+    return (1.0 / math.cosh(2.0 * theta)) / math.pi * np.exp(-2.0 * u)
 
 
-def _laguerre_envelope(abs2, n: int, theta: float):
-    """exp(-2|a|^2 sech 2theta) / (pi cosh^(n+1) 2theta) of the Laguerre families."""
-    cosh2 = math.cosh(2.0 * theta)
-    return np.exp(-2.0 * abs2 * (1.0 / cosh2)) / (math.pi * cosh2 ** (n + 1))
+def _laguerre_envelope(u, n: int, theta: float):
+    """exp(-2u) / (pi cosh^(n+1) 2theta) of the Laguerre families."""
+    return np.exp(-2.0 * u) / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
 
 
-def _subtracted_kernel(abs2, n: int, theta: float):
+def _subtracted_kernel(u, n: int, theta: float):
     if n >= 1 and theta == 0.0:
         raise DegenerateStateError(
             "photon subtraction from the zero-temperature vacuum yields the "
             "null state; no Wigner function exists"
         )
-    scale = 4.0 * math.sinh(theta) ** 2 / math.cosh(2.0 * theta)
-    return _laguerre_envelope(abs2, n, theta) * laguerre(n, -scale * abs2)
+    return _laguerre_envelope(u, n, theta) * laguerre(n, -4.0 * math.sinh(theta) ** 2 * u)
 
 
 def _subtracted_nc_kernel(abs2, n: int, n_c: float):
@@ -86,12 +85,13 @@ def _subtracted_nc_kernel(abs2, n: int, n_c: float):
     return envelope * laguerre(n, -4.0 * n_c * abs2 / width)
 
 
-def _added_kernel(abs2, n: int, theta: float):
-    scale = 4.0 * math.cosh(theta) ** 2 / math.cosh(2.0 * theta)
-    return (-1.0) ** n * _laguerre_envelope(abs2, n, theta) * laguerre(n, scale * abs2)
+def _added_kernel(u, n: int, theta: float):
+    return ((-1.0) ** n * _laguerre_envelope(u, n, theta)
+            * laguerre(n, 4.0 * math.cosh(theta) ** 2 * u))
 
 
 def _number_kernel(abs2, n: int):
+    """The zero-temperature number state, where u = |alpha|^2."""
     return (-1.0) ** n / math.pi * np.exp(-2.0 * abs2) * laguerre(n, 4.0 * abs2)
 
 
@@ -142,12 +142,22 @@ def _gauss_laguerre(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _thermal_number_factorials(n: int) -> np.ndarray:
-    """n!^2 (-1)^(n-m) / ((n-m)! (n-j)! (m! j!)^2), the theta-free part of D[m, j].
+def _thermal_number_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The theta-free part of the thermal number fit: (table, projector), read-only.
 
-    D[m, j] = this * s^(2n-m-j) t^(2j) is the weight of H_{m,j}(x, y)^2
-    in the thermal number sum; cached per n and read-only.
+    With v_i the nodes and w_i the weights of the Gauss-Laguerre rule of
+    order 2n + 1 and z_i = sqrt(v_i / 2), row m (n + 1) + j of ``table`` is
+
+        n!^2 (-1)^(n-m) / ((n-m)! (n-j)! (m! j!)^2) * H_{m,j}(z_i, z_i)^2
+
+    at every node, the Hermite rows coming from the recurrence
+
+        H_{0,k} = z^k,    H_{m+1,k} = z H_{m,k} - k H_{m,k-1}
+
+    (the s-derivative of the generating function exp(s x + t y - s t)),
+    and ``projector[k, i]`` is w_i L_k(v_i).  Cached per n.
     """
+    nodes, weights, rows = _gauss_laguerre(2 * n + 1)
     fact = np.array([factorial(i) for i in range(n + 1)])
     m = np.arange(n + 1)[:, None]
     j = np.arange(n + 1)[None, :]
@@ -156,31 +166,121 @@ def _thermal_number_factorials(n: int) -> np.ndarray:
         * (-1.0) ** (n - m)
         / (fact[n - m] * fact[n - j] * (fact[m] * fact[j]) ** 2)
     )
-    factorials.setflags(write=False)
-    return factorials
+    z = np.sqrt(0.5 * nodes)
+    k = np.arange(n + 1.0)[:, None]
+    row = z**k  # H_{0,k}(z, z)
+    squares = np.empty((n + 1, n + 1, nodes.size))
+    squares[0] = row * row
+    for step in range(1, n + 1):
+        correction = k[1:] * row[:-1]
+        row *= z
+        row[1:] -= correction
+        squares[step] = row * row
+    table = (factorials[:, :, None] * squares).reshape((n + 1) ** 2, nodes.size)
+    projector = rows * weights
+    for array in (table, projector):
+        array.setflags(write=False)
+    return table, projector
 
 
-def _laguerre_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] L_j(x) by Clenshaw's recurrence (MTAC 9, 118, 1955).
+def _thermal_number_series(n: int, theta: float) -> np.ndarray:
+    """The coefficients a_0 ... a_2n of W = exp(-v/2) sum_j a_j L_j(v) at temperature theta.
 
-    b_k = a_k + (2k + 1 - x) b_{k+1} / (k + 1) - (k + 1) b_{k+2} / (k + 2)
-    runs down from b_J = a_J to the sum b_0, elementwise in x.
+    The kernel's Hermite arguments satisfy x y = v / 2 and
+    x / y = rho = 1 + sech 2theta, so H_{m,j}(x, y)^2 =
+    rho^(m-j) H_{m,j}(z, z)^2 with z = sqrt(v / 2): every term of the
+    double sum at a node is a theta-free entry of
+    :func:`_thermal_number_nodes` times
+
+        s^(2n-m-j) t^(2j) rho^(m-j) = s^(2n) (rho / s)^m (t^2 / (rho s))^j.
+
+    The node values are one product with the table, and the rule's
+    weights project them onto L_0 ... L_{2n}.
     """
-    b1 = np.full_like(x, coeffs[-1])
-    b2 = np.zeros_like(x)
-    tmp = np.empty_like(x)
-    for k in range(coeffs.size - 2, -1, -1):
-        np.subtract(2 * k + 1, x, out=tmp)
-        tmp *= b1
-        tmp *= 1.0 / (k + 1)
-        b2 *= -(k + 1) / (k + 2)
-        b2 += tmp
-        b2 += coeffs[k]
-        b1, b2 = b2, b1
-    return b1
+    table, projector = _thermal_number_nodes(n)
+    cosh2 = math.cosh(2.0 * theta)
+    sech2 = 1.0 / cosh2
+    tanh2 = math.tanh(2.0 * theta)
+    rho = 1.0 + sech2
+    k = np.arange(n + 1.0)
+    terms = np.outer((rho / sech2) ** k, (tanh2 * tanh2 / (rho * sech2)) ** k)
+    values = terms.reshape(-1) @ table
+    return projector @ values * (sech2 ** (2 * n) / (math.pi * cosh2))
 
 
-def _thermal_number_kernel(abs2, n: int, theta: float):
+def _laguerre_functions(u: np.ndarray, count: int, rows: np.ndarray):
+    """Yield exp(-2u) L_j(4u) for j = 0 .. count - 1, into rows[j % len(rows)].
+
+    The forward recurrence (j + 1) l_{j+1} = (2j + 1 - v) l_j - j l_{j-1}
+    at v = 4u, seeded with l_0 = exp(-v/2) and l_1 = (1 - v) l_0,
+    elementwise in u.  Given ``count`` rows it keeps every order; given
+    three, it streams them, and each yielded row is overwritten two
+    steps later.  Either way a row is rounded the same.
+    """
+    v = 4.0 * u
+    tmp = np.empty_like(v)
+    size = len(rows)
+    np.exp(-2.0 * u, out=rows[0])
+    yield rows[0]
+    if count > 1:
+        np.subtract(1.0, v, out=rows[1])
+        rows[1] *= rows[0]
+        yield rows[1]
+    for j in range(1, count - 1):
+        nxt = rows[(j + 1) % size]
+        np.subtract(2 * j + 1, v, out=nxt)
+        nxt *= rows[j % size]
+        np.multiply(rows[(j - 1) % size], j, out=tmp)
+        nxt -= tmp
+        nxt /= j + 1
+        yield nxt
+
+
+# Rows of at most this many values are kept for the next call, which a
+# thermal number scan makes on the same radii at every temperature: the
+# 33 rows of n = 16 on the 5 251 radii of a normalization pass fit, an
+# eval grid's rows do not.
+_KEPT_ROWS_MAX = 1 << 18
+# (u, rows): the radii of the last call whose rows were kept, and those rows
+_kept_rows: tuple = (None, None)
+
+
+def _laguerre_function_sum(series: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j series[j] exp(-2u) L_j(4u) on the 1-D radii u, accumulated in j order.
+
+    The rows exp(-2u) L_j(4u) are a deterministic function of u, so
+    they are kept for the next call when they fit in _KEPT_ROWS_MAX
+    values: a call on bitwise the same u reuses them, and one on other
+    radii replaces them.  Rows too large to keep are streamed, and the
+    kept ones dropped.  Stored, reused or streamed, each row and the sum
+    are rounded alike, so a value never depends on earlier calls.
+    """
+    global _kept_rows
+    count = series.size
+    kept_u, kept = _kept_rows
+    if kept is not None and kept.shape[0] >= count and np.array_equal(kept_u, u):
+        rows = kept[:count]
+    elif count * u.size <= _KEPT_ROWS_MAX:
+        rows = np.empty((count, u.size))
+        for _ in _laguerre_functions(u, count, rows):
+            pass
+        kept_u = u.copy()
+        for array in (kept_u, rows):
+            array.setflags(write=False)
+        _kept_rows = (kept_u, rows)
+    else:
+        _kept_rows = (None, None)
+        rows = _laguerre_functions(u, count, np.empty((3, u.size)))
+    rows = iter(rows)
+    total = next(rows) * series[0]
+    tmp = np.empty_like(total)
+    for coeff, row in zip(series[1:], rows):
+        np.multiply(row, coeff, out=tmp)
+        total += tmp
+    return total
+
+
+def _thermal_number_kernel(u, n: int, theta: float):
     """Double Hermite sum for the finite-temperature number state.
 
     With s = sech(2 theta), t = tanh(2 theta) and the linear arguments
@@ -197,61 +297,33 @@ def _thermal_number_kernel(abs2, n: int, theta: float):
     The sum is radial.  At alpha = r e^(i phi) every term of
     H_{m,j}(E, Y) carries the phase e^(i phi (m - j)), so
     |H_{m,j}(E, Y)| = |H_{m,j}(x, y)| at the real arguments
-    x = 2 r s cosh(theta), y = 2 r s sinh(theta) / t.  With v = 4 r^2 s
-    the sum is exp(-v/2) times a polynomial P(v) of degree 2n, a
-    Gaussian-Laguerre function of the temperature as the paper finds.
+    x = 2 r s cosh(theta), y = 2 r s sinh(theta) / t.  With v = 4u =
+    4 r^2 s the sum is exp(-v/2) times a polynomial P(v) of degree 2n,
+    a Gaussian-Laguerre function of the temperature as the paper finds.
 
-    P is taken from the double sum at the 2n + 1 nodes v_i of the
-    Gauss-Laguerre rule of that order, the Hermite rows H_{m,0..n}
-    coming from the recurrence
-
-        H_{0,k} = y^k,    H_{m+1,k} = x H_{m,k} - k H_{m,k-1}
-
-    (the s-derivative of the generating function exp(s x + t y - s t)),
-    each row's squares contracted with the coefficient matrix, with
-    m = n - k and j = n - l.  The rule's weights project those values
-    onto L_0 ... L_{2n}; the projection is exact, since P L_j has degree
-    at most 4n and the rule integrates exp(-v) times any polynomial of
-    degree up to 4n + 1.  The series sum_j a_j L_j(v) is then summed by
-    Clenshaw's recurrence at each given radius: 2n + 1 terms per radius
-    instead of the (n + 1)^2 of the table, and a kernel elementwise in
-    its radii, so a radius gives the same value in any input.
+    P is taken from the double sum, with m = n - k and j = n - l, at the
+    2n + 1 nodes v_i of the Gauss-Laguerre rule of that order
+    (:func:`_thermal_number_series`), and the rule's weights project
+    those values onto L_0 ... L_{2n}; the projection is exact, since
+    P L_j has degree at most 4n and the rule integrates exp(-v) times any
+    polynomial of degree up to 4n + 1.  The series
+    sum_j a_j exp(-v/2) L_j(v) is then accumulated over the rows of
+    :func:`_laguerre_function_sum` at each given radius, elementwise, so
+    a radius gives the same value in any input.
 
     The error is the double sum's own: its cancellation at the nodes,
     which grows with n and as theta falls (against a 50-digit sum, about
-    4e-16, 2e-14, 5e-13 and 4e-11 at n = 4, 8, 12, 16 for theta from
-    0.1 to 5).  Fed exact node values, the projection and the series are
-    within 1e-14 of it at n = 16.
+    3e-16, 2e-14, 9e-13 and 4e-11 at n = 4, 8, 12, 16 for theta from
+    0.1 to 5).
     """
     if theta <= 0.0:
         raise DegenerateStateError(
             "theta = 0 is a removable limit of the thermal number formula; "
             "use wigner_number_state for the zero-temperature case"
         )
-    abs2 = np.asarray(abs2, dtype=float)
-    nodes, weights, rows = _gauss_laguerre(2 * n + 1)
-    cosh2 = math.cosh(2.0 * theta)
-    sech2 = 1.0 / cosh2
-    tanh2 = math.tanh(2.0 * theta)
-    m = np.arange(n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    coeff = _thermal_number_factorials(n) * sech2 ** (2 * n - m - j) * tanh2 ** (2 * j)
-    # the real Hermite arguments at the nodes, where 2 r s = sqrt(v s)
-    scale = np.sqrt(nodes * sech2)
-    x = scale * math.cosh(theta)
-    y = scale * (math.sinh(theta) / tanh2)
-    k = np.arange(n + 1.0)[:, None]
-    row = y**k  # H_{0,k}
-    total = coeff[0] @ (row * row)
-    for step in range(1, n + 1):
-        correction = k[1:] * row[:-1]
-        row *= x
-        row[1:] -= correction
-        total += coeff[step] @ (row * row)
-    series = rows @ (weights * total) / (math.pi * cosh2)  # a_0 ... a_2n
-    radii2 = abs2.ravel()
-    values = np.exp(-2.0 * radii2 * sech2) * _laguerre_series(series, 4.0 * sech2 * radii2)
-    return values.reshape(abs2.shape)
+    u = np.asarray(u, dtype=float)
+    series = _thermal_number_series(n, theta)
+    return _laguerre_function_sum(series, u.ravel()).reshape(u.shape)
 
 
 _KERNELS = {
@@ -266,9 +338,16 @@ _KERNELS = {
 # dispatch and grid evaluation
 
 
+def wigner_closed_gaussian(state: StateSpec, u) -> np.ndarray:
+    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``."""
+    return _KERNELS[state.family](u, state.n, state.thermal.theta)
+
+
 def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:
     """The closed form selected by ``state`` at each |alpha|^2 of ``abs2``."""
-    return _KERNELS[state.family](abs2, state.n, state.thermal.theta)
+    return wigner_closed_gaussian(
+        state, np.asarray(abs2, dtype=float) * (1.0 / state.thermal.cosh_2theta)
+    )
 
 
 def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:

@@ -86,10 +86,20 @@ def params_from_theta(theta: float) -> ThermalParams:
 
 
 def params_from_mean_photons(n_c: float) -> ThermalParams:
-    """Bundle from the mean occupation; theta = arsinh(sqrt(n_c))."""
+    """Bundle from the mean occupation; theta = arsinh(sqrt(n_c)).
+
+    An occupation above sinh^2(THETA_MAX) (about 5506.1) is refused
+    with a message that names n_c and that maximum.
+    """
     n_c = float(n_c)
     if not math.isfinite(n_c) or n_c < 0.0:
         raise ValueError(f"n_c must be finite and >= 0, got {n_c!r}")
+    n_c_max = math.sinh(THETA_MAX) ** 2
+    if n_c > n_c_max:
+        raise ValueError(
+            f"n_c = {n_c:g} exceeds the validated range (max sinh^2({THETA_MAX:g}) = "
+            f"{n_c_max:.6g})"
+        )
     return ThermalParams(math.asinh(math.sqrt(n_c)))
 
 

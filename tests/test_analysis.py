@@ -20,10 +20,11 @@ from thermalwigner.analysis import (
     BoxTooSmallError,
     Source,
     _axis,
-    _mean_photon_number,
+    _comparison_indices,
     _quadrature_self_check,
     _radial_quadrature,
     _radial_simpson_plan,
+    _second_moment_in_widths,
     _simpson2d,
     _unit_simpson_weights,
     default_norm_box,
@@ -43,6 +44,13 @@ from thermalwigner.thermo import params_from_theta
 
 def state(family, theta, n=0):
     return StateSpec(Family(family), params_from_theta(theta), n=n)
+
+
+def norm_plan_u(spec):
+    """u = |alpha|^2 sech 2theta at the norm plan's keys, from the box's size in widths."""
+    widths = max(36.0 + 2.0 * spec.n, 6.0 * _second_moment_in_widths(spec))
+    keys, _ = _radial_simpson_plan(NORM_GRID_POINTS)
+    return (0.5 * widths / (NORM_GRID_POINTS - 1) ** 2) * keys
 
 
 class TestQuadrature:
@@ -187,7 +195,8 @@ class TestRadialPlan:
 
 class TestNormBox:
     @pytest.mark.parametrize("family", ["vacuum", "subtracted", "added", "number"])
-    def test_mean_photon_number_matches_oracle(self, family):
+    def test_second_moment_in_widths_matches_oracle(self, family):
+        # M = (2 <a^dag a> + 1) sech 2theta, with <a^dag a> from the oracle
         checked = 0
         for n in (0, 1, 3, 8):
             for theta in (0.1, 0.4, 0.8):
@@ -196,8 +205,9 @@ class TestNormBox:
                     rho = fock_oracle.build_oracle_state(spec, 0.0)
                 except fock_oracle.TruncationError:
                     continue  # the oracle does not hold this state
-                assert _mean_photon_number(spec) == pytest.approx(
-                    rho.mean_photons(), rel=1e-10, abs=1e-12
+                expected = (2.0 * rho.mean_photons() + 1.0) / spec.thermal.cosh_2theta
+                assert _second_moment_in_widths(spec) == pytest.approx(
+                    expected, rel=1e-10, abs=1e-12
                 ), (family, n, theta)
                 checked += 1
         assert checked >= 6
@@ -211,6 +221,34 @@ class TestNormBox:
                     spec = state(family, theta, n=n)
                     old = math.sqrt((36.0 + 2.0 * spec.n) * spec.thermal.cosh_2theta)
                     assert default_norm_box(spec).q_max >= old
+
+    @pytest.mark.parametrize("family, n", [("vacuum", 0), ("number", 0), ("number", 3),
+                                           ("number", 16)])
+    def test_norm_plan_u_is_the_same_at_every_temperature(self, monkeypatch, family, n):
+        # the box is sized in thermal widths, so the vacuum and number states
+        # hand their kernel bitwise the same u = |alpha|^2 sech 2theta
+        seen = []
+        gaussian = closed_form.wigner_closed_gaussian
+
+        def recording(spec, u):
+            seen.append(np.array(u))
+            return gaussian(spec, u)
+
+        monkeypatch.setattr(closed_form, "wigner_closed_gaussian", recording)
+        thetas = (0.05, 0.3, 1.0, 2.2, 5.0)
+        for theta in thetas:
+            normalization_of_state(state(family, theta, n=n))
+        assert len(seen) == len(thetas)
+        assert all(np.array_equal(u, seen[0]) for u in seen[1:])
+        assert np.array_equal(seen[0], norm_plan_u(state(family, 1.0, n=n)))
+
+    def test_box_is_sized_in_thermal_widths(self):
+        for family, n in [("vacuum", 0), ("subtracted", 16), ("added", 16), ("number", 8)]:
+            for theta in (0.1, 1.0, 3.0):
+                spec = state(family, theta, n=n)
+                widths = max(36.0 + 2.0 * n, 6.0 * _second_moment_in_widths(spec))
+                assert default_norm_box(spec).q_max == math.sqrt(
+                    spec.thermal.cosh_2theta * widths)
 
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_broad_number_states_normalize(self, n):
@@ -382,28 +420,29 @@ class TestVerifyState:
         spec = state("added", 0.3, n=1)
         box = default_norm_box(spec)
         norm_abs2, _ = _radial_quadrature(box.q_max, NORM_GRID_POINTS)
+        norm_u = norm_plan_u(spec)
         compared_abs2 = norm_abs2[_radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0]
         radial_calls = []
         oracle_calls = []
         grid_calls = []
-        radial = closed_form.wigner_closed_radial
+        radial = closed_form.wigner_closed_gaussian
         oracle_radial = fock_oracle.wigner_radial_from_density
 
-        def counting_radial(spec_, abs2):
-            radial_calls.append(np.array_equal(abs2, norm_abs2))
-            return radial(spec_, abs2)
+        def counting_radial(spec_, u):
+            radial_calls.append(np.array_equal(u, norm_u))
+            return radial(spec_, u)
 
         def counting_oracle(rho, abs2):
             oracle_calls.append(np.array_equal(abs2, compared_abs2))
             return oracle_radial(rho, abs2)
 
         _quadrature_self_check()  # cached: its own closed-form pass runs before the count
-        monkeypatch.setattr(closed_form, "wigner_closed_radial", counting_radial)
+        monkeypatch.setattr(closed_form, "wigner_closed_gaussian", counting_radial)
         monkeypatch.setattr(fock_oracle, "wigner_radial_from_density", counting_oracle)
         monkeypatch.setattr(analysis, "sample_grid", lambda *args: grid_calls.append(args))
         report = verify_state(spec)
         assert report.passed and report.negativity_volume > 0.0
-        # one closed-form evaluation at the norm radii serves both integrals
+        # one closed-form evaluation at the norm plan's u serves both integrals
         # and the comparison; the oracle runs once, on the comparison radii
         assert radial_calls == [True]
         assert oracle_calls == [True]
@@ -411,6 +450,13 @@ class TestVerifyState:
         assert report.box == box and report.nq == report.np_ == 81
         assert report.norm_integral == normalization_of_state(spec)
         assert report.negativity_volume == negativity_of_state(spec)
+
+    def test_comparison_indices_are_cached_and_read_only(self):
+        indices = _comparison_indices()
+        assert indices is _comparison_indices() and not indices.flags.writeable
+        keys = _radial_simpson_plan(NORM_GRID_POINTS)[0]
+        assert np.array_equal(indices, np.flatnonzero(keys % 36 == 0))
+        assert indices.size == 687
 
     def test_compares_every_third_node_of_the_norm_grid(self, monkeypatch):
         # the comparison radii are those of the 81 x 81 grid on the norm box:
@@ -472,10 +518,13 @@ class TestVerifyState:
         assert report.to_dict()["details"] == report.details
 
     def test_details_say_where_the_comparison_was_decided(self):
+        # the closed form is compared at the norm plan's u, the oracle at the
+        # norm box's |alpha|^2 of the same nodes
         spec = state("added", 0.4, n=2)
         abs2, _ = _radial_quadrature(default_norm_box(spec).q_max, NORM_GRID_POINTS)
-        compared = abs2[_radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0]
-        closed = closed_form.wigner_closed_radial(spec, compared)
+        is_compared = _radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0
+        compared = abs2[is_compared]
+        closed = closed_form.wigner_closed_gaussian(spec, norm_plan_u(spec)[is_compared])
         report = verify_state(spec)
         assert report.details["max_abs_w"] == np.max(np.abs(closed))
         worst = report.details["max_err_abs2"]

@@ -384,6 +384,15 @@ class TestNumericalFailures:
         assert "null state" in payload["message"]
         assert "error:" in capsys.readouterr().err
 
+    def test_occupation_above_the_range_names_n_c(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--family", "vacuum", "--nc", "1e5", "--out", str(out)]) == 1
+        payload = strict_json(out)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("n_c = 100000 exceeds the validated range")
+        assert "theta" not in payload["message"]
+        assert "error:" in capsys.readouterr().err
+
     def test_unopenable_out_reports_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "missing" / "w.csv"
         assert run(["eval", "--family", "added", "--n", "1", "--theta", "0.4",

@@ -254,21 +254,30 @@ class TestThermalNumber:
                     )
 
     def test_kernel_keeps_the_argument_shape(self):
-        # the kernel sums its series over the flattened radii; the result
-        # comes back in the shape of |alpha|^2, 0-d included
-        abs2 = np.array([[0.1, 0.5, 2.0], [0.0, 1.3, 4.2]])
+        # the kernel sums its series over the flattened u = |alpha|^2
+        # sech 2theta; the result comes back in the shape of u, 0-d included
+        u = np.array([[0.1, 0.5, 2.0], [0.0, 1.3, 4.2]])
         for n in (0, 1, 5):
-            values = closed_form._thermal_number_kernel(abs2, n, 0.6)
+            values = closed_form._thermal_number_kernel(u, n, 0.6)
             assert values.shape == (2, 3)
-            flat = closed_form._thermal_number_kernel(abs2.ravel(), n, 0.6)
+            flat = closed_form._thermal_number_kernel(u.ravel(), n, 0.6)
             assert values.ravel() == pytest.approx(flat, rel=1e-14)
             single = closed_form._thermal_number_kernel(1.3, n, 0.6)
             assert single.shape == ()
             assert float(single) == pytest.approx(values[1, 1], rel=1e-14)
         # n = 0 runs no recurrence step and is the thermal vacuum
-        assert closed_form._thermal_number_kernel(abs2, 0, 0.6) == pytest.approx(
-            closed_form._vacuum_kernel(abs2, 0, 0.6), rel=1e-14
+        assert closed_form._thermal_number_kernel(u, 0, 0.6) == pytest.approx(
+            closed_form._vacuum_kernel(u, 0, 0.6), rel=1e-14
         )
+
+    def test_far_tail_underflows_to_zero(self):
+        # the rows carry exp(-v/2) from their first order on, so a radius
+        # where L_j(v) alone would overflow gives 0, not inf * 0
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.5), n=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = closed_form.wigner_closed_radial(state, np.array([1e3, 1e9, 1e12, 1e15]))
+        assert np.array_equal(values, np.zeros(4))
 
     def test_returns_float(self):
         value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
@@ -304,19 +313,143 @@ class TestGaussLaguerreRule:
             assert np.array_equal(rows[j], laguerre(j, nodes)), j
 
     def test_cached_arrays_are_read_only(self):
-        cached = [*closed_form._gauss_laguerre(7), closed_form._thermal_number_factorials(3)]
+        cached = [*closed_form._gauss_laguerre(7), *closed_form._thermal_number_nodes(3)]
         for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
         assert closed_form._gauss_laguerre(7)[0] is cached[0]
 
-    def test_laguerre_series_against_the_explicit_sum(self):
+    def test_laguerre_function_sum_against_the_explicit_sum(self):
+        # sum_j a_j exp(-2u) L_j(4u), accumulated over the kernel's rows
         coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        x = np.array([0.0, 0.5, 3.0, 11.0])
-        expected = sum(c * laguerre(j, x) for j, c in enumerate(coeffs))
-        assert closed_form._laguerre_series(coeffs, x) == pytest.approx(expected, rel=1e-14)
-        assert np.array_equal(closed_form._laguerre_series(coeffs[:1], x), np.full(4, 0.3))
+        u = np.array([0.0, 0.125, 0.75, 2.75])
+        expected = sum(c * np.exp(-2.0 * u) * laguerre(j, 4.0 * u) for j, c in enumerate(coeffs))
+        got = closed_form._laguerre_function_sum(coeffs, u)
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], u),
+                              0.3 * np.exp(-2.0 * u))
+
+
+class TestNodeTable:
+    # the thermal number fit takes its node values from a theta-free table
+    # of H_{m,j}(z, z)^2, z = sqrt(v / 2); the kernel's arguments have
+    # x y = v / 2 and x / y = rho = 1 + sech 2theta
+
+    @staticmethod
+    def arguments(v, theta):
+        """The kernel's real Hermite arguments x, y at v = 4 |alpha|^2 sech 2theta."""
+        s, t = 1.0 / math.cosh(2.0 * theta), math.tanh(2.0 * theta)
+        r = math.sqrt(v / (4.0 * s))
+        return 2.0 * r * s * math.cosh(theta), 2.0 * r * s * math.sinh(theta) / t
+
+    @staticmethod
+    def term_scale(m, j, x, y):
+        """The sum of the absolute terms of H_{m,j}(x, y) at x, y >= 0: its rounding scale."""
+        return sum(factorial(m) * factorial(j) * x ** (m - l) * y ** (j - l)
+                   / (factorial(l) * factorial(j - l) * factorial(m - l))
+                   for l in range(min(m, j) + 1))
+
+    @pytest.mark.parametrize("v, theta", [(0.3, 0.1), (2.0, 0.5), (7.5, 1.0), (19.0, 2.5),
+                                          (40.0, 5.0)])
+    def test_hermite_squares_factor_through_the_diagonal(self, v, theta):
+        # H_{m,j}(x, y) = rho^((m-j)/2) H_{m,j}(z, z), so their squares
+        # differ by rho^(m-j); held to the cancellation of the explicit sum
+        x, y = self.arguments(v, theta)
+        assert x * y == pytest.approx(0.5 * v, rel=1e-14)
+        assert x / y == pytest.approx(1.0 + 1.0 / math.cosh(2.0 * theta), rel=1e-14)
+        ratio = math.sqrt(1.0 + 1.0 / math.cosh(2.0 * theta))
+        z = math.sqrt(0.5 * v)
+        for m in range(9):
+            for j in range(9):
+                off_diagonal = hermite2(m, j, x, y)
+                diagonal = ratio ** (m - j) * hermite2(m, j, z, z)
+                scale = self.term_scale(m, j, x, y)
+                assert abs(off_diagonal - diagonal) <= 1e-14 * scale, (m, j)
+                assert abs(abs(off_diagonal) ** 2 - ratio ** (2 * (m - j))
+                           * abs(hermite2(m, j, z, z)) ** 2) <= 1e-13 * scale**2, (m, j)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 8])
+    def test_table_holds_the_explicit_sum_at_the_nodes(self, n):
+        table, projector = closed_form._thermal_number_nodes(n)
+        nodes, weights, rows = closed_form._gauss_laguerre(2 * n + 1)
+        assert table.shape == ((n + 1) ** 2, 2 * n + 1)
+        assert np.array_equal(projector, rows * weights)
+        z = np.sqrt(0.5 * nodes)
+        for m in range(n + 1):
+            for j in range(n + 1):
+                factor = factorial(n) ** 2 * (-1.0) ** (n - m) / (
+                    factorial(n - m) * factorial(n - j) * (factorial(m) * factorial(j)) ** 2)
+                expected = factor * np.abs(hermite2(m, j, z, z)) ** 2
+                scale = abs(factor) * np.array([self.term_scale(m, j, zi, zi) for zi in z]) ** 2
+                assert np.all(np.abs(table[m * (n + 1) + j] - expected) <= 1e-13 * scale), (m, j)
+
+
+class TestKeptRows:
+    # a thermal number call keeps its Laguerre rows for the next call on
+    # the same radii; a value must never depend on what ran before it
+
+    U = np.linspace(0.0, 9.0, 401)
+    OTHER_U = np.linspace(0.01, 7.0, 401)  # other radii, the same count
+
+    @staticmethod
+    def fresh(u, n, theta):
+        """The kernel with no rows kept from an earlier call."""
+        closed_form._kept_rows = (None, None)
+        return closed_form._thermal_number_kernel(u, n, theta)
+
+    def test_kept_rows_are_read_only_and_bounded(self):
+        self.fresh(self.U, 4, 0.6)
+        kept_u, rows = closed_form._kept_rows
+        assert np.array_equal(kept_u, self.U) and rows.shape == (9, self.U.size)
+        assert not kept_u.flags.writeable and not rows.flags.writeable
+        assert rows.size <= closed_form._KEPT_ROWS_MAX
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8])
+    def test_reused_rows_give_the_stored_values(self, n):
+        stored = self.fresh(self.U, n, 0.6)
+        rows = closed_form._kept_rows[1]
+        reused = closed_form._thermal_number_kernel(self.U, n, 0.6)
+        assert closed_form._kept_rows[1] is rows
+        assert np.array_equal(stored, reused)
+        # a copy of the same radii is the same radii
+        assert np.array_equal(closed_form._thermal_number_kernel(self.U.copy(), n, 0.6), stored)
+        assert closed_form._kept_rows[1] is rows
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8])
+    def test_streamed_rows_give_the_stored_values(self, n, monkeypatch):
+        stored = self.fresh(self.U, n, 1.3)
+        monkeypatch.setattr(closed_form, "_KEPT_ROWS_MAX", 0)
+        streamed = self.fresh(self.U, n, 1.3)
+        assert closed_form._kept_rows == (None, None)
+        assert np.array_equal(stored, streamed)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_no_earlier_call_changes_a_value(self, n):
+        theta = 0.9
+        reference = self.fresh(self.U, n, theta)
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
+        earlier_calls = [
+            lambda: closed_form._thermal_number_kernel(self.OTHER_U, n, theta),  # other radii
+            lambda: closed_form._thermal_number_kernel(self.U, n - 1, theta),  # smaller n
+            lambda: closed_form._thermal_number_kernel(self.U, n + 3, theta),  # larger n
+            lambda: closed_form._thermal_number_kernel(self.U, n, 2.0),  # other theta
+            lambda: closed_form.wigner_closed_gaussian(state, self.U),  # another family
+            lambda: closed_form._thermal_number_kernel(self.U[:50], n, theta),  # a prefix
+        ]
+        for earlier in earlier_calls:
+            closed_form._kept_rows = (None, None)
+            earlier()
+            assert np.array_equal(closed_form._thermal_number_kernel(self.U, n, theta),
+                                  reference)
+            # and once more, now on the rows this call kept
+            assert np.array_equal(closed_form._thermal_number_kernel(self.U, n, theta),
+                                  reference)
+
+    def test_point_values_match_the_kept_rows(self):
+        values = self.fresh(self.U, 7, 0.4)
+        for i in (0, 17, 200, 400):
+            assert closed_form._thermal_number_kernel(self.U[i], 7, 0.4) == values[i]
 
 
 class TestNormalizationConstants:
@@ -402,8 +535,9 @@ class TestDispatchAndGrids:
     @pytest.mark.parametrize("q, p", GRID_AXES)
     def test_folded_grid_equals_per_node_kernel(self, q, p):
         # the grid evaluator folds onto distinct |alpha|^2; the per-node
-        # kernel takes every |alpha|^2 of the product grid as given.  Every
-        # kernel is elementwise in its radii, so the two agree bit for bit.
+        # kernel takes u = |alpha|^2 sech 2theta at every node of the
+        # product grid.  Every kernel is elementwise in its radii, so the
+        # two agree bit for bit.
         abs2 = 0.5 * (q[:, None] ** 2 + p[None, :] ** 2)
         for family, n in [
             (Family.THERMAL_VACUUM, 0),
@@ -413,7 +547,7 @@ class TestDispatchAndGrids:
         ]:
             state = StateSpec(family, params_from_theta(0.7), n=n)
             grid = wigner_closed_grid(state, q, p)
-            per_node = closed_form._KERNELS[family](abs2, n, 0.7)
+            per_node = closed_form._KERNELS[family](abs2 * (1.0 / math.cosh(1.4)), n, 0.7)
             assert grid.shape == (q.size, p.size)
             assert np.array_equal(grid, per_node), family
         assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))

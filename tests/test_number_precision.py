@@ -73,7 +73,8 @@ def test_every_order_to_the_cap_against_50_digit_sum():
     for n in range(17):
         bound = MAX_ABS_ERR[min(k for k in MAX_ABS_ERR if k >= n)]
         for theta in (0.3, 1.2, 3.0, 5.0):
-            got = closed_form._thermal_number_kernel(0.5 * q**2, n, theta)
+            u = 0.5 * q**2 / math.cosh(2.0 * theta)
+            got = closed_form._thermal_number_kernel(u, n, theta)
             ref = np.array([thermal_number_mp(n, theta, float(qi), 0.0) for qi in q])
             worst = float(np.max(np.abs(got - ref)))
             assert worst <= bound, f"n={n}, theta={theta}: max abs error {worst:.2e}"

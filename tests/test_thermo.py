@@ -108,6 +108,20 @@ class TestConsistency:
         params = params_from_mean_photons(1.0)
         assert params.theta == pytest.approx(math.asinh(1.0), rel=1e-14)
 
+    def test_mean_photons_above_the_range_name_n_c(self):
+        n_c_max = math.sinh(THETA_MAX) ** 2
+        for n_c in (math.nextafter(n_c_max, math.inf), 1e5, 1e300):
+            with pytest.raises(ValueError, match=r"n_c = .* exceeds the validated range") as info:
+                params_from_mean_photons(n_c)
+            assert "theta" not in str(info.value)
+            assert f"{n_c_max:.6g}" in str(info.value)
+
+    def test_mean_photons_up_to_the_range_are_accepted(self):
+        n_c_max = math.sinh(THETA_MAX) ** 2
+        for n_c in np.linspace(n_c_max - 1.0, n_c_max, 101):
+            assert params_from_mean_photons(float(n_c)).theta <= THETA_MAX
+        assert params_from_mean_photons(n_c_max).theta == pytest.approx(THETA_MAX, rel=1e-15)
+
 
 class TestThermalParams:
     def test_n_c_is_derived_from_theta(self):
