@@ -28,11 +28,19 @@ form is exp(-2u) times a polynomial in u = |alpha|^2 sech 2theta, and
 R^2 = cosh 2theta * max(36 + 2n, 6M), with M the state's second moment
 in widths.  The closed form is handed u straight from the keys and that
 width count, so for the vacuum and number states it sees bitwise the
-same u at every temperature.  One evaluation there (:func:`_norm_pass`)
-gives a state's normalization, its negativity volume, W(0) at the first
-radius 0 and, at the radii of every third node (cached positions in the
-plan), the closed-form values that :func:`verify_state` compares with
-the oracle.  Before either
+same u at every temperature; for added n >= 4 and subtracted n >= 8 the
+6M term can win and the box, and so u, changes with theta.  One
+evaluation there gives a state's normalization, its negativity volume,
+W(0) at the first radius 0 and, at the radii of every third node (cached
+positions in the plan), the closed-form values that :func:`verify_state`
+compares with the oracle.  :func:`_norm_passes` makes those evaluations
+for one family and n over a sequence of temperatures: the self-check,
+the plan, u and the closed form's theta-free factor exp(-2u) are done
+once per call (u and exp(-2u) again only where the box size changes),
+and each step validates its state, evaluates the theta-dependent factor
+and takes its integrals.  :func:`scan_theta` is one such call and the
+one-state integrals and :func:`verify_state` are its one-step case.
+Before either
 contraction is trusted, a cached self-check integrates the exact thermal
 Gaussian at theta = 0.5 on [-6, 6]^2 with 241 x 241 nodes through both;
 each must be within 1e-6 of 1 and the two within 1e-14 of each other.
@@ -447,35 +455,67 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
-def _norm_pass(state: StateSpec, source: Source):
-    """``state`` on its norm grid: (box, values, normalization, negativity volume).
+def _norm_passes(family: Family, n: int, thetas, source: Source):
+    """Yield (state, box, values, normalization, negativity volume) for each theta.
 
-    The norm grid is NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`,
-    and ``values`` holds the state once per distinct radius of it, in the
-    order of the radial plan's keys; the grid is never built.  Node key
+    Step k evaluates the state (family, n, thetas[k]) on its norm grid,
+    NORM_GRID_POINTS^2 nodes on :func:`default_norm_box`, and ``values``
+    holds it once per distinct radius of that grid, in the order of the
+    radial plan's keys; the grid is never built.  Node key
     d_i^2 + d_j^2 has |alpha|^2 = (R / (N - 1))^2 key / 2, so the closed
-    form gets u = (R^2 sech 2theta / (2 (N - 1)^2)) key straight from the
-    box's size in widths: for the vacuum and number states that u is
-    bitwise the same at every temperature, and a number scan reuses its
-    Laguerre rows.  The oracle gets |alpha|^2.  Both integrals are Simpson
-    sums over ``values`` with the plan's unit weights, scaled by the box
-    area after the dot; the negativity sums min(W, 0).
+    form gets u = (R^2 sech 2theta / (2 (N - 1)^2)) key straight from
+    the box's size in widths, which is theta-free for the vacuum and
+    number states and changes with theta for the broad conditioned ones
+    (see :func:`default_norm_box`).  The oracle gets |alpha|^2.  Both
+    integrals are Simpson sums over ``values`` with the plan's unit
+    weights, scaled by the box area after the dot; the negativity sums
+    min(W, 0).
+
+    What does not depend on theta is done once per call: the quadrature
+    self-check, the plan, and for the closed form u and its prepared
+    kernel (:func:`~thermalwigner.closed_form.prepare_gaussian`), rebuilt
+    only at a step whose box size in widths differs from the step
+    before.  Every step validates its state, checks its box's mass,
+    evaluates, checks that the values are finite and takes both dot
+    products, so a step's output and its errors are bitwise those of a
+    one-step call.  The finiteness check reads the normalization sum
+    first: every plan weight is positive, so that sum is finite unless
+    some value is not or the sum overflows, and only then are the values
+    scanned.
     """
     _quadrature_self_check()
-    box = default_norm_box(state)
-    _require_box_captures_mass(state, box)
     keys, unit = _radial_simpson_plan(NORM_GRID_POINTS)
-    if Source(source) is Source.CLOSED_FORM:
-        u = (0.5 * _norm_box_widths(state) / (NORM_GRID_POINTS - 1) ** 2) * keys
-        values = closed_form.wigner_closed_gaussian(state, u)
-    else:
-        rho = fock_oracle.build_oracle_state(state)
-        abs2 = _radial_quadrature(box.q_max, NORM_GRID_POINTS)[0]
-        values = fock_oracle.wigner_radial_from_density(rho, abs2)
-    values = _require_finite(values)
-    area = (2.0 * box.q_max) ** 2
-    return (box, values, area * float(unit @ values),
-            area * abs(float(unit @ np.minimum(values, 0.0))))
+    closed = Source(source) is Source.CLOSED_FORM
+    widths = evaluate = None
+    for theta in thetas:
+        state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
+        step_widths = _norm_box_widths(state)
+        box = Box.symmetric(math.sqrt(state.thermal.cosh_2theta * step_widths))
+        _require_box_captures_mass(state, box)
+        if closed:
+            if step_widths != widths:
+                widths = step_widths
+                u = (0.5 * widths / (NORM_GRID_POINTS - 1) ** 2) * keys
+                evaluate = closed_form.prepare_gaussian(state.family, state.n, u)
+            values = evaluate(state.thermal.theta)
+        else:
+            rho = fock_oracle.build_oracle_state(state)
+            abs2 = _radial_quadrature(box.q_max, NORM_GRID_POINTS)[0]
+            values = fock_oracle.wigner_radial_from_density(rho, abs2)
+        mass = float(unit @ values)
+        if not math.isfinite(mass):  # every weight is positive: a finite sum has finite terms
+            _require_finite(values)
+        area = (2.0 * box.q_max) ** 2
+        yield (state, box, values, area * mass,
+               area * abs(float(unit @ np.minimum(values, 0.0))))
+
+
+def _norm_pass(state: StateSpec, source: Source):
+    """``state`` on its norm grid, (box, values, normalization, negativity volume).
+
+    The one-step case of :func:`_norm_passes`.
+    """
+    return next(_norm_passes(state.family, state.n, [state.thermal.theta], source))[1:]
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
@@ -726,21 +766,28 @@ def scan_theta(
 
     Produces the data behind the amplitude-damping plots: each row holds
     theta, W(0), |W(0)| and (optionally) the closed-form negativity
-    volume on the auto-sized box.  With the negativity, each theta costs
-    one closed-form pass over the distinct radii of the norm grid: the
-    plan's first radius is exactly 0, so W(0) is read off that pass and
-    equals the point evaluator's value.  Without it, W(0) comes from the
-    point evaluator.
+    volume on the auto-sized box.  With the negativity, the scan is one
+    :func:`_norm_passes` over the thetas: the self-check, the plan, u and
+    the Gaussian exp(-2u) are computed once, and again only where the
+    box's size in widths changes (with theta for added n >= 4 and
+    subtracted n >= 8), while each step evaluates its theta's polynomial
+    factor and takes its integrals.  The plan's first radius is exactly
+    0, so W(0) is read off that pass and equals the point evaluator's
+    value.  Without it, W(0) comes from the point evaluator.  A row is
+    bitwise the one-state value at its theta, and a step that the
+    one-state call refuses raises the same error.
     """
-    origin = PhasePoint(0.0, 0.0)
     rows = []
+    if include_negativity:
+        for state, _, values, _, negativity in _norm_passes(family, n, thetas,
+                                                            Source.CLOSED_FORM):
+            w0 = float(values[0])
+            rows.append({"theta": state.thermal.theta, "w0": w0, "abs_w0": abs(w0),
+                         "negativity_volume": negativity})
+        return rows
+    origin = PhasePoint(0.0, 0.0)
     for theta in thetas:
-        thermal = params_from_theta(float(theta))
-        state = StateSpec(Family(family), thermal, n=n)
-        negativity = {}
-        if include_negativity:
-            _, negativity["negativity_volume"], w0 = _state_integrals(state, Source.CLOSED_FORM)
-        else:
-            w0 = closed_form.wigner_closed_form(state, origin)
-        rows.append({"theta": float(theta), "w0": w0, "abs_w0": abs(w0), **negativity})
+        state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
+        w0 = closed_form.wigner_closed_form(state, origin)
+        rows.append({"theta": float(theta), "w0": w0, "abs_w0": abs(w0)})
     return rows

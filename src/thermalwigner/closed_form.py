@@ -18,17 +18,21 @@ Here |a|^2 = (q^2 + p^2)/2 and the normalization is
 integral W dq dp = 1 (vacuum peak 1/pi).
 
 Every family is Fock-diagonal, so its Wigner function depends on |a|^2
-alone.  Each family has one radial kernel ``kernel(u, n, theta)`` in
-``_KERNELS``, dispatched by :func:`wigner_closed_gaussian`;
-:func:`wigner_closed_radial` passes it u = |a|^2 * sech(2 theta), and
+alone.  Each family has one radial kernel in u, dispatched by
+:func:`prepare_gaussian`: given (family, n, u) it does the theta-free
+work once, the Gaussian exp(-2u) that the vacuum and Laguerre kernels
+scale, and returns the closed form as a function of theta.
+:func:`wigner_closed_gaussian` is its one-theta call;
+:func:`wigner_closed_radial` passes that u = |a|^2 * sech(2 theta), and
 the point evaluator :func:`wigner_closed_form`, the grid evaluator
 :func:`wigner_closed_grid` and the per-family ``wigner_*`` wrappers go
 through it.  The radial quadrature of ``analysis`` builds u itself from
-its plan.  The thermal number sum is taken at the 2n + 1 nodes of a
-Gauss-Laguerre rule, from a theta-free table of Hermite squares, and
-projected onto Laguerre polynomials; the series is summed over rows
-exp(-v/2) L_j(v), v = 4u, that a call keeps for the next call on the
-same radii, so a temperature scan on a fixed u builds them once.
+its plan and prepares it once per scan.  The thermal number sum is
+taken at the 2n + 1 nodes of a Gauss-Laguerre rule, from a theta-free
+table of Hermite squares, and projected onto Laguerre polynomials; the
+series is summed over rows exp(-v/2) L_j(v), v = 4u, that a call keeps
+for the next call on the same radii, so a temperature scan on a fixed u
+builds them once.
 
 The grid evaluators are one call to
 :func:`~thermalwigner.states.radial_grid`, which folds the product grid
@@ -41,7 +45,7 @@ whatever else the call evaluates and whatever was evaluated before.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,25 +62,28 @@ class DegenerateStateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# radial kernels: kernel(u, n, theta) -> W, vectorized over u = |alpha|^2 sech 2theta
+# radial kernels, vectorized over u = |alpha|^2 sech 2theta.  Each takes its
+# theta-free inputs from prepare_gaussian, then theta: the vacuum kernel the
+# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope, n), and the
+# thermal number kernel (u, n), which starts its own rows from exp(-2u).
 
 
-def _vacuum_kernel(u, n: int, theta: float):
-    return (1.0 / math.cosh(2.0 * theta)) / math.pi * np.exp(-2.0 * u)
+def _vacuum_kernel(envelope, theta: float):
+    return (1.0 / math.cosh(2.0 * theta)) / math.pi * envelope
 
 
-def _laguerre_envelope(u, n: int, theta: float):
+def _laguerre_envelope(envelope, n: int, theta: float):
     """exp(-2u) / (pi cosh^(n+1) 2theta) of the Laguerre families."""
-    return np.exp(-2.0 * u) / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
+    return envelope / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
 
 
-def _subtracted_kernel(u, n: int, theta: float):
+def _subtracted_kernel(u, envelope, n: int, theta: float):
     if n >= 1 and theta == 0.0:
         raise DegenerateStateError(
             "photon subtraction from the zero-temperature vacuum yields the "
             "null state; no Wigner function exists"
         )
-    return _laguerre_envelope(u, n, theta) * laguerre(n, -4.0 * math.sinh(theta) ** 2 * u)
+    return _laguerre_envelope(envelope, n, theta) * laguerre(n, -4.0 * math.sinh(theta) ** 2 * u)
 
 
 def _subtracted_nc_kernel(abs2, n: int, n_c: float):
@@ -85,8 +92,8 @@ def _subtracted_nc_kernel(abs2, n: int, n_c: float):
     return envelope * laguerre(n, -4.0 * n_c * abs2 / width)
 
 
-def _added_kernel(u, n: int, theta: float):
-    return ((-1.0) ** n * _laguerre_envelope(u, n, theta)
+def _added_kernel(u, envelope, n: int, theta: float):
+    return ((-1.0) ** n * _laguerre_envelope(envelope, n, theta)
             * laguerre(n, 4.0 * math.cosh(theta) ** 2 * u))
 
 
@@ -326,11 +333,9 @@ def _thermal_number_kernel(u, n: int, theta: float):
     return _laguerre_function_sum(series, u.ravel()).reshape(u.shape)
 
 
-_KERNELS = {
-    Family.THERMAL_VACUUM: _vacuum_kernel,
+_LAGUERRE_KERNELS = {
     Family.PHOTON_SUBTRACTED: _subtracted_kernel,
     Family.PHOTON_ADDED: _added_kernel,
-    Family.THERMAL_NUMBER: _thermal_number_kernel,
 }
 
 
@@ -338,9 +343,30 @@ _KERNELS = {
 # dispatch and grid evaluation
 
 
+def prepare_gaussian(family: Family, n: int, u):
+    """The closed form of ``family`` and ``n`` at the radii ``u``, as a function of theta.
+
+    Does the theta-free work once and returns ``at(theta)``, the closed
+    form at each u = |alpha|^2 sech 2theta of ``u``, so that a scan over
+    temperatures on fixed u pays it once.  That work is the Gaussian
+    exp(-2u) of the vacuum and Laguerre families, which their kernels
+    scale; the thermal number kernel keeps its Laguerre rows of u itself
+    (:func:`_laguerre_function_sum`).  ``at`` rounds every value exactly
+    as the one-theta call :func:`wigner_closed_gaussian` does, and raises
+    the same errors at the same temperatures.
+    """
+    family = Family(family)
+    if family is Family.THERMAL_NUMBER:
+        return partial(_thermal_number_kernel, u, n)
+    envelope = np.exp(-2.0 * u)
+    if family is Family.THERMAL_VACUUM:
+        return partial(_vacuum_kernel, envelope)
+    return partial(_LAGUERRE_KERNELS[family], u, envelope, n)
+
+
 def wigner_closed_gaussian(state: StateSpec, u) -> np.ndarray:
     """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``."""
-    return _KERNELS[state.family](u, state.n, state.thermal.theta)
+    return prepare_gaussian(state.family, state.n, u)(state.thermal.theta)
 
 
 def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:

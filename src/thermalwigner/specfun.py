@@ -52,7 +52,7 @@ def _check_order(n: int, name: str = "n") -> int:
 
 def _check_finite(x, name: str):
     arr = np.asarray(x)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {x!r}")
     return arr
 
@@ -74,12 +74,12 @@ def laguerre(n: int, x):
     n = _check_order(n)
     x = _check_finite(x, "x")
     scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    prev = np.ones_like(x)
+    x = np.atleast_1d(x).astype(float, copy=False)  # read-only below
     if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = 1.0 - x
-    nxt = np.empty_like(x)
+        ones = np.ones_like(x)
+        return float(ones[0]) if scalar else ones
+    # L_0 = 1 enters the first step as the scalar 1.0, which rounds alike
+    prev, cur, nxt = 1.0, 1.0 - x, np.empty_like(x)
     for k in range(1, n):
         # nxt = ((2k+1 - x) cur - k prev) / (k+1), in place, in that order
         np.subtract(2 * k + 1, x, out=nxt)
@@ -87,7 +87,7 @@ def laguerre(n: int, x):
         prev *= k
         nxt -= prev
         nxt /= k + 1
-        prev, cur, nxt = cur, nxt, prev
+        prev, cur, nxt = cur, nxt, (prev if k > 1 else np.empty_like(x))
     return float(cur[0]) if scalar else cur
 
 

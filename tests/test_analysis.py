@@ -39,7 +39,7 @@ from thermalwigner.analysis import (
 )
 from thermalwigner.closed_form import wigner_number_state
 from thermalwigner.states import Family, PhasePoint, StateSpec
-from thermalwigner.thermo import params_from_theta
+from thermalwigner.thermo import THETA_MAX, params_from_theta
 
 
 def state(family, theta, n=0):
@@ -228,13 +228,14 @@ class TestNormBox:
         # the box is sized in thermal widths, so the vacuum and number states
         # hand their kernel bitwise the same u = |alpha|^2 sech 2theta
         seen = []
-        gaussian = closed_form.wigner_closed_gaussian
+        prepare = closed_form.prepare_gaussian
 
-        def recording(spec, u):
+        def recording(family_, n_, u):
             seen.append(np.array(u))
-            return gaussian(spec, u)
+            return prepare(family_, n_, u)
 
-        monkeypatch.setattr(closed_form, "wigner_closed_gaussian", recording)
+        _quadrature_self_check()  # cached: its own closed-form pass runs before the count
+        monkeypatch.setattr(closed_form, "prepare_gaussian", recording)
         thetas = (0.05, 0.3, 1.0, 2.2, 5.0)
         for theta in thetas:
             normalization_of_state(state(family, theta, n=n))
@@ -425,19 +426,19 @@ class TestVerifyState:
         radial_calls = []
         oracle_calls = []
         grid_calls = []
-        radial = closed_form.wigner_closed_gaussian
+        prepare = closed_form.prepare_gaussian
         oracle_radial = fock_oracle.wigner_radial_from_density
 
-        def counting_radial(spec_, u):
+        def counting_radial(family_, n_, u):
             radial_calls.append(np.array_equal(u, norm_u))
-            return radial(spec_, u)
+            return prepare(family_, n_, u)
 
         def counting_oracle(rho, abs2):
             oracle_calls.append(np.array_equal(abs2, compared_abs2))
             return oracle_radial(rho, abs2)
 
         _quadrature_self_check()  # cached: its own closed-form pass runs before the count
-        monkeypatch.setattr(closed_form, "wigner_closed_gaussian", counting_radial)
+        monkeypatch.setattr(closed_form, "prepare_gaussian", counting_radial)
         monkeypatch.setattr(fock_oracle, "wigner_radial_from_density", counting_oracle)
         monkeypatch.setattr(analysis, "sample_grid", lambda *args: grid_calls.append(args))
         report = verify_state(spec)
@@ -599,6 +600,98 @@ class TestScanTheta:
             assert row["w0"] == bare["w0"] == closed_form.wigner_closed_form(spec, origin)
             assert row["abs_w0"] == bare["abs_w0"]
             assert row["negativity_volume"] == negativity_of_state(spec)
+
+    # the CLI's default steps, and a wide scan; together they cross every
+    # change of the norm box with theta (added n >= 4, subtracted n >= 8)
+    SCAN_GRIDS = (np.linspace(0.1, 2.0, 20), np.linspace(0.01, 5.0, 37))
+
+    @pytest.mark.parametrize("n", [*range(9), 12, 16])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_scan_rows_are_bitwise_the_one_state_values(self, family, n):
+        # a scan prepares u and exp(-2u) once per box size; every row must
+        # still be the one-state pass at its theta, bit for bit
+        origin = PhasePoint(0.0, 0.0)
+        for thetas in self.SCAN_GRIDS:
+            rows = scan_theta(family, n, thetas)
+            bare = scan_theta(family, n, thetas, include_negativity=False)
+            assert len(rows) == len(bare) == thetas.size
+            for theta, row, bare_row in zip(thetas, rows, bare):
+                spec = state(family, theta, n)
+                norm, negativity, w0 = analysis._state_integrals(spec, Source.CLOSED_FORM)
+                point = closed_form.wigner_closed_form(spec, origin)
+                assert row == {"theta": float(theta), "w0": w0, "abs_w0": abs(w0),
+                               "negativity_volume": negativity}
+                assert bare_row == {"theta": float(theta), "w0": point, "abs_w0": abs(point)}
+                assert w0 == point
+
+    @pytest.mark.parametrize("family, n, boxes", [
+        ("added", 3, 1), ("added", 4, 6), ("added", 5, 9), ("added", 6, 13), ("added", 7, 19),
+        ("added", 8, 20), ("subtracted", 7, 1), ("subtracted", 8, 2), ("number", 8, 1),
+        ("vacuum", 0, 1),
+    ])
+    def test_box_changes_over_the_default_scan(self, family, n, boxes):
+        # the norm box, and so u, changes with theta for the broad conditioned
+        # states: the scan must rebuild u there and share it elsewhere
+        thetas = self.SCAN_GRIDS[0]
+        # in theta order: along a scan the box size is monotonic in theta
+        widths = list(dict.fromkeys(analysis._norm_box_widths(state(family, t, n))
+                                    for t in thetas))
+        assert len(widths) == boxes
+        prepared = []
+        prepare = closed_form.prepare_gaussian
+
+        def recording(family_, n_, u):
+            prepared.append(u)
+            return prepare(family_, n_, u)
+
+        _quadrature_self_check()  # cached: its own closed-form pass runs before the count
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(closed_form, "prepare_gaussian", recording)
+            steps = list(analysis._norm_passes(Family(family), n, thetas, Source.CLOSED_FORM))
+        # each step's box is the state's own norm box
+        assert [box for _, box, *_ in steps] == [default_norm_box(spec) for spec, *_ in steps]
+        keys = _radial_simpson_plan(NORM_GRID_POINTS)[0]
+        expected = [(0.5 * w / (NORM_GRID_POINTS - 1) ** 2) * keys for w in widths]
+        assert len(prepared) == len(expected) == boxes
+        assert all(np.array_equal(u, want) for u, want in zip(prepared, expected))
+
+    @pytest.mark.parametrize("family, n, thetas", [
+        (Family.THERMAL_NUMBER, 3, [0.5, 0.0]),
+        (Family.PHOTON_SUBTRACTED, 2, [0.5, 0.0]),
+        (Family.PHOTON_ADDED, 2, [0.5, THETA_MAX, THETA_MAX + 0.5]),
+        (Family.THERMAL_VACUUM, 0, [0.5, math.nan]),
+    ])
+    def test_a_refused_step_raises_as_the_one_state_call(self, family, n, thetas):
+        # the scan refuses the first bad step with the one-state call's error
+        with pytest.raises(Exception) as one_state:
+            analysis._state_integrals(StateSpec(family, params_from_theta(thetas[-1]), n=n),
+                                      Source.CLOSED_FORM)
+        for include_negativity in (True, False):
+            with pytest.raises(type(one_state.value)) as scanned:
+                scan_theta(family, n, thetas, include_negativity=include_negativity)
+            assert type(scanned.value) is type(one_state.value)
+            assert str(scanned.value) == str(one_state.value)
+
+    def test_non_finite_values_are_refused_at_their_step(self, monkeypatch):
+        # the finiteness check reads the normalization sum: every plan weight
+        # is positive, so a NaN or infinity anywhere makes that sum non-finite
+        assert np.all(_radial_simpson_plan(NORM_GRID_POINTS)[1] > 0.0)
+        prepare = closed_form.prepare_gaussian
+        for bad in (math.nan, math.inf, -math.inf):
+            def poisoned(family_, n_, u, bad=bad):
+                at = prepare(family_, n_, u)
+
+                def values(theta):
+                    out = at(theta)
+                    if theta > 1.0:
+                        out[17] = bad
+                    return out
+                return values
+
+            monkeypatch.setattr(closed_form, "prepare_gaussian", poisoned)
+            assert len(scan_theta(Family.PHOTON_ADDED, 1, [0.5, 1.0])) == 2
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                scan_theta(Family.PHOTON_ADDED, 1, [0.5, 1.5])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt counts the process's minor page faults on Linux")

@@ -431,8 +431,7 @@ class TestNumericalFailures:
             self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli.analysis, "_physical_memory_bytes", lambda: 1 << 20)
-        monkeypatch.setitem(cli.closed_form._KERNELS, Family.THERMAL_VACUUM,
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
         out = tmp_path / "grid.json"
         assert run(["eval", "--family", "vacuum", "--theta", "0.3", "--res", "401",
                     "--out", str(out)]) == 1
@@ -449,8 +448,7 @@ class TestNumericalFailures:
     def test_overflowing_box_is_refused_alike(self, tmp_path, monkeypatch, capsys,
                                               family, source):
         calls = []
-        monkeypatch.setitem(cli.closed_form._KERNELS, Family(family),
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
         monkeypatch.setattr(cli.analysis.fock_oracle, "wigner_radial_from_density",
                             lambda *args: calls.append(args))
         out = tmp_path / "grid.json"

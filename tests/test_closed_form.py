@@ -267,7 +267,7 @@ class TestThermalNumber:
             assert float(single) == pytest.approx(values[1, 1], rel=1e-14)
         # n = 0 runs no recurrence step and is the thermal vacuum
         assert closed_form._thermal_number_kernel(u, 0, 0.6) == pytest.approx(
-            closed_form._vacuum_kernel(u, 0, 0.6), rel=1e-14
+            closed_form.prepare_gaussian(Family.THERMAL_VACUUM, 0, u)(0.6), rel=1e-14
         )
 
     def test_far_tail_underflows_to_zero(self):
@@ -512,6 +512,23 @@ class TestDispatchAndGrids:
             StateSpec(Family.PHOTON_ADDED, thermal, n=2), point
         ) == wigner_photon_added(point, 2, thermal)
 
+    @pytest.mark.parametrize("family, n", [
+        (Family.THERMAL_VACUUM, 0), (Family.PHOTON_SUBTRACTED, 3),
+        (Family.PHOTON_ADDED, 4), (Family.THERMAL_NUMBER, 3),
+    ])
+    def test_prepared_kernel_is_the_one_theta_call(self, family, n):
+        # prepare_gaussian does the theta-free work once; each theta it is
+        # then handed gives bitwise the one-theta call, on any radii
+        u = np.linspace(0.0, 30.0, 301)
+        at = closed_form.prepare_gaussian(family, n, u)
+        for theta in (1.7, 0.05, 0.9, 5.0):
+            state = StateSpec(family, params_from_theta(theta), n=n)
+            assert np.array_equal(at(theta), closed_form.wigner_closed_gaussian(state, u))
+        single = closed_form.prepare_gaussian(family, n, np.float64(1.3))(0.7)
+        assert np.ndim(single) == 0
+        assert single == closed_form.wigner_closed_gaussian(
+            StateSpec(family, params_from_theta(0.7), n=n), np.float64(1.3))
+
     def test_grid_matches_point_evaluator(self):
         thermal = params_from_theta(0.6)
         q = np.linspace(-3.0, 3.0, 7)
@@ -547,7 +564,7 @@ class TestDispatchAndGrids:
         ]:
             state = StateSpec(family, params_from_theta(0.7), n=n)
             grid = wigner_closed_grid(state, q, p)
-            per_node = closed_form._KERNELS[family](abs2 * (1.0 / math.cosh(1.4)), n, 0.7)
+            per_node = closed_form.prepare_gaussian(family, n, abs2 * (1.0 / math.cosh(1.4)))(0.7)
             assert grid.shape == (q.size, p.size)
             assert np.array_equal(grid, per_node), family
         assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))
