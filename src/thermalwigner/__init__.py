@@ -27,8 +27,6 @@ from .analysis import (
 )
 from .closed_form import (
     DegenerateStateError,
-    norm_const_added,
-    norm_const_subtracted,
     wigner_closed_form,
     wigner_closed_grid,
     wigner_number_state,
@@ -36,7 +34,6 @@ from .closed_form import (
     wigner_photon_subtracted,
     wigner_photon_subtracted_ncform,
     wigner_thermal_number,
-    wigner_thermal_vacuum,
 )
 from .fock_oracle import (
     AnnihilatedStateError,
@@ -45,12 +42,10 @@ from .fock_oracle import (
     build_oracle_state,
     wigner_grid_from_density,
 )
-from .specfun import laguerre
 from .states import EXCITATION_MAX, Family, PhasePoint, StateSpec
 from .thermo import (
     THETA_MAX,
     ThermalParams,
-    mean_photon_number,
     params_from_mean_photons,
     params_from_temperature,
     params_from_theta,
@@ -76,13 +71,9 @@ __all__ = [
     "VerificationReport",
     "WignerGrid",
     "build_oracle_state",
-    "laguerre",
     "limit_suite",
-    "mean_photon_number",
     "negativity_of_state",
     "negativity_volume",
-    "norm_const_added",
-    "norm_const_subtracted",
     "normalization_integral",
     "normalization_of_state",
     "params_from_mean_photons",
@@ -100,5 +91,4 @@ __all__ = [
     "wigner_photon_subtracted",
     "wigner_photon_subtracted_ncform",
     "wigner_thermal_number",
-    "wigner_thermal_vacuum",
 ]

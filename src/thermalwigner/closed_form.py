@@ -21,18 +21,20 @@ Every family is Fock-diagonal, so its Wigner function depends on |a|^2
 alone.  Each family has one radial kernel in u, dispatched by
 :func:`prepare_gaussian`: given (family, n, u) it does the theta-free
 work once, the Gaussian exp(-2u) that the vacuum and Laguerre kernels
-scale, and returns the closed form as a function of theta.
-:func:`wigner_closed_gaussian` is its one-theta call;
-:func:`wigner_closed_radial` passes that u = |a|^2 * sech(2 theta), and
-the point evaluator :func:`wigner_closed_form`, the grid evaluator
-:func:`wigner_closed_grid` and the per-family ``wigner_*`` wrappers go
-through it.  The radial quadrature of ``analysis`` builds u itself from
-its plan and prepares it once per scan.  The thermal number sum is
-taken at the 2n + 1 nodes of a Gauss-Laguerre rule, from a theta-free
-table of Hermite squares, and projected onto Laguerre polynomials; the
-series is summed over rows exp(-v/2) L_j(v), v = 4u, that a call keeps
-for the next call on the same radii, so a temperature scan on a fixed u
-builds them once.
+scale and the Laguerre rows of the thermal number state, and returns
+the closed form as a function of theta.  :func:`wigner_closed_gaussian`
+is its one-theta call; :func:`wigner_closed_radial` passes that
+u = |a|^2 * sech(2 theta), and the point evaluator
+:func:`wigner_closed_form`, the grid evaluator :func:`wigner_closed_grid`
+and the per-family ``wigner_*`` wrappers go through it.  The radial
+quadrature of ``analysis`` builds u itself from its plan and prepares
+it once per scan.  The thermal number sum is taken at the 2n + 1 nodes
+of a Gauss-Laguerre rule, from a theta-free table of Hermite squares,
+and projected onto Laguerre polynomials; the series is summed over
+rows exp(-v/2) L_j(v), v = 4u, which a prepared kernel holds for every
+theta and a one-theta call streams.  No call keeps state for the next.
+Where exp(-2u) underflows to 0 every closed form is +0.0, and no
+polynomial factor is evaluated there, where it could overflow.
 
 The grid evaluators are one call to
 :func:`~thermalwigner.states.radial_grid`, which folds the product grid
@@ -64,8 +66,35 @@ class DegenerateStateError(ValueError):
 # ---------------------------------------------------------------------------
 # radial kernels, vectorized over u = |alpha|^2 sech 2theta.  Each takes its
 # theta-free inputs from prepare_gaussian, then theta: the vacuum kernel the
-# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope, n), and the
-# thermal number kernel (u, n), which starts its own rows from exp(-2u).
+# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope, n) at the
+# radii where that envelope is nonzero (_live), and the thermal number kernel
+# its Laguerre rows.
+
+
+def _live(u):
+    """(live, u[live], exp(-2u)[live]) at the radii u, live where exp(-2u) != 0.
+
+    Beyond them every closed form is +0.0, while its polynomial factor can
+    overflow there (and 0 * inf is NaN): a kernel sees the live radii
+    alone and :func:`_scatter` writes +0.0 at the others.  Where every
+    radius is live, as on every norm plan, ``live`` is None and the radii
+    are u itself.
+    """
+    u = np.asarray(u, dtype=float)
+    envelope = np.exp(-2.0 * u)
+    live = envelope != 0.0
+    if live.all():
+        return None, u, envelope
+    return live, u[live], envelope[live]
+
+
+def _scatter(live, values):
+    """``values`` at the ``live`` radii and +0.0 at the others; ``values`` if live is None."""
+    if live is None:
+        return values
+    out = np.zeros(live.shape)
+    out[live] = values
+    return out
 
 
 def _vacuum_kernel(envelope, theta: float):
@@ -86,9 +115,11 @@ def _subtracted_kernel(u, envelope, n: int, theta: float):
     return _laguerre_envelope(envelope, n, theta) * laguerre(n, -4.0 * math.sinh(theta) ** 2 * u)
 
 
-def _subtracted_nc_kernel(abs2, n: int, n_c: float):
+def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
     width = 2.0 * n_c + 1.0
     envelope = np.exp(-2.0 * abs2 / width) / (math.pi * width ** (n + 1))
+    if envelope == 0.0:  # the far tail, where L_n can overflow
+        return 0.0
     return envelope * laguerre(n, -4.0 * n_c * abs2 / width)
 
 
@@ -99,7 +130,8 @@ def _added_kernel(u, envelope, n: int, theta: float):
 
 def _number_kernel(abs2, n: int):
     """The zero-temperature number state, where u = |alpha|^2."""
-    return (-1.0) ** n / math.pi * np.exp(-2.0 * abs2) * laguerre(n, 4.0 * abs2)
+    live, abs2, envelope = _live(abs2)
+    return _scatter(live, (-1.0) ** n / math.pi * envelope * laguerre(n, 4.0 * abs2))
 
 
 def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
@@ -203,7 +235,15 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
 
     The node values are one product with the table, and the rule's
     weights project them onto L_0 ... L_{2n}.
+
+    Raises:
+        DegenerateStateError: at theta = 0, a removable 0/0 limit.
     """
+    if theta <= 0.0:
+        raise DegenerateStateError(
+            "theta = 0 is a removable limit of the thermal number formula; "
+            "use wigner_number_state for the zero-temperature case"
+        )
     table, projector = _thermal_number_nodes(n)
     cosh2 = math.cosh(2.0 * theta)
     sech2 = 1.0 / cosh2
@@ -215,19 +255,20 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
     return projector @ values * (sech2 ** (2 * n) / (math.pi * cosh2))
 
 
-def _laguerre_functions(u: np.ndarray, count: int, rows: np.ndarray):
+def _laguerre_functions(u: np.ndarray, envelope, count: int, rows: np.ndarray):
     """Yield exp(-2u) L_j(4u) for j = 0 .. count - 1, into rows[j % len(rows)].
 
     The forward recurrence (j + 1) l_{j+1} = (2j + 1 - v) l_j - j l_{j-1}
-    at v = 4u, seeded with l_0 = exp(-v/2) and l_1 = (1 - v) l_0,
-    elementwise in u.  Given ``count`` rows it keeps every order; given
-    three, it streams them, and each yielded row is overwritten two
-    steps later.  Either way a row is rounded the same.
+    at v = 4u, seeded with l_0 = envelope = exp(-2u) and
+    l_1 = (1 - v) l_0, elementwise in the flattened u.  Given ``count``
+    rows it keeps every order; given three, it streams them, and each
+    yielded row is overwritten two steps later.  Either way a row is
+    rounded the same.
     """
-    v = 4.0 * u
+    v = 4.0 * np.ravel(u)
     tmp = np.empty_like(v)
     size = len(rows)
-    np.exp(-2.0 * u, out=rows[0])
+    rows[0] = np.ravel(envelope)
     yield rows[0]
     if count > 1:
         np.subtract(1.0, v, out=rows[1])
@@ -243,41 +284,13 @@ def _laguerre_functions(u: np.ndarray, count: int, rows: np.ndarray):
         yield nxt
 
 
-# Rows of at most this many values are kept for the next call, which a
-# thermal number scan makes on the same radii at every temperature: the
-# 33 rows of n = 16 on the 5 251 radii of a normalization pass fit, an
-# eval grid's rows do not.
-_KEPT_ROWS_MAX = 1 << 18
-# (u, rows): the radii of the last call whose rows were kept, and those rows
-_kept_rows: tuple = (None, None)
+def _laguerre_function_sum(series: np.ndarray, rows) -> np.ndarray:
+    """sum_j series[j] exp(-2u) L_j(4u), accumulated in j order over ``rows``.
 
-
-def _laguerre_function_sum(series: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j series[j] exp(-2u) L_j(4u) on the 1-D radii u, accumulated in j order.
-
-    The rows exp(-2u) L_j(4u) are a deterministic function of u, so
-    they are kept for the next call when they fit in _KEPT_ROWS_MAX
-    values: a call on bitwise the same u reuses them, and one on other
-    radii replaces them.  Rows too large to keep are streamed, and the
-    kept ones dropped.  Stored, reused or streamed, each row and the sum
-    are rounded alike, so a value never depends on earlier calls.
+    ``rows`` yields exp(-2u) L_j(4u) for j = 0, 1, ...: the rows a
+    prepared kernel holds, or the stream of :func:`_laguerre_functions`.
+    Held or streamed, each row and the sum are rounded alike.
     """
-    global _kept_rows
-    count = series.size
-    kept_u, kept = _kept_rows
-    if kept is not None and kept.shape[0] >= count and np.array_equal(kept_u, u):
-        rows = kept[:count]
-    elif count * u.size <= _KEPT_ROWS_MAX:
-        rows = np.empty((count, u.size))
-        for _ in _laguerre_functions(u, count, rows):
-            pass
-        kept_u = u.copy()
-        for array in (kept_u, rows):
-            array.setflags(write=False)
-        _kept_rows = (kept_u, rows)
-    else:
-        _kept_rows = (None, None)
-        rows = _laguerre_functions(u, count, np.empty((3, u.size)))
     rows = iter(rows)
     total = next(rows) * series[0]
     tmp = np.empty_like(total)
@@ -314,23 +327,22 @@ def _thermal_number_kernel(u, n: int, theta: float):
     those values onto L_0 ... L_{2n}; the projection is exact, since
     P L_j has degree at most 4n and the rule integrates exp(-v) times any
     polynomial of degree up to 4n + 1.  The series
-    sum_j a_j exp(-v/2) L_j(v) is then accumulated over the rows of
-    :func:`_laguerre_function_sum` at each given radius, elementwise, so
-    a radius gives the same value in any input.
+    sum_j a_j exp(-v/2) L_j(v) is then accumulated by
+    :func:`_laguerre_function_sum` over the rows of
+    :func:`_laguerre_functions`, elementwise, so a radius gives the same
+    value in any input.  This one-theta call streams the rows through
+    three buffers and keeps none; :func:`prepare_gaussian` holds them for
+    a scan.
 
     The error is the double sum's own: its cancellation at the nodes,
     which grows with n and as theta falls (against a 50-digit sum, about
     3e-16, 2e-14, 9e-13 and 4e-11 at n = 4, 8, 12, 16 for theta from
     0.1 to 5).
     """
-    if theta <= 0.0:
-        raise DegenerateStateError(
-            "theta = 0 is a removable limit of the thermal number formula; "
-            "use wigner_number_state for the zero-temperature case"
-        )
-    u = np.asarray(u, dtype=float)
+    live, u, envelope = _live(u)
     series = _thermal_number_series(n, theta)
-    return _laguerre_function_sum(series, u.ravel()).reshape(u.shape)
+    rows = _laguerre_functions(u, envelope, series.size, np.empty((3, u.size)))
+    return _scatter(live, _laguerre_function_sum(series, rows).reshape(u.shape))
 
 
 _LAGUERRE_KERNELS = {
@@ -349,23 +361,34 @@ def prepare_gaussian(family: Family, n: int, u):
     Does the theta-free work once and returns ``at(theta)``, the closed
     form at each u = |alpha|^2 sech 2theta of ``u``, so that a scan over
     temperatures on fixed u pays it once.  That work is the Gaussian
-    exp(-2u) of the vacuum and Laguerre families, which their kernels
-    scale; the thermal number kernel keeps its Laguerre rows of u itself
-    (:func:`_laguerre_function_sum`).  ``at`` rounds every value exactly
-    as the one-theta call :func:`wigner_closed_gaussian` does, and raises
-    the same errors at the same temperatures.
+    exp(-2u), which the vacuum and Laguerre kernels scale, and for the
+    thermal number state its 2n + 1 Laguerre rows exp(-2u) L_j(4u), which
+    ``at`` holds and sums at every theta.  ``at`` rounds every value
+    exactly as the one-theta call :func:`wigner_closed_gaussian` does,
+    and raises the same errors at the same temperatures.
     """
     family = Family(family)
-    if family is Family.THERMAL_NUMBER:
-        return partial(_thermal_number_kernel, u, n)
-    envelope = np.exp(-2.0 * u)
     if family is Family.THERMAL_VACUUM:
-        return partial(_vacuum_kernel, envelope)
-    return partial(_LAGUERRE_KERNELS[family], u, envelope, n)
+        return partial(_vacuum_kernel, np.exp(-2.0 * u))
+    live, u, envelope = _live(u)
+    if family is Family.THERMAL_NUMBER:
+        rows = np.empty((2 * n + 1, u.size))
+        for _ in _laguerre_functions(u, envelope, len(rows), rows):
+            pass
+        return lambda theta: _scatter(live, _laguerre_function_sum(
+            _thermal_number_series(n, theta), rows).reshape(u.shape))
+    kernel = partial(_LAGUERRE_KERNELS[family], u, envelope, n)
+    return lambda theta: _scatter(live, kernel(theta))
 
 
 def wigner_closed_gaussian(state: StateSpec, u) -> np.ndarray:
-    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``."""
+    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``.
+
+    A thermal number state streams its Laguerre rows
+    (:func:`_thermal_number_kernel`) and keeps none.
+    """
+    if state.family is Family.THERMAL_NUMBER:
+        return _thermal_number_kernel(u, state.n, state.thermal.theta)
     return prepare_gaussian(state.family, state.n, u)(state.thermal.theta)
 
 
@@ -398,11 +421,6 @@ def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # public point evaluators
-
-
-def wigner_thermal_vacuum(point: PhasePoint, thermal: ThermalParams) -> float:
-    """Wigner function of the thermal (single-mode Gaussian) state."""
-    return wigner_closed_form(StateSpec(Family.THERMAL_VACUUM, thermal), point)
 
 
 def wigner_photon_subtracted(point: PhasePoint, n: int, thermal: ThermalParams) -> float:
@@ -462,32 +480,3 @@ def wigner_number_state(point: PhasePoint, n: int) -> float:
     """Wigner function of the zero-temperature number state |n>."""
     n = check_excitation_count(n)
     return float(_number_kernel(point.abs2, n))
-
-
-def norm_const_subtracted(n: int, thermal: ThermalParams) -> float:
-    """Normalization constant of the n-photon-subtracted thermal state.
-
-    1 / (n! sinh^(2n) theta); the inverse is the raw trace of the
-    subtracted (unnormalized) density matrix, which the Fock oracle
-    reproduces numerically.
-    """
-    n = check_excitation_count(n)
-    if n >= 1 and thermal.theta == 0.0:
-        raise DegenerateStateError(
-            "the photon-subtracted vacuum has zero norm; the normalization "
-            "constant diverges"
-        )
-    if n == 0:
-        return 1.0
-    return 1.0 / (factorial(n) * math.sinh(thermal.theta) ** (2 * n))
-
-
-def norm_const_added(n: int, thermal: ThermalParams) -> float:
-    """Normalization constant of the n-photon-added thermal state.
-
-    1 / (n! cosh^(2n) theta); total for all theta >= 0.
-    """
-    n = check_excitation_count(n)
-    if n == 0:
-        return 1.0
-    return 1.0 / (factorial(n) * math.cosh(thermal.theta) ** (2 * n))

@@ -18,6 +18,15 @@ EXCITATION_MAX = 16
 _SQRT2 = math.sqrt(2.0)
 
 
+def _abs2(q: float, p: float, where: str) -> float:
+    """|alpha|^2 = (q^2 + p^2) / 2 at one (q, p), or ValueError where it overflows."""
+    abs2 = 0.5 * (q * q + p * p)
+    if not math.isfinite(abs2):
+        raise ValueError(f"|alpha|^2 = (q^2 + p^2) / 2 overflows at {where} "
+                         f"|q| = {abs(q):g}, |p| = {abs(p):g}")
+    return abs2
+
+
 def check_excitation_count(n) -> int:
     """Return ``n`` as an int in 0..EXCITATION_MAX, or raise ValueError."""
     if n != int(n) or n < 0:
@@ -53,8 +62,8 @@ class PhasePoint:
 
     @property
     def abs2(self) -> float:
-        """|alpha|^2 = (q^2 + p^2) / 2."""
-        return 0.5 * (self.q * self.q + self.p * self.p)
+        """|alpha|^2 = (q^2 + p^2) / 2; ValueError where it overflows."""
+        return _abs2(self.q, self.p, "the point")
 
     @classmethod
     def from_alpha(cls, alpha: complex) -> "PhasePoint":
@@ -111,10 +120,7 @@ def radial_grid(radial, q, p) -> np.ndarray:
         raise ValueError("grid axes must be finite")
     q_abs, iq = np.unique(np.abs(q), return_inverse=True)
     p_abs, ip = np.unique(np.abs(p), return_inverse=True)
-    q_max, p_max = float(q_abs[-1]), float(p_abs[-1])
-    if not math.isfinite(0.5 * (q_max * q_max + p_max * p_max)):
-        raise ValueError(f"|alpha|^2 = (q^2 + p^2) / 2 overflows at the grid corner "
-                         f"|q| = {q_max:g}, |p| = {p_max:g}")
+    _abs2(float(q_abs[-1]), float(p_abs[-1]), "the grid corner")
     abs2, inverse = np.unique(0.5 * (q_abs[:, None] ** 2 + p_abs[None, :] ** 2),
                               return_inverse=True)
     quadrant = radial(abs2)[inverse].reshape(q_abs.size, p_abs.size)

@@ -70,16 +70,6 @@ def theta_from_temperature(omega: float, kt: float) -> float:
     return math.atanh(math.exp(-omega / (2.0 * kt)))
 
 
-def mean_photon_number(omega: float, kt: float) -> float:
-    """Bose occupation n_c = 1 / (exp(omega / kT) - 1)."""
-    omega = _check_positive(omega, "omega")
-    kt = _check_positive(kt, "kT")
-    exponent = omega / kt
-    if exponent > 700.0:  # expm1 would overflow; occupation is zero anyway
-        return 0.0
-    return 1.0 / math.expm1(exponent)
-
-
 def params_from_theta(theta: float) -> ThermalParams:
     """Bundle from theta itself."""
     return ThermalParams(float(theta))

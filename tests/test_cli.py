@@ -25,6 +25,12 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+def spy_on_kernels(monkeypatch, calls):
+    """Record instead of running any closed-form kernel: prepared or streamed."""
+    for name in ("prepare_gaussian", "_thermal_number_kernel"):
+        monkeypatch.setattr(cli.closed_form, name, lambda *args: calls.append(args))
+
+
 class _ArrayMemoryError(MemoryError):
     """Stands in for numpy's private subclass of MemoryError."""
 
@@ -431,7 +437,7 @@ class TestNumericalFailures:
             self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli.analysis, "_physical_memory_bytes", lambda: 1 << 20)
-        monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
+        spy_on_kernels(monkeypatch, calls)
         out = tmp_path / "grid.json"
         assert run(["eval", "--family", "vacuum", "--theta", "0.3", "--res", "401",
                     "--out", str(out)]) == 1
@@ -448,7 +454,7 @@ class TestNumericalFailures:
     def test_overflowing_box_is_refused_alike(self, tmp_path, monkeypatch, capsys,
                                               family, source):
         calls = []
-        monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
+        spy_on_kernels(monkeypatch, calls)
         monkeypatch.setattr(cli.analysis.fock_oracle, "wigner_radial_from_density",
                             lambda *args: calls.append(args))
         out = tmp_path / "grid.json"
@@ -463,6 +469,22 @@ class TestNumericalFailures:
         assert payload["message"].startswith("|alpha|^2 = (q^2 + p^2) / 2 overflows")
         assert "RuntimeWarning" not in capsys.readouterr().err
         assert calls == []
+
+
+    @pytest.mark.parametrize("family, n, box", [("added", 16, "1e12"),
+                                                ("subtracted", 2, "1e100")])
+    def test_far_tail_of_a_huge_box_is_zero(self, tmp_path, capsys, family, n, box):
+        # exp(-2u) underflows at the corners and edges, where L_n would overflow
+        out = tmp_path / "grid.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["eval", "--family", family, "--n", str(n), "--theta", "0.5",
+                        "--res", "3", "--box", box, "--out", str(out)]) == 0
+        assert caught == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        w = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert len(w) == 9 and float(w[4]) != 0.0
+        assert w[:4] + w[5:] == ["0"] * 8
 
 
 class TestNegativityCommand:

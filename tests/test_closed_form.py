@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from closed_form_reference import norm_const_added, norm_const_subtracted
 
 from thermalwigner import closed_form
+from thermalwigner.analysis import scan_theta
 from thermalwigner.closed_form import (
     DegenerateStateError,
-    norm_const_added,
-    norm_const_subtracted,
     wigner_closed_form,
     wigner_closed_grid,
     wigner_number_grid,
@@ -19,7 +19,6 @@ from thermalwigner.closed_form import (
     wigner_photon_subtracted,
     wigner_photon_subtracted_ncform,
     wigner_thermal_number,
-    wigner_thermal_vacuum,
 )
 from thermalwigner.specfun import factorial, hermite2, laguerre
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
@@ -54,6 +53,11 @@ def thermal_number_complex_sum(alpha, n, theta):
     ) * total
 
 
+def thermal_vacuum(point, thermal):
+    """The thermal vacuum's closed form at one point."""
+    return wigner_closed_form(StateSpec(Family.THERMAL_VACUUM, thermal), point)
+
+
 def random_points(rng, count, scale=2.5):
     return [
         PhasePoint(float(rng.uniform(-scale, scale)), float(rng.uniform(-scale, scale)))
@@ -63,13 +67,13 @@ def random_points(rng, count, scale=2.5):
 
 class TestThermalVacuum:
     def test_zero_temperature_peak(self):
-        assert wigner_thermal_vacuum(ORIGIN, params_from_theta(0.0)) == pytest.approx(
+        assert thermal_vacuum(ORIGIN, params_from_theta(0.0)) == pytest.approx(
             1.0 / math.pi, rel=1e-15
         )
 
     def test_warm_peak(self):
         # sech(0.4) / pi
-        assert wigner_thermal_vacuum(ORIGIN, params_from_theta(0.2)) == pytest.approx(
+        assert thermal_vacuum(ORIGIN, params_from_theta(0.2)) == pytest.approx(
             0.2944390167352791, rel=1e-14
         )
 
@@ -78,7 +82,7 @@ class TestThermalVacuum:
         s = 1.0 / math.cosh(0.6)
         for point in random_points(np.random.default_rng(0), 10):
             expected = s / math.pi * math.exp(-2.0 * point.abs2 * s)
-            assert wigner_thermal_vacuum(point, thermal) == pytest.approx(expected, rel=1e-14)
+            assert thermal_vacuum(point, thermal) == pytest.approx(expected, rel=1e-14)
 
 
 class TestPhotonSubtracted:
@@ -86,7 +90,7 @@ class TestPhotonSubtracted:
         thermal = params_from_theta(0.7)
         for point in random_points(np.random.default_rng(1), 20):
             assert wigner_photon_subtracted(point, 0, thermal) == pytest.approx(
-                wigner_thermal_vacuum(point, thermal), abs=1e-15
+                thermal_vacuum(point, thermal), abs=1e-15
             )
 
     def test_origin_value(self):
@@ -197,7 +201,7 @@ class TestPhotonAdded:
         thermal = params_from_theta(0.4)
         for point in random_points(np.random.default_rng(5), 10):
             assert wigner_photon_added(point, 0, thermal) == pytest.approx(
-                wigner_thermal_vacuum(point, thermal), abs=1e-16
+                thermal_vacuum(point, thermal), abs=1e-16
             )
 
 
@@ -224,7 +228,7 @@ class TestThermalNumber:
         thermal = params_from_theta(0.5)
         for point in random_points(np.random.default_rng(6), 20):
             assert wigner_thermal_number(point, 0, thermal) == pytest.approx(
-                wigner_thermal_vacuum(point, thermal), abs=1e-14
+                thermal_vacuum(point, thermal), abs=1e-14
             )
 
     def test_small_theta_limit_is_number_state(self):
@@ -284,6 +288,55 @@ class TestThermalNumber:
         assert isinstance(value, float)
 
 
+class TestFarTail:
+    # where exp(-2u) underflows to 0 every closed form is +0.0: its
+    # polynomial factor, which may overflow there, is never evaluated
+    FAR = np.array([1e9, 1e12, 1e15, 1e154, 1e300, 5e307])  # 4 * 5e307 overflows
+
+    @staticmethod
+    def positive_zeros(values):
+        return np.array_equal(values, np.zeros(np.shape(values))) and not np.signbit(values).any()
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [0, 2, 16])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 3.0])
+    def test_radial_values_underflow_to_positive_zero(self, family, n, theta):
+        state = StateSpec(family, params_from_theta(theta), n=n)
+        abs2 = np.concatenate([[0.0, 0.5], self.FAR])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = closed_form.wigner_closed_radial(state, abs2)
+            u = abs2 * (1.0 / math.cosh(2.0 * theta))
+            prepared = closed_form.prepare_gaussian(family, n, u)(theta)
+            point = wigner_closed_form(state, PhasePoint(1e154, 0.0))
+        assert self.positive_zeros(values[2:])
+        assert np.array_equal(prepared, values)
+        assert values[0] != 0.0 and values[0] == wigner_closed_form(state, ORIGIN)
+        assert point == 0.0 and not math.copysign(1.0, point) < 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 16])
+    def test_zero_temperature_forms_underflow_to_positive_zero(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = wigner_number_grid(n, [0.0, 1e12, 1e154], [0.0])
+            points = [wigner_number_state(PhasePoint(1e154, 0.0), n),
+                      wigner_photon_subtracted_ncform(PhasePoint(1e154, 0.0), n, 0.5)]
+        assert self.positive_zeros(grid[1:]) and self.positive_zeros(np.array(points))
+        assert grid[0, 0] == wigner_number_state(ORIGIN, n)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_point_with_an_overflowing_radius_is_refused(self, family):
+        state = StateSpec(family, params_from_theta(0.5), n=2)
+        for point in (PhasePoint(1e200, 0.0), PhasePoint(-1e154, 1.4e154)):
+            with pytest.raises(ValueError, match=r"^\|alpha\|\^2 = \(q\^2 \+ p\^2\) / 2 "
+                                                 r"overflows at the point"):
+                wigner_closed_form(state, point)
+        with pytest.raises(ValueError, match="overflows at the point |q| = 1e+200, |p| = 0"):
+            wigner_number_state(PhasePoint(1e200, 0.0), 2)
+        with pytest.raises(ValueError, match="overflows at the point"):
+            wigner_photon_subtracted_ncform(PhasePoint(0.0, -1e200), 2, 0.5)
+
+
 class TestGaussLaguerreRule:
     # the thermal number kernel projects onto Laguerre polynomials with the
     # rule of order 2n + 1, for every n up to the cap
@@ -325,9 +378,15 @@ class TestGaussLaguerreRule:
         coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
         u = np.array([0.0, 0.125, 0.75, 2.75])
         expected = sum(c * np.exp(-2.0 * u) * laguerre(j, 4.0 * u) for j, c in enumerate(coeffs))
-        got = closed_form._laguerre_function_sum(coeffs, u)
+        held = np.empty((coeffs.size, u.size))
+        for _ in closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size, held):
+            pass
+        streamed = closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size,
+                                                   np.empty((3, u.size)))
+        got = closed_form._laguerre_function_sum(coeffs, streamed)
         assert got == pytest.approx(expected, rel=1e-14)
-        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], u),
+        assert np.array_equal(closed_form._laguerre_function_sum(coeffs, held), got)
+        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], held),
                               0.3 * np.exp(-2.0 * u))
 
 
@@ -385,49 +444,44 @@ class TestNodeTable:
                 assert np.all(np.abs(table[m * (n + 1) + j] - expected) <= 1e-13 * scale), (m, j)
 
 
-class TestKeptRows:
-    # a thermal number call keeps its Laguerre rows for the next call on
-    # the same radii; a value must never depend on what ran before it
+class TestPreparedRows:
+    # a prepared thermal number kernel holds the Laguerre rows of its radii
+    # for every theta; a one-theta call streams them and keeps nothing.  A
+    # value never depends on what ran before it.
 
     U = np.linspace(0.0, 9.0, 401)
     OTHER_U = np.linspace(0.01, 7.0, 401)  # other radii, the same count
 
-    @staticmethod
-    def fresh(u, n, theta):
-        """The kernel with no rows kept from an earlier call."""
-        closed_form._kept_rows = (None, None)
-        return closed_form._thermal_number_kernel(u, n, theta)
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
+    def test_prepared_rows_equal_streamed_rows(self, n):
+        count, envelope = 2 * n + 1, np.exp(-2.0 * self.U)
+        held = np.empty((count, self.U.size))
+        for _ in closed_form._laguerre_functions(self.U, envelope, count, held):
+            pass
+        ring = np.empty((3, self.U.size))
+        streamed = [row.copy() for row in
+                    closed_form._laguerre_functions(self.U, envelope, count, ring)]
+        assert len(streamed) == count
+        assert all(np.array_equal(h, r) for h, r in zip(held, streamed))
+        at = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)
+        for theta in (0.6, 1.3, 0.05, 5.0):
+            assert np.array_equal(at(theta), closed_form._thermal_number_kernel(self.U, n, theta))
 
-    def test_kept_rows_are_read_only_and_bounded(self):
-        self.fresh(self.U, 4, 0.6)
-        kept_u, rows = closed_form._kept_rows
-        assert np.array_equal(kept_u, self.U) and rows.shape == (9, self.U.size)
-        assert not kept_u.flags.writeable and not rows.flags.writeable
-        assert rows.size <= closed_form._KEPT_ROWS_MAX
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 8])
-    def test_reused_rows_give_the_stored_values(self, n):
-        stored = self.fresh(self.U, n, 0.6)
-        rows = closed_form._kept_rows[1]
-        reused = closed_form._thermal_number_kernel(self.U, n, 0.6)
-        assert closed_form._kept_rows[1] is rows
-        assert np.array_equal(stored, reused)
-        # a copy of the same radii is the same radii
-        assert np.array_equal(closed_form._thermal_number_kernel(self.U.copy(), n, 0.6), stored)
-        assert closed_form._kept_rows[1] is rows
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 8])
-    def test_streamed_rows_give_the_stored_values(self, n, monkeypatch):
-        stored = self.fresh(self.U, n, 1.3)
-        monkeypatch.setattr(closed_form, "_KEPT_ROWS_MAX", 0)
-        streamed = self.fresh(self.U, n, 1.3)
-        assert closed_form._kept_rows == (None, None)
-        assert np.array_equal(stored, streamed)
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_interleaved_prepared_kernels_keep_their_own_rows(self, n):
+        thetas = (0.9, 0.2, 2.5)
+        fresh = {id(u): [closed_form._thermal_number_kernel(u, n, t) for t in thetas]
+                 for u in (self.U, self.OTHER_U)}
+        at_u = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)
+        at_other = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.OTHER_U)
+        for i, theta in enumerate(thetas):
+            assert np.array_equal(at_other(theta), fresh[id(self.OTHER_U)][i])
+            assert np.array_equal(at_u(theta), fresh[id(self.U)][i])
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_no_earlier_call_changes_a_value(self, n):
         theta = 0.9
-        reference = self.fresh(self.U, n, theta)
+        reference = closed_form._thermal_number_kernel(self.U, n, theta)
         state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
         earlier_calls = [
             lambda: closed_form._thermal_number_kernel(self.OTHER_U, n, theta),  # other radii
@@ -436,20 +490,40 @@ class TestKeptRows:
             lambda: closed_form._thermal_number_kernel(self.U, n, 2.0),  # other theta
             lambda: closed_form.wigner_closed_gaussian(state, self.U),  # another family
             lambda: closed_form._thermal_number_kernel(self.U[:50], n, theta),  # a prefix
+            lambda: closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.OTHER_U)(theta),
         ]
         for earlier in earlier_calls:
-            closed_form._kept_rows = (None, None)
             earlier()
             assert np.array_equal(closed_form._thermal_number_kernel(self.U, n, theta),
                                   reference)
-            # and once more, now on the rows this call kept
-            assert np.array_equal(closed_form._thermal_number_kernel(self.U, n, theta),
-                                  reference)
+            assert np.array_equal(
+                closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)(theta), reference)
 
-    def test_point_values_match_the_kept_rows(self):
-        values = self.fresh(self.U, 7, 0.4)
+    def test_point_values_match_the_prepared_rows(self):
+        values = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, 7, self.U)(0.4)
         for i in (0, 17, 200, 400):
             assert closed_form._thermal_number_kernel(self.U[i], 7, 0.4) == values[i]
+
+    def test_a_scan_leaves_no_array_in_the_module(self):
+        # the only arrays closed_form keeps are its read-only lru_cache entries
+        for family in Family:
+            scan_theta(family, 3, [0.3, 0.8, 1.4])
+            scan_theta(family, 3, [0.5], include_negativity=False)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (tuple, list, set)):
+                return [a for item in value for a in arrays(item)]
+            if isinstance(value, dict):
+                return arrays(list(value.values()))
+            return []
+
+        assert [name for name, value in vars(closed_form).items() if arrays(value)] == []
+        for cached in (closed_form._gauss_laguerre, closed_form._thermal_number_nodes):
+            assert cached.cache_info().currsize > 0
+        for array in [*closed_form._gauss_laguerre(7), *closed_form._thermal_number_nodes(3)]:
+            assert not array.flags.writeable
 
 
 class TestNormalizationConstants:
@@ -505,9 +579,9 @@ class TestDispatchAndGrids:
     def test_dispatch_covers_families(self):
         thermal = params_from_theta(0.4)
         point = PhasePoint(0.5, -0.5)
-        assert wigner_closed_form(
-            StateSpec(Family.THERMAL_VACUUM, thermal), point
-        ) == wigner_thermal_vacuum(point, thermal)
+        s = 1.0 / math.cosh(0.8)
+        assert thermal_vacuum(point, thermal) == pytest.approx(
+            s / math.pi * math.exp(-2.0 * point.abs2 * s), rel=1e-14)
         assert wigner_closed_form(
             StateSpec(Family.PHOTON_ADDED, thermal, n=2), point
         ) == wigner_photon_added(point, 2, thermal)

@@ -42,3 +42,19 @@ def test_test_only_references_are_not_exported():
     assert "wigner_from_density" not in thermalwigner.__all__
     assert not hasattr(thermalwigner, "wigner_from_density")
     assert not hasattr(specfun, "laguerre_sum") and not hasattr(specfun, "laguerre_from_hermite")
+
+
+def test_names_without_callers_are_gone():
+    # no caller outside the tests: the normalization constants and the Bose
+    # occupation live in test helpers, laguerre in thermalwigner.specfun
+    from thermalwigner import closed_form, specfun, thermo
+
+    removed = ("norm_const_added", "norm_const_subtracted", "wigner_thermal_vacuum",
+               "mean_photon_number", "laguerre")
+    for name in removed:
+        assert name not in thermalwigner.__all__
+        assert not hasattr(thermalwigner, name), name
+    for module, name in [(closed_form, "norm_const_added"), (closed_form, "norm_const_subtracted"),
+                         (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number")]:
+        assert not hasattr(module, name), name
+    assert callable(specfun.laguerre)

@@ -9,10 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from closed_form_reference import norm_const_added, norm_const_subtracted
 
 from thermalwigner import fock_oracle
 from thermalwigner.analysis import _axis, verify_state
-from thermalwigner.closed_form import wigner_closed_form, wigner_thermal_vacuum
+from thermalwigner.closed_form import wigner_closed_form
 from thermalwigner.fock_oracle import (
     AnnihilatedStateError,
     THERMAL_TAIL_TOL,
@@ -148,8 +149,8 @@ class TestSubtraction:
             rho = thermal_density_matrix(n_c, min_thermal_dim(n_c) + 30)
             for n in (1, 2, 3):
                 _, raw = apply_subtraction(rho, n)
-                expected = math.factorial(n) * math.sinh(theta) ** (2 * n)
-                assert raw == pytest.approx(expected, rel=1e-8)
+                constant = norm_const_subtracted(n, params_from_theta(theta))
+                assert raw * constant == pytest.approx(1.0, rel=1e-8)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_matrix_power_reference(self, n):
@@ -180,8 +181,8 @@ class TestAddition:
             rho = thermal_density_matrix(n_c, min_thermal_dim(n_c) + 30)
             for n in (1, 2, 3):
                 _, raw = apply_addition(rho, n)
-                expected = math.factorial(n) * math.cosh(theta) ** (2 * n)
-                assert raw == pytest.approx(expected, rel=1e-8)
+                constant = norm_const_added(n, params_from_theta(theta))
+                assert raw * constant == pytest.approx(1.0, rel=1e-8)
 
     def test_headroom_guard(self):
         with pytest.raises(TruncationError, match="headroom"):
@@ -424,7 +425,8 @@ class TestDisplacedParity:
         rho = thermal_density_matrix(thermal.n_c, 50)
         point = PhasePoint(1.0, 0.0)
         assert abs(
-            wigner_from_density(rho, point) - wigner_thermal_vacuum(point, thermal)
+            wigner_from_density(rho, point)
+            - wigner_closed_form(StateSpec(Family.THERMAL_VACUUM, thermal), point)
         ) < 1e-8
 
     def test_leak_guard(self, monkeypatch):

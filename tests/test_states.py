@@ -19,8 +19,6 @@ _TAKES_N = {
     "wigner_photon_subtracted_ncform": lambda n: closed_form.wigner_photon_subtracted_ncform(
         _ORIGIN, n, 0.5
     ),
-    "norm_const_subtracted": lambda n: closed_form.norm_const_subtracted(n, _THERMAL),
-    "norm_const_added": lambda n: closed_form.norm_const_added(n, _THERMAL),
 }
 
 

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from thermo_reference import mean_photon_number
 
 from thermalwigner.thermo import (
     THETA_MAX,
     ThermalParams,
-    mean_photon_number,
     params_from_mean_photons,
     params_from_temperature,
     params_from_theta,
