@@ -5,7 +5,8 @@ paper finds: exp(-2u) times a polynomial in the Gaussian variable
 u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
 
   * thermal vacuum:      W = s/pi * exp(-2u)
-  * photon-subtracted:   W = exp(-2u) / (pi c^(n+1)) * L_n(-4 sinh^2(theta) u)   >= 0
+  * photon-subtracted:   W = exp(-2u) / (pi c^(n+1)) * L_n(-4 sinh^2(theta) u)   >= 0,
+                          L_n(-y) = sum_k C(n, k) y^k / k!
   * photon-added:        W = (-1)^n exp(-2u) / (pi c^(n+1)) * L_n(4 cosh^2(theta) u)
   * thermal number:      double polynomial sum over two-variable
                           Hermite moduli, exp(-2u) times a polynomial
@@ -28,11 +29,19 @@ u = |a|^2 * sech(2 theta), and the point evaluator
 :func:`wigner_closed_form`, the grid evaluator :func:`wigner_closed_grid`
 and the per-family ``wigner_*`` wrappers go through it.  The radial
 quadrature of ``analysis`` builds u itself from its plan and prepares
-it once per scan.  The thermal number sum is taken at the 2n + 1 nodes
-of a Gauss-Laguerre rule, from a theta-free table of Hermite squares,
-and projected onto Laguerre polynomials; the series is summed over
-rows exp(-v/2) L_j(v), v = 4u, which a prepared kernel holds for every
-theta and a one-theta call streams.  No call keeps state for the next.
+it once per scan.  The photon-subtracted L_n(-y), a series of positive
+terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
+the photon-added L_n is one three-term recurrence
+(:func:`~thermalwigner.specfun.laguerre`).  The thermal number sum is
+taken at the 2n + 1 nodes of a Gauss-Laguerre rule, from a theta-free
+table of Hermite squares, and projected onto Laguerre polynomials; the
+series is summed over rows exp(-v/2) L_j(v), v = 4u, which a prepared
+kernel holds for every theta and a one-theta call streams.  The Horner
+loop and the row recurrence multiply and add only; the one division
+per order left is inside ``specfun.laguerre``, which the Gauss-Laguerre
+rule's rows (:func:`_laguerre_rows`) round alike.  No kernel writes
+into the u or exp(-2u) it is handed, which a prepared kernel holds
+across theta.  No call keeps state for the next.
 Where exp(-2u) underflows to 0 every closed form is +0.0, and no
 polynomial factor is evaluated there, where it could overflow.
 
@@ -56,7 +65,7 @@ import numpy as np
 # ``closed_form.hermite2`` to count its calls.
 from .specfun import factorial, hermite2, laguerre  # noqa: F401
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
-from .thermo import ThermalParams
+from .thermo import ThermalParams, params_from_mean_photons
 
 
 class DegenerateStateError(ValueError):
@@ -101,18 +110,36 @@ def _vacuum_kernel(envelope, theta: float):
     return (1.0 / math.cosh(2.0 * theta)) / math.pi * envelope
 
 
-def _laguerre_envelope(envelope, n: int, theta: float):
-    """exp(-2u) / (pi cosh^(n+1) 2theta) of the Laguerre families."""
-    return envelope / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
-
-
 def _subtracted_kernel(u, envelope, n: int, theta: float):
+    """exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(-y) at y = 4 sinh^2(theta) u.
+
+    L_n(-y) = sum_k C(n, k) y^k / k! has positive terms only, so it is
+    summed by Horner in y on coefficients that are the exact ratios
+    C(n, k) / k!, correctly rounded: every step adds positive to
+    positive, so nothing cancels, the error is a few n ulp pointwise and
+    no value is negative or -0.0.  The polynomial is then scaled, in
+    place, by the envelope and by 1 / (pi cosh^(n+1) 2theta).  2n + 3
+    array passes and no division; ``u`` and ``envelope`` are read, never
+    written, since a prepared kernel holds them for every theta.
+    """
     if n >= 1 and theta == 0.0:
         raise DegenerateStateError(
             "photon subtraction from the zero-temperature vacuum yields the "
             "null state; no Wigner function exists"
         )
-    return _laguerre_envelope(envelope, n, theta) * laguerre(n, -4.0 * math.sinh(theta) ** 2 * u)
+    scale = 1.0 / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
+    if n == 0:
+        return envelope * scale
+    coefficients = [math.comb(n, k) / math.factorial(k) for k in range(n + 1)]
+    y = 4.0 * math.sinh(theta) ** 2 * u
+    values = y * coefficients[n]
+    values += coefficients[n - 1]
+    for coefficient in reversed(coefficients[:n - 1]):
+        values *= y
+        values += coefficient
+    values *= envelope
+    values *= scale
+    return values
 
 
 def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
@@ -124,8 +151,16 @@ def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
 
 
 def _added_kernel(u, envelope, n: int, theta: float):
-    return ((-1.0) ** n * _laguerre_envelope(envelope, n, theta)
-            * laguerre(n, 4.0 * math.cosh(theta) ** 2 * u))
+    """(-1)^n exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(4 cosh^2(theta) u).
+
+    L_n from one :func:`~thermalwigner.specfun.laguerre` call, then two
+    in-place products: the envelope, and the one scalar
+    (-1)^n / (pi cosh^(n+1) 2theta).
+    """
+    values = laguerre(n, 4.0 * math.cosh(theta) ** 2 * u)
+    values *= envelope
+    values *= (-1.0) ** n / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
+    return values
 
 
 def _number_kernel(abs2, n: int):
@@ -260,10 +295,11 @@ def _laguerre_functions(u: np.ndarray, envelope, count: int, rows: np.ndarray):
 
     The forward recurrence (j + 1) l_{j+1} = (2j + 1 - v) l_j - j l_{j-1}
     at v = 4u, seeded with l_0 = envelope = exp(-2u) and
-    l_1 = (1 - v) l_0, elementwise in the flattened u.  Given ``count``
-    rows it keeps every order; given three, it streams them, and each
-    yielded row is overwritten two steps later.  Either way a row is
-    rounded the same.
+    l_1 = (1 - v) l_0, elementwise in the flattened u; each step
+    multiplies by the reciprocal 1 / (j + 1), so no pass divides.  Given
+    ``count`` rows it keeps every order; given three, it streams them,
+    and each yielded row is overwritten two steps later.  Either way a
+    row is rounded the same.
     """
     v = 4.0 * np.ravel(u)
     tmp = np.empty_like(v)
@@ -280,7 +316,7 @@ def _laguerre_functions(u: np.ndarray, envelope, count: int, rows: np.ndarray):
         nxt *= rows[j % size]
         np.multiply(rows[(j - 1) % size], j, out=tmp)
         nxt -= tmp
-        nxt /= j + 1
+        nxt *= 1.0 / (j + 1)
         yield nxt
 
 
@@ -440,13 +476,20 @@ def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> fl
     """Photon-subtracted Wigner function parameterized by the occupation n_c.
 
     Algebraically identical to :func:`wigner_photon_subtracted` under
-    n_c = sinh^2(theta), 2 n_c + 1 = cosh(2 theta); kept as an
-    independent evaluation route for cross-checking.
+    n_c = sinh^2(theta), 2 n_c + 1 = cosh(2 theta), and kept as an
+    independent evaluation route for cross-checking: it takes L_n from
+    the three-term recurrence of :func:`~thermalwigner.specfun.laguerre`,
+    where the theta form sums the power series by Horner.
+
+    Raises:
+        ValueError: for an n_c that is not finite, is negative or exceeds
+            sinh^2(THETA_MAX), with the message of
+            :func:`~thermalwigner.thermo.params_from_mean_photons`.
+        DegenerateStateError: for n >= 1 at n_c = 0.
     """
     n = check_excitation_count(n)
     n_c = float(n_c)
-    if not math.isfinite(n_c) or n_c < 0.0:
-        raise ValueError(f"n_c must be finite and >= 0, got {n_c!r}")
+    params_from_mean_photons(n_c)  # the theta form's range, refused alike
     if n >= 1 and n_c == 0.0:
         raise DegenerateStateError(
             "photon subtraction from the zero-occupation state yields the "

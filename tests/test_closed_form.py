@@ -8,7 +8,7 @@ import pytest
 from closed_form_reference import norm_const_added, norm_const_subtracted
 
 from thermalwigner import closed_form
-from thermalwigner.analysis import scan_theta
+from thermalwigner.analysis import default_norm_box, negativity_of_state, scan_theta
 from thermalwigner.closed_form import (
     DegenerateStateError,
     wigner_closed_form,
@@ -22,7 +22,7 @@ from thermalwigner.closed_form import (
 )
 from thermalwigner.specfun import factorial, hermite2, laguerre
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
-from thermalwigner.thermo import params_from_theta
+from thermalwigner.thermo import THETA_MAX, params_from_mean_photons, params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
 
@@ -104,22 +104,34 @@ class TestPhotonSubtracted:
             wigner_photon_subtracted(ORIGIN, 1, params_from_theta(0.0))
 
     def test_nonnegative_everywhere(self):
+        # Horner on positive coefficients at y >= 0: no value is negative or
+        # -0.0, on a grid, in the far tail (exp(-2u) underflows at u = 373)
+        # or in the negativity volume, at every n up to the cap and theta to 5
         q = np.linspace(-5.0, 5.0, 61)
-        for n in range(1, 6):
-            for theta in (0.1, 0.5, 1.0, 2.0):
+        u = np.linspace(0.0, 400.0, 2001)
+        for n in range(17):
+            at = closed_form.prepare_gaussian(Family.PHOTON_SUBTRACTED, n, u)
+            for theta in (1e-3, 0.05, 0.3, 1.0, 2.2, 3.7, 5.0):
                 state = StateSpec(Family.PHOTON_SUBTRACTED, params_from_theta(theta), n=n)
-                assert np.min(wigner_closed_grid(state, q, q)) >= 0.0
+                for values in (wigner_closed_grid(state, q, q), at(theta)):
+                    assert np.all(values >= 0.0) and not np.signbit(values).any()
+                assert np.all(at(theta)[:1000] > 0.0)
+                assert negativity_of_state(state) == 0.0
 
     def test_occupation_form_matches_theta_form(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            theta = float(rng.uniform(0.05, 1.2))
-            n = int(rng.integers(0, 6))
-            thermal = params_from_theta(theta)
-            point = random_points(rng, 1)[0]
-            w_theta = wigner_photon_subtracted(point, n, thermal)
-            w_nc = wigner_photon_subtracted_ncform(point, n, thermal.n_c)
-            assert abs(w_theta - w_nc) < 1e-12
+        # two algorithms: the theta form sums L_n(-y) by Horner, the
+        # occupation form by the three-term recurrence (largest relative
+        # difference measured out to the norm-box edge: 2.1e-14)
+        for n in range(17):
+            for theta in (0.01, 0.05, 0.3, 1.0, 2.0, 3.5, 5.0):
+                thermal = params_from_theta(theta)
+                box = default_norm_box(StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n))
+                for r in np.linspace(0.0, box.q_max, 25):
+                    for phi in (0.0, 0.7):
+                        point = PhasePoint(r * math.cos(phi), r * math.sin(phi))
+                        w_theta = wigner_photon_subtracted(point, n, thermal)
+                        w_nc = wigner_photon_subtracted_ncform(point, n, thermal.n_c)
+                        assert abs(w_theta - w_nc) <= 1e-13 * w_theta, (n, theta, r, phi)
 
     def test_occupation_form_examples(self):
         assert wigner_photon_subtracted_ncform(ORIGIN, 0, 0.0) == pytest.approx(
@@ -135,6 +147,18 @@ class TestPhotonSubtracted:
     def test_occupation_form_degenerate(self):
         with pytest.raises(DegenerateStateError):
             wigner_photon_subtracted_ncform(ORIGIN, 2, 0.0)
+
+    @pytest.mark.parametrize("n, n_c", [(2, 1e200), (16, 1e20), (3, 1e6),
+                                        (0, math.sinh(THETA_MAX) ** 2 * (1 + 1e-15))])
+    def test_occupation_form_refuses_what_the_theta_form_refuses(self, n, n_c):
+        # an occupation beyond sinh^2(THETA_MAX) is refused with the message
+        # of params_from_mean_photons, not evaluated or overflowed
+        with pytest.raises(ValueError) as expected:
+            params_from_mean_photons(n_c)
+        with pytest.raises(ValueError) as got:
+            wigner_photon_subtracted_ncform(PhasePoint(0.3, -0.2), n, n_c)
+        assert str(got.value) == str(expected.value)
+        assert "exceeds the validated range" in str(got.value)
 
 
 class TestPhotonAdded:
@@ -589,13 +613,19 @@ class TestDispatchAndGrids:
     @pytest.mark.parametrize("family, n", [
         (Family.THERMAL_VACUUM, 0), (Family.PHOTON_SUBTRACTED, 3),
         (Family.PHOTON_ADDED, 4), (Family.THERMAL_NUMBER, 3),
+        *[(family, n) for family in (Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED,
+                                     Family.THERMAL_NUMBER) for n in (0, 1, 2, 7, 16)],
     ])
     def test_prepared_kernel_is_the_one_theta_call(self, family, n):
         # prepare_gaussian does the theta-free work once; each theta it is
-        # then handed gives bitwise the one-theta call, on any radii
+        # then handed gives bitwise the one-theta call, on any radii.  It
+        # holds u and exp(-2u) across theta, so a kernel that wrote into
+        # either would change a later step: u is read-only here, and the
+        # steps come back to their first theta
         u = np.linspace(0.0, 30.0, 301)
+        u.setflags(write=False)
         at = closed_form.prepare_gaussian(family, n, u)
-        for theta in (1.7, 0.05, 0.9, 5.0):
+        for theta in (1.7, 0.05, 0.9, 5.0, 1.7):
             state = StateSpec(family, params_from_theta(theta), n=n)
             assert np.array_equal(at(theta), closed_form.wigner_closed_gaussian(state, u))
         single = closed_form.prepare_gaussian(family, n, np.float64(1.3))(0.7)
