@@ -8,9 +8,11 @@ u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
   * photon-subtracted:   W = exp(-2u) / (pi c^(n+1)) * L_n(-4 sinh^2(theta) u)   >= 0,
                           L_n(-y) = sum_k C(n, k) y^k / k!
   * photon-added:        W = (-1)^n exp(-2u) / (pi c^(n+1)) * L_n(4 cosh^2(theta) u)
-  * thermal number:      double polynomial sum over two-variable
-                          Hermite moduli, exp(-2u) times a polynomial
-                          of degree 2n in u, see :func:`_thermal_number_kernel`
+  * thermal number:      W = exp(-2u) sum_{k=0}^{2n} a_k L_k(4u), the paper's
+                          double sum over two-variable Hermite moduli,
+                          a_k = (-1)^n / (pi c) sum_r G_kr cos(r psi),
+                          psi = 2 arctan(sinh 2theta), see
+                          :func:`_thermal_number_kernel`
   * zero-T number state: W = (-1)^n / pi * exp(-2|a|^2) L_n(4 |a|^2),
                           the theta -> 0 limit of the added and thermal
                           number families, where u = |a|^2.
@@ -32,14 +34,13 @@ quadrature of ``analysis`` builds u itself from its plan and prepares
 it once per scan.  The photon-subtracted L_n(-y), a series of positive
 terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
 the photon-added L_n is one three-term recurrence
-(:func:`~thermalwigner.specfun.laguerre`).  The thermal number sum is
-taken at the 2n + 1 nodes of a Gauss-Laguerre rule, from a theta-free
-table of Hermite squares, and projected onto Laguerre polynomials; the
-series is summed over rows exp(-v/2) L_j(v), v = 4u, which a prepared
-kernel holds for every theta and a one-theta call streams.  The Horner
-loop and the row recurrence multiply and add only; the one division
-per order left is inside ``specfun.laguerre``, which the Gauss-Laguerre
-rule's rows (:func:`_laguerre_rows`) round alike.  No kernel writes
+(:func:`~thermalwigner.specfun.laguerre`).  The thermal number
+coefficients a_k are one product of an exact theta-free table G with
+the cosines cos(r psi); the series is summed over rows exp(-v/2) L_j(v),
+v = 4u, which a prepared kernel holds for every theta and a one-theta
+call streams.  The Horner loop and the row recurrence multiply and add
+only; the one division per order left is inside ``specfun.laguerre``.
+No kernel writes
 into the u or exp(-2u) it is handed, which a prepared kernel holds
 across theta.  No call keeps state for the next.
 Where exp(-2u) underflows to 0 every closed form is +0.0, and no
@@ -63,7 +64,7 @@ import numpy as np
 # The kernels never call ``hermite2``.  It stays importable from here
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # ``closed_form.hermite2`` to count its calls.
-from .specfun import factorial, hermite2, laguerre  # noqa: F401
+from .specfun import hermite2, laguerre  # noqa: F401
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
 from .thermo import ThermalParams, params_from_mean_photons
 
@@ -169,107 +170,46 @@ def _number_kernel(abs2, n: int):
     return _scatter(live, (-1.0) ** n / math.pi * envelope * laguerre(n, 4.0 * abs2))
 
 
-def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
-    """L_0(x) ... L_{count-1}(x) as the rows of one array.
-
-    The three-term recurrence of :func:`~thermalwigner.specfun.laguerre`,
-    rounded in the same order, with every order kept.
-    """
-    rows = np.empty((count, x.size))
-    rows[0] = 1.0
-    if count > 1:
-        rows[1] = 1.0 - x
-    for k in range(1, count - 1):
-        rows[k + 1] = ((2 * k + 1 - x) * rows[k] - k * rows[k - 1]) / (k + 1)
-    return rows
-
-
 @lru_cache(maxsize=None)
-def _gauss_laguerre(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``order``-point Gauss-Laguerre rule: nodes, weights and L_j at the nodes.
+def _thermal_number_matrix(n: int) -> np.ndarray:
+    """The theta-free table G of the thermal number coefficients, (2n + 1, n + 1), read-only.
 
-    The rule integrates exp(-v) f(v) on [0, inf) exactly for every
-    polynomial f of degree below 2 * order.  Its nodes are the
-    eigenvalues of the Laguerre Jacobi matrix, diagonal 2k + 1 and
-    off-diagonal k (Golub & Welsch, Math. Comp. 23, 221, 1969), refined
-    by one Newton step on L_order.  The L_j are orthonormal under
-    exp(-v), so the weights are the Christoffel numbers
-    1 / sum_{j < order} L_j(v)^2, normalized to sum 1, the integral of
-    exp(-v).  That sum of squares has no cancellation: its weights are
-    within 1e-14 of 40-digit ones at every odd order up to 33, where the
-    textbook v / (order L_{order-1}(v))^2 is off by up to 3e-13.  Returns the
-    nodes, the weights and the rows L_0 ... L_{order-1} at the nodes,
-    cached per order and read-only.
+    a_k = (-1)^n / (pi cosh 2theta) sum_m b_km tau^m, with
+    b_km = (-1)^m C(n, m) C(n + m, m) C(2m, m + k - n) and
+    tau = tanh^2(2 theta) / 4 (:func:`_thermal_number_kernel`).  In floats
+    the tau-sum alternates and cancels.  In the angle
+    psi = 2 arctan(sinh 2theta), cos psi = 1 - 2 tanh^2 2theta, so
+    tau = sin^2(psi / 2) / 4 and
+
+        tau^m = 16^-m (C(2m, m) + 2 sum_{r=1}^{m} (-1)^r C(2m, m - r) cos(r psi)).
+
+    Row k holds the coefficients G[k, r] of cos(r psi), r = 0 ... n, in
+    sum_m b_km tau^m.  Each is an integer over 16^n, summed in Python
+    integers and divided once, int by int, so it is correctly rounded.
+    Row n is nonnegative and sums to 1, and no row's absolute sum exceeds
+    it.  Rows k and 2n - k are equal, so rows k <= n are built and
+    mirrored.  Cached per n.
     """
-    k = np.arange(order, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], -1)  # eigvalsh reads the lower triangle
-    nodes = np.linalg.eigvalsh(jacobi)
-    # L_order'(v) = order (L_order(v) - L_{order-1}(v)) / v
-    below, top = _laguerre_rows(order + 1, nodes)[-2:]
-    nodes = nodes - nodes * top / (order * (top - below))
-    rows = _laguerre_rows(order, nodes)
-    weights = 1.0 / np.sum(rows * rows, axis=0)
-    weights /= weights.sum()
-    for array in (nodes, weights, rows):
-        array.setflags(write=False)
-    return nodes, weights, rows
-
-
-@lru_cache(maxsize=None)
-def _thermal_number_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The theta-free part of the thermal number fit: (table, projector), read-only.
-
-    With v_i the nodes and w_i the weights of the Gauss-Laguerre rule of
-    order 2n + 1 and z_i = sqrt(v_i / 2), row m (n + 1) + j of ``table`` is
-
-        n!^2 (-1)^(n-m) / ((n-m)! (n-j)! (m! j!)^2) * H_{m,j}(z_i, z_i)^2
-
-    at every node, the Hermite rows coming from the recurrence
-
-        H_{0,k} = z^k,    H_{m+1,k} = z H_{m,k} - k H_{m,k-1}
-
-    (the s-derivative of the generating function exp(s x + t y - s t)),
-    and ``projector[k, i]`` is w_i L_k(v_i).  Cached per n.
-    """
-    nodes, weights, rows = _gauss_laguerre(2 * n + 1)
-    fact = np.array([factorial(i) for i in range(n + 1)])
-    m = np.arange(n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    factorials = (
-        factorial(n) ** 2
-        * (-1.0) ** (n - m)
-        / (fact[n - m] * fact[n - j] * (fact[m] * fact[j]) ** 2)
-    )
-    z = np.sqrt(0.5 * nodes)
-    k = np.arange(n + 1.0)[:, None]
-    row = z**k  # H_{0,k}(z, z)
-    squares = np.empty((n + 1, n + 1, nodes.size))
-    squares[0] = row * row
-    for step in range(1, n + 1):
-        correction = k[1:] * row[:-1]
-        row *= z
-        row[1:] -= correction
-        squares[step] = row * row
-    table = (factorials[:, :, None] * squares).reshape((n + 1) ** 2, nodes.size)
-    projector = rows * weights
-    for array in (table, projector):
-        array.setflags(write=False)
-    return table, projector
+    binomials = [[math.comb(2 * m, m - r) for r in range(m + 1)] for m in range(n + 1)]
+    rows = []
+    for k in range(n + 1):
+        row = [0] * (n + 1)  # 16^n sum_m b_km tau^m, the cos(r psi) terms without (-1)^r
+        for m in range(n - k, n + 1):
+            b = (-1) ** m * math.comb(n, m) * math.comb(n + m, m) * math.comb(2 * m, m + k - n)
+            b *= 16 ** (n - m)
+            row[:m + 1] = [c + b * binomial for c, binomial in zip(row, binomials[m])]
+        rows.append([(-1) ** r * (2 if r else 1) * c / 16**n for r, c in enumerate(row)])
+    matrix = np.array(rows + rows[-2::-1])
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _thermal_number_series(n: int, theta: float) -> np.ndarray:
-    """The coefficients a_0 ... a_2n of W = exp(-v/2) sum_j a_j L_j(v) at temperature theta.
+    """The coefficients a_0 ... a_2n of W = exp(-v/2) sum_k a_k L_k(v) at temperature theta.
 
-    The kernel's Hermite arguments satisfy x y = v / 2 and
-    x / y = rho = 1 + sech 2theta, so H_{m,j}(x, y)^2 =
-    rho^(m-j) H_{m,j}(z, z)^2 with z = sqrt(v / 2): every term of the
-    double sum at a node is a theta-free entry of
-    :func:`_thermal_number_nodes` times
-
-        s^(2n-m-j) t^(2j) rho^(m-j) = s^(2n) (rho / s)^m (t^2 / (rho s))^j.
-
-    The node values are one product with the table, and the rule's
-    weights project them onto L_0 ... L_{2n}.
+    a_k = (-1)^n / (pi cosh 2theta) sum_r G[k, r] cos(r psi), with
+    psi = 2 arctan(sinh 2theta) and G :func:`_thermal_number_matrix`:
+    one product per theta, whose terms are bounded by |G[k, r]|.
 
     Raises:
         DegenerateStateError: at theta = 0, a removable 0/0 limit.
@@ -279,15 +219,9 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
             "theta = 0 is a removable limit of the thermal number formula; "
             "use wigner_number_state for the zero-temperature case"
         )
-    table, projector = _thermal_number_nodes(n)
-    cosh2 = math.cosh(2.0 * theta)
-    sech2 = 1.0 / cosh2
-    tanh2 = math.tanh(2.0 * theta)
-    rho = 1.0 + sech2
-    k = np.arange(n + 1.0)
-    terms = np.outer((rho / sech2) ** k, (tanh2 * tanh2 / (rho * sech2)) ** k)
-    values = terms.reshape(-1) @ table
-    return projector @ values * (sech2 ** (2 * n) / (math.pi * cosh2))
+    psi = 2.0 * math.atan(math.sinh(2.0 * theta))
+    scale = (-1.0) ** n / (math.pi * math.cosh(2.0 * theta))
+    return _thermal_number_matrix(n) @ np.cos(psi * np.arange(n + 1)) * scale
 
 
 def _laguerre_functions(u: np.ndarray, envelope, count: int, rows: np.ndarray):
@@ -357,23 +291,31 @@ def _thermal_number_kernel(u, n: int, theta: float):
     4 r^2 s the sum is exp(-v/2) times a polynomial P(v) of degree 2n,
     a Gaussian-Laguerre function of the temperature as the paper finds.
 
-    P is taken from the double sum, with m = n - k and j = n - l, at the
-    2n + 1 nodes v_i of the Gauss-Laguerre rule of that order
-    (:func:`_thermal_number_series`), and the rule's weights project
-    those values onto L_0 ... L_{2n}; the projection is exact, since
-    P L_j has degree at most 4n and the rule integrates exp(-v) times any
-    polynomial of degree up to 4n + 1.  The series
-    sum_j a_j exp(-v/2) L_j(v) is then accumulated by
+    Its Laguerre coefficients collapse to one sum.  Taken, like the
+    double sum, from the generating function of the two-mode Wigner
+    function of S(theta)|n, n>, and summed with the identity
+    sum_j C(n, j)^2 X^j (X + w)^(n-j) = sum_m C(n, m) C(n + m, m) X^m w^(n-m),
+    it is
+
+        W = exp(-v/2) sum_{k=0}^{2n} a_k L_k(v),
+        a_k = (-1)^n / (pi cosh 2theta)
+              * sum_{m=|k-n|}^{n} (-1)^m C(n, m) C(n + m, m) C(2m, m + k - n) tau^m,
+
+    tau = tanh^2(2 theta) / 4.  :func:`_thermal_number_series` takes the
+    a_k from a theta-free exact table in cos(r psi),
+    psi = 2 arctan(sinh 2theta) (:func:`_thermal_number_matrix`), one
+    product per theta.  The series is then accumulated by
     :func:`_laguerre_function_sum` over the rows of
     :func:`_laguerre_functions`, elementwise, so a radius gives the same
     value in any input.  This one-theta call streams the rows through
     three buffers and keeps none; :func:`prepare_gaussian` holds them for
     a scan.
 
-    The error is the double sum's own: its cancellation at the nodes,
-    which grows with n and as theta falls (against a 50-digit sum, about
-    3e-16, 2e-14, 9e-13 and 4e-11 at n = 4, 8, 12, 16 for theta from
-    0.1 to 5).
+    No step cancels: the table's rows have absolute sums of at most 1,
+    and the cosines and the rows, |exp(-v/2) L_j(v)| <= 1 at v >= 0, are
+    bounded by 1.  Against a 50-digit evaluation of the
+    double sum the error is at most about 1e-16 at every n up to 16, for
+    theta from 0.001 to 5.
     """
     live, u, envelope = _live(u)
     series = _thermal_number_series(n, theta)
@@ -399,7 +341,9 @@ def prepare_gaussian(family: Family, n: int, u):
     temperatures on fixed u pays it once.  That work is the Gaussian
     exp(-2u), which the vacuum and Laguerre kernels scale, and for the
     thermal number state its 2n + 1 Laguerre rows exp(-2u) L_j(4u), which
-    ``at`` holds and sums at every theta.  ``at`` rounds every value
+    ``at`` holds and sums at every theta with that theta's coefficients,
+    one product with the cached table of :func:`_thermal_number_matrix`.
+    ``at`` rounds every value
     exactly as the one-theta call :func:`wigner_closed_gaussian` does,
     and raises the same errors at the same temperatures.
     """

@@ -11,8 +11,8 @@ which satisfy the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
 Laguerre values come from the stable three-term recurrence; the tests
 replay it against the explicit factorial sum and, through the bridge
 identity, against ``hermite2``, the explicit double sum at complex
-arguments.  The thermal number kernel of ``closed_form`` builds its node
-table with its own Hermite recurrence at real arguments and never calls
+arguments.  The thermal number kernel of ``closed_form`` takes its
+Laguerre coefficients from an exact table of binomials and never calls
 it.
 
 All functions accept scalars or numpy arrays in their continuous

@@ -361,63 +361,11 @@ class TestFarTail:
             wigner_photon_subtracted_ncform(PhasePoint(0.0, -1e200), 2, 0.5)
 
 
-class TestGaussLaguerreRule:
-    # the thermal number kernel projects onto Laguerre polynomials with the
-    # rule of order 2n + 1, for every n up to the cap
-    ORDERS = [2 * n + 1 for n in range(17)]
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_weights_sum_to_one(self, order):
-        _, weights, _ = closed_form._gauss_laguerre(order)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.all(weights > 0.0)
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_moments_are_factorials_to_the_rule_degree(self, order):
-        # integral exp(-v) v^k dv = k!, exact for k <= 2 order - 1 = 4n + 1
-        nodes, weights, _ = closed_form._gauss_laguerre(order)
-        for k in range(2 * order):
-            moment = float(np.dot(weights, nodes**k))
-            assert moment == pytest.approx(math.factorial(k), rel=1e-13), k
-
-    def test_nodes_are_the_roots_of_the_laguerre_polynomial(self):
-        nodes, _, rows = closed_form._gauss_laguerre(9)
-        assert np.all(np.diff(nodes) > 0.0)
-        # |L_9| runs up to about 1e4 between the largest nodes
-        assert np.max(np.abs(laguerre(9, nodes))) < 1e-10
-        # the cached rows are L_0 ... L_8 at the nodes, as specfun rounds them
-        for j in range(9):
-            assert np.array_equal(rows[j], laguerre(j, nodes)), j
-
-    def test_cached_arrays_are_read_only(self):
-        cached = [*closed_form._gauss_laguerre(7), *closed_form._thermal_number_nodes(3)]
-        for array in cached:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        assert closed_form._gauss_laguerre(7)[0] is cached[0]
-
-    def test_laguerre_function_sum_against_the_explicit_sum(self):
-        # sum_j a_j exp(-2u) L_j(4u), accumulated over the kernel's rows
-        coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        u = np.array([0.0, 0.125, 0.75, 2.75])
-        expected = sum(c * np.exp(-2.0 * u) * laguerre(j, 4.0 * u) for j, c in enumerate(coeffs))
-        held = np.empty((coeffs.size, u.size))
-        for _ in closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size, held):
-            pass
-        streamed = closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size,
-                                                   np.empty((3, u.size)))
-        got = closed_form._laguerre_function_sum(coeffs, streamed)
-        assert got == pytest.approx(expected, rel=1e-14)
-        assert np.array_equal(closed_form._laguerre_function_sum(coeffs, held), got)
-        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], held),
-                              0.3 * np.exp(-2.0 * u))
-
-
 class TestNodeTable:
-    # the thermal number fit takes its node values from a theta-free table
-    # of H_{m,j}(z, z)^2, z = sqrt(v / 2); the kernel's arguments have
-    # x y = v / 2 and x / y = rho = 1 + sech 2theta
+    # the paper's double sum is radial: its real Hermite arguments have
+    # x y = v / 2 and x / y = rho = 1 + sech 2theta, so each square
+    # H_{m,j}(x, y)^2 is rho^(m-j) H_{m,j}(z, z)^2, z = sqrt(v / 2), the
+    # step that makes the sum exp(-v/2) times a polynomial in v
 
     @staticmethod
     def arguments(v, theta):
@@ -451,21 +399,6 @@ class TestNodeTable:
                 assert abs(off_diagonal - diagonal) <= 1e-14 * scale, (m, j)
                 assert abs(abs(off_diagonal) ** 2 - ratio ** (2 * (m - j))
                            * abs(hermite2(m, j, z, z)) ** 2) <= 1e-13 * scale**2, (m, j)
-
-    @pytest.mark.parametrize("n", [0, 1, 4, 8])
-    def test_table_holds_the_explicit_sum_at_the_nodes(self, n):
-        table, projector = closed_form._thermal_number_nodes(n)
-        nodes, weights, rows = closed_form._gauss_laguerre(2 * n + 1)
-        assert table.shape == ((n + 1) ** 2, 2 * n + 1)
-        assert np.array_equal(projector, rows * weights)
-        z = np.sqrt(0.5 * nodes)
-        for m in range(n + 1):
-            for j in range(n + 1):
-                factor = factorial(n) ** 2 * (-1.0) ** (n - m) / (
-                    factorial(n - m) * factorial(n - j) * (factorial(m) * factorial(j)) ** 2)
-                expected = factor * np.abs(hermite2(m, j, z, z)) ** 2
-                scale = abs(factor) * np.array([self.term_scale(m, j, zi, zi) for zi in z]) ** 2
-                assert np.all(np.abs(table[m * (n + 1) + j] - expected) <= 1e-13 * scale), (m, j)
 
 
 class TestPreparedRows:
@@ -544,10 +477,28 @@ class TestPreparedRows:
             return []
 
         assert [name for name, value in vars(closed_form).items() if arrays(value)] == []
-        for cached in (closed_form._gauss_laguerre, closed_form._thermal_number_nodes):
-            assert cached.cache_info().currsize > 0
-        for array in [*closed_form._gauss_laguerre(7), *closed_form._thermal_number_nodes(3)]:
-            assert not array.flags.writeable
+        assert closed_form._thermal_number_matrix.cache_info().currsize > 0
+        matrix = closed_form._thermal_number_matrix(3)
+        assert closed_form._thermal_number_matrix(3) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_laguerre_function_sum_against_the_explicit_sum(self):
+        # sum_j a_j exp(-2u) L_j(4u), accumulated over the kernel's rows
+        coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
+        u = np.array([0.0, 0.125, 0.75, 2.75])
+        expected = sum(c * np.exp(-2.0 * u) * laguerre(j, 4.0 * u) for j, c in enumerate(coeffs))
+        held = np.empty((coeffs.size, u.size))
+        for _ in closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size, held):
+            pass
+        streamed = closed_form._laguerre_functions(u, np.exp(-2.0 * u), coeffs.size,
+                                                   np.empty((3, u.size)))
+        got = closed_form._laguerre_function_sum(coeffs, streamed)
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert np.array_equal(closed_form._laguerre_function_sum(coeffs, held), got)
+        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], held),
+                              0.3 * np.exp(-2.0 * u))
 
 
 class TestNormalizationConstants:

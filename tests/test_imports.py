@@ -3,8 +3,8 @@
 scipy stays installed for the tests, which use it as a reference, so the
 first check runs commands with it importable and asserts that none of
 them imported it; the second refuses every scipy import outright.  The
-number kernel builds its own Gauss-Laguerre rule, so the last check
-asserts that the number commands load no ``numpy.polynomial`` either.
+number kernel sums its own Laguerre series, so the last check asserts
+that the number commands load no ``numpy.polynomial`` either.
 """
 
 import os
@@ -89,8 +89,8 @@ def test_commands_run_with_scipy_refused(tmp_path):
 
 
 def test_number_commands_load_no_numpy_polynomial(tmp_path):
-    # numpy.polynomial costs milliseconds to import and its laggauss more
-    # to run; the kernel's rule comes from eigvalsh and specfun.laguerre
+    # numpy.polynomial costs milliseconds to import; the kernel's
+    # coefficients come from an integer table and its rows from a recurrence
     commands = [
         ["scan-theta", "--family", "number", "--n", "3", "--steps", "3", "--out", "scan.csv"],
         ["verify", "--family", "number", "--n", "2", "--theta", "0.4", "--out", "number.json"],

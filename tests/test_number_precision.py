@@ -1,6 +1,13 @@
-"""Thermal number kernel against a 50-digit evaluation of the same double sum."""
+"""Thermal number kernel against the paper's double sum: exact, in 50 digits, and at the origin.
 
+The kernel shares no formula with the double sum: its coefficient table
+comes from a single sum over powers of tanh^2(2 theta) / 4, while the
+references below expand the double sum itself.
+"""
+
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,13 +15,13 @@ import pytest
 
 from thermalwigner import closed_form
 from thermalwigner.analysis import default_norm_box
-from thermalwigner.closed_form import wigner_closed_grid
-from thermalwigner.states import Family, StateSpec
+from thermalwigner.closed_form import wigner_closed_grid, wigner_thermal_number
+from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
 # Largest absolute error allowed per n over every theta and radius below.
-MAX_ABS_ERR = {4: 1e-15, 8: 5e-14, 12: 5e-12, 16: 2e-10}
-THETAS = (0.1, 0.5, 1.0, 1.5, 2.0)  # up to the scan-theta default maximum
+MAX_ABS_ERR = {4: 2e-16, 8: 3e-16, 12: 3e-16, 16: 3e-16}
+THETAS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 RADII = 9
 
 
@@ -80,23 +87,85 @@ def test_every_order_to_the_cap_against_50_digit_sum():
             assert worst <= bound, f"n={n}, theta={theta}: max abs error {worst:.2e}"
 
 
-@pytest.mark.parametrize("order", [9, 17, 33])
-def test_gauss_laguerre_rule_against_40_digit_rule(order):
-    # nodes polished as roots of L_order and weights from the Christoffel
-    # sum, both in 40 digits; the kernel's projection is as good as these
-    nodes, weights, _ = closed_form._gauss_laguerre(order)
-    with mpmath.workdps(40):
-        roots = [mpmath.findroot(lambda v: mpmath.laguerre(order, 0, v), float(v)) for v in nodes]
-        exact = [1 / mpmath.fsum(mpmath.laguerre(j, 0, r) ** 2 for j in range(order))
-                 for r in roots]
-        roots = np.array([float(r) for r in roots])
-        exact = np.array([float(w) for w in exact])
-    assert np.max(np.abs(nodes - roots) / roots) < 1e-14
-    assert np.max(np.abs(weights - exact) / exact) < 2e-14
-
-
 def test_reference_reproduces_the_vacuum_at_n_zero():
     theta, q = 0.5, 1.3
     s = 1.0 / math.cosh(2.0 * theta)
     expected = s / math.pi * math.exp(-q * q * s)
     assert thermal_number_mp(0, theta, q, 0.0) == pytest.approx(expected, rel=1e-15)
+
+
+def exact_number_table(n):
+    """The paper's double sum as exact rationals G[k][r], a_k = (-1)^n / (pi cosh 2theta) sum_r G[k][r] cos(r psi).
+
+    Term (m, j) = (n - k, n - l) of the double sum (:func:`thermal_number_mp`)
+    is f_mj s^(2n-m-j) t^(2j) |H_{m,j}(E, Y)|^2.  At a radius the Hermite
+    arguments are real with x y = v / 2 and x / y = rho = 1 + s, v = 4u,
+    so the square is rho^(m-j) H_{m,j}(z, z)^2 at z^2 = v / 2: a
+    polynomial in v, written in L_k(v) by v^q = q! sum_k (-1)^k C(q, k) L_k(v).
+    With t^2 = 1 - s^2 the temperature factor is s^(2n-m-j) (1 - s)^j (1 + s)^m.
+    The sum over (m, j) is even in s, and s^2 = cos^2(psi / 2) at
+    psi = 2 arctan(sinh 2theta), so s^(2q) = 4^-q (C(2q, q) + 2 sum_r C(2q, q - r) cos(r psi)).
+    """
+    fact, comb = math.factorial, math.comb
+    size = 2 * n + 1
+    in_s = [[Fraction(0)] * size for _ in range(size)]  # [k][p]: pi cosh(2 theta) a_k at s^p
+    for m, j in itertools.product(range(n + 1), repeat=2):
+        weight = Fraction(fact(n) ** 2 * (-1) ** (n - m),
+                          fact(n - m) * fact(n - j) * (fact(m) * fact(j)) ** 2)
+        hermite = [Fraction(fact(m) * fact(j) * (-1) ** l, fact(l) * fact(j - l) * fact(m - l))
+                   for l in range(min(m, j) + 1)]  # H_{m,j}(z, z) at z^(m+j-2l)
+        square = [Fraction(0)] * (m + j + 1)  # H_{m,j}(z, z)^2 at v^q
+        for (l1, h1), (l2, h2) in itertools.product(enumerate(hermite), repeat=2):
+            q = m + j - l1 - l2
+            square[q] += h1 * h2 / 2**q
+        laguerre = [sum(c * fact(q) * (-1) ** k * comb(q, k) for q, c in enumerate(square) if q >= k)
+                    for k in range(m + j + 1)]
+        low = 2 * n - m - j
+        temperature = [sum(comb(j, i) * (-1) ** i * comb(m, p - low - i) for i in range(j + 1)
+                           if 0 <= p - low - i <= m) for p in range(size)]
+        for k, c in enumerate(laguerre):
+            for p, t in enumerate(temperature):
+                in_s[k][p] += weight * c * t
+    table = []
+    for row in in_s:
+        assert not any(row[1::2]), "the double sum is even in s"
+        cosines = [Fraction(0)] * (n + 1)
+        for q, c in enumerate(row[::2]):
+            for r in range(q + 1):
+                cosines[r] += c * (2 if r else 1) * comb(2 * q, q - r) / 4**q
+        table.append([(-1) ** n * c for c in cosines])
+    return table
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_coefficient_table_is_the_double_sum_correctly_rounded(n):
+    expected = np.array([[float(c) for c in row] for row in exact_number_table(n)])
+    assert np.array_equal(closed_form._thermal_number_matrix(n), expected)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_coefficient_table_rows_are_bounded(n):
+    # at psi = 0 the series is the zero-temperature number state, all in
+    # row n; every term of the product is at most |G[k, r]|
+    table = closed_form._thermal_number_matrix(n)
+    assert table.shape == (2 * n + 1, n + 1)
+    assert np.all(table[n] >= 0.0)
+    assert np.all(np.abs(table.sum(axis=1) - np.eye(2 * n + 1)[n]) <= 1e-15)
+    assert np.max(np.abs(table).sum(axis=1)) <= 1.0 + 1e-15
+    assert np.array_equal(table, table[::-1])
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_origin_value_is_a_legendre_polynomial(n):
+    # W(0) = sum_k a_k = (-1)^n P_n(1 - 2 tanh^2 2theta) / (pi cosh 2theta),
+    # held in units of 1 / (pi cosh 2theta)
+    worst = 0.0
+    for theta in np.geomspace(1e-3, 5.0, 40):
+        theta = float(theta)
+        got = wigner_thermal_number(PhasePoint(0.0, 0.0), n, params_from_theta(theta))
+        with mpmath.workdps(30):
+            t = mpmath.tanh(2 * mpmath.mpf(theta))
+            unit = mpmath.pi * mpmath.cosh(2 * mpmath.mpf(theta))
+            expected = (-1) ** n * mpmath.legendre(n, 1 - 2 * t * t) / unit
+            worst = max(worst, float(abs(got - expected) * unit))
+    assert worst <= 1e-14, f"n={n}: max error {worst:.2e} of 1 / (pi cosh 2theta)"
