@@ -155,6 +155,26 @@ def test_coefficient_table_rows_are_bounded(n):
     assert np.array_equal(table, table[::-1])
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 8, 16])
+def test_series_is_the_single_tau_sum(n):
+    # a_k = (-1)^n / (pi cosh 2theta) sum_m b_km tau^m, tau = tanh^2(2theta) / 4,
+    # in 50 digits: checks the angle, sign and scale the table is read with;
+    # held in units of 1 / (pi cosh 2theta)
+    worst = 0.0
+    for theta in THETAS:
+        got = closed_form._thermal_number_series(n, theta)
+        with mpmath.workdps(50):
+            tau = mpmath.tanh(2 * mpmath.mpf(theta)) ** 2 / 4
+            unit = mpmath.pi * mpmath.cosh(2 * mpmath.mpf(theta))
+            for k in range(2 * n + 1):
+                inner = mpmath.fsum(
+                    (-1) ** m * math.comb(n, m) * math.comb(n + m, m)
+                    * math.comb(2 * m, m + k - n) * tau**m
+                    for m in range(abs(k - n), n + 1))
+                worst = max(worst, float(abs(got[k] - (-1) ** n * inner / unit) * unit))
+    assert worst <= 5e-16, f"n={n}: max error {worst:.2e} of 1 / (pi cosh 2theta)"
+
+
 @pytest.mark.parametrize("n", range(17))
 def test_origin_value_is_a_legendre_polynomial(n):
     # W(0) = sum_k a_k = (-1)^n P_n(1 - 2 tanh^2 2theta) / (pi cosh 2theta),
