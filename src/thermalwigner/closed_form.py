@@ -33,14 +33,15 @@ and the per-family ``wigner_*`` wrappers go through it.  The radial
 quadrature of ``analysis`` builds u itself from its plan and prepares
 it once per scan.  The photon-subtracted L_n(-y), a series of positive
 terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
-the photon-added L_n is one three-term recurrence
-(:func:`~thermalwigner.specfun.laguerre`).  The thermal number
+the photon-added L_n is one call of
+:func:`~thermalwigner.specfun.laguerre`.  The thermal number
 coefficients a_k are one product of an exact theta-free table G with
 the cosines cos(r psi); the series is summed over rows exp(-v/2) L_j(v),
 v = 4u, which a prepared kernel holds for every theta and a one-theta
-call streams.  The Horner loop and the row recurrence multiply and add
-only; the one division per order left is inside ``specfun.laguerre``.
-No kernel writes
+call streams.  Those rows and ``laguerre`` come from the one three-term
+recurrence :func:`~thermalwigner.specfun.laguerre_rows`, seeded with
+exp(-v/2) or with 1.  The Horner loop and that recurrence multiply and
+add only.  No kernel writes
 into the u or exp(-2u) it is handed, which a prepared kernel holds
 across theta.  No call keeps state for the next.
 Where exp(-2u) underflows to 0 every closed form is +0.0, and no
@@ -64,7 +65,7 @@ import numpy as np
 # The kernels never call ``hermite2``.  It stays importable from here
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # ``closed_form.hermite2`` to count its calls.
-from .specfun import hermite2, laguerre  # noqa: F401
+from .specfun import hermite2, laguerre, laguerre_rows  # noqa: F401
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
 from .thermo import ThermalParams, params_from_mean_photons
 
@@ -154,8 +155,9 @@ def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
 def _added_kernel(u, envelope, n: int, theta: float):
     """(-1)^n exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(4 cosh^2(theta) u).
 
-    L_n from one :func:`~thermalwigner.specfun.laguerre` call, then two
-    in-place products: the envelope, and the one scalar
+    L_n from one :func:`~thermalwigner.specfun.laguerre` call, the seed-1
+    last row of the recurrence that also builds the thermal number rows,
+    then two in-place products: the envelope, and the one scalar
     (-1)^n / (pi cosh^(n+1) 2theta).
     """
     values = laguerre(n, 4.0 * math.cosh(theta) ** 2 * u)
@@ -217,48 +219,20 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
     if theta <= 0.0:
         raise DegenerateStateError(
             "theta = 0 is a removable limit of the thermal number formula; "
-            "use wigner_number_state for the zero-temperature case"
+            "use wigner_number_state for the zero-temperature case, or on the "
+            "command line --family added --theta 0, which gives the same state |n>"
         )
     psi = 2.0 * math.atan(math.sinh(2.0 * theta))
     scale = (-1.0) ** n / (math.pi * math.cosh(2.0 * theta))
     return _thermal_number_matrix(n) @ np.cos(psi * np.arange(n + 1)) * scale
 
 
-def _laguerre_functions(u: np.ndarray, envelope, count: int, rows: np.ndarray):
-    """Yield exp(-2u) L_j(4u) for j = 0 .. count - 1, into rows[j % len(rows)].
-
-    The forward recurrence (j + 1) l_{j+1} = (2j + 1 - v) l_j - j l_{j-1}
-    at v = 4u, seeded with l_0 = envelope = exp(-2u) and
-    l_1 = (1 - v) l_0, elementwise in the flattened u; each step
-    multiplies by the reciprocal 1 / (j + 1), so no pass divides.  Given
-    ``count`` rows it keeps every order; given three, it streams them,
-    and each yielded row is overwritten two steps later.  Either way a
-    row is rounded the same.
-    """
-    v = 4.0 * np.ravel(u)
-    tmp = np.empty_like(v)
-    size = len(rows)
-    rows[0] = np.ravel(envelope)
-    yield rows[0]
-    if count > 1:
-        np.subtract(1.0, v, out=rows[1])
-        rows[1] *= rows[0]
-        yield rows[1]
-    for j in range(1, count - 1):
-        nxt = rows[(j + 1) % size]
-        np.subtract(2 * j + 1, v, out=nxt)
-        nxt *= rows[j % size]
-        np.multiply(rows[(j - 1) % size], j, out=tmp)
-        nxt -= tmp
-        nxt *= 1.0 / (j + 1)
-        yield nxt
-
-
 def _laguerre_function_sum(series: np.ndarray, rows) -> np.ndarray:
     """sum_j series[j] exp(-2u) L_j(4u), accumulated in j order over ``rows``.
 
     ``rows`` yields exp(-2u) L_j(4u) for j = 0, 1, ...: the rows a
-    prepared kernel holds, or the stream of :func:`_laguerre_functions`.
+    prepared kernel holds, or the stream of
+    :func:`~thermalwigner.specfun.laguerre_rows` seeded with exp(-2u).
     Held or streamed, each row and the sum are rounded alike.
     """
     rows = iter(rows)
@@ -306,7 +280,8 @@ def _thermal_number_kernel(u, n: int, theta: float):
     psi = 2 arctan(sinh 2theta) (:func:`_thermal_number_matrix`), one
     product per theta.  The series is then accumulated by
     :func:`_laguerre_function_sum` over the rows of
-    :func:`_laguerre_functions`, elementwise, so a radius gives the same
+    :func:`~thermalwigner.specfun.laguerre_rows` at x = 4u, seeded with
+    exp(-2u), elementwise, so a radius gives the same
     value in any input.  This one-theta call streams the rows through
     three buffers and keeps none; :func:`prepare_gaussian` holds them for
     a scan.
@@ -319,7 +294,7 @@ def _thermal_number_kernel(u, n: int, theta: float):
     """
     live, u, envelope = _live(u)
     series = _thermal_number_series(n, theta)
-    rows = _laguerre_functions(u, envelope, series.size, np.empty((3, u.size)))
+    rows = laguerre_rows(4.0 * u, envelope, series.size, np.empty((3, u.size)))
     return _scatter(live, _laguerre_function_sum(series, rows).reshape(u.shape))
 
 
@@ -353,7 +328,7 @@ def prepare_gaussian(family: Family, n: int, u):
     live, u, envelope = _live(u)
     if family is Family.THERMAL_NUMBER:
         rows = np.empty((2 * n + 1, u.size))
-        for _ in _laguerre_functions(u, envelope, len(rows), rows):
+        for _ in laguerre_rows(4.0 * u, envelope, len(rows), rows):
             pass
         return lambda theta: _scatter(live, _laguerre_function_sum(
             _thermal_number_series(n, theta), rows).reshape(u.shape))

@@ -8,12 +8,13 @@ two-variable Hermite polynomials H_{m,n}(x, y) defined by the double sum
 
 which satisfy the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
 
-Laguerre values come from the stable three-term recurrence; the tests
-replay it against the explicit factorial sum and, through the bridge
-identity, against ``hermite2``, the explicit double sum at complex
-arguments.  The thermal number kernel of ``closed_form`` takes its
-Laguerre coefficients from an exact table of binomials and never calls
-it.
+Laguerre values come from one stable three-term recurrence,
+:func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
+never divides; the tests replay it against the explicit factorial sum
+and, through the bridge identity, against ``hermite2``, the explicit
+double sum at complex arguments.  :func:`laguerre` is its seed-1 last
+row; the thermal number kernel of ``closed_form`` sums its rows seeded
+with exp(-2u) at x = 4u.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -57,12 +58,42 @@ def _check_finite(x, name: str):
     return arr
 
 
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) by the three-term recurrence.
+def laguerre_rows(x, seed, count: int, rows: np.ndarray):
+    """Yield seed * L_j(x) for j = 0 .. count - 1, into rows[j % len(rows)].
 
-    (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x), seeded with
-    L_0 = 1 and L_1 = 1 - x.  Stable for the moderate orders used here,
-    unlike the alternating factorial sum which degrades past n ~ 15.
+    The forward recurrence (j + 1) l_{j+1} = (2j + 1 - x) l_j - j l_{j-1},
+    seeded with l_0 = seed and l_1 = (1 - x) l_0, elementwise in the
+    flattened x; each step multiplies by the reciprocal 1 / (j + 1), so
+    no pass divides.  Stable for the moderate orders used here, unlike
+    the alternating factorial sum which degrades past n ~ 15.  Given
+    ``count`` rows it keeps every order; given three, it streams them,
+    and each yielded row is overwritten two steps later.  Either way a
+    row is rounded the same.  ``x`` and ``seed`` are read, never written.
+    """
+    x = np.ravel(x)
+    tmp = np.empty_like(x)
+    size = len(rows)
+    rows[0] = np.ravel(seed)
+    yield rows[0]
+    if count > 1:
+        np.subtract(1.0, x, out=rows[1])
+        rows[1] *= rows[0]
+        yield rows[1]
+    for j in range(1, count - 1):
+        nxt = rows[(j + 1) % size]
+        np.subtract(2 * j + 1, x, out=nxt)
+        nxt *= rows[j % size]
+        np.multiply(rows[(j - 1) % size], j, out=tmp)
+        nxt -= tmp
+        nxt *= 1.0 / (j + 1)
+        yield nxt
+
+
+def laguerre(n: int, x):
+    """Laguerre polynomial L_n(x), the last row of :func:`laguerre_rows` seeded with 1.
+
+    The rows stream through three buffers, and the result is a view of
+    one of them, never of ``x``.
 
     Args:
         n: polynomial order, n >= 0.
@@ -75,20 +106,8 @@ def laguerre(n: int, x):
     x = _check_finite(x, "x")
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float, copy=False)  # read-only below
-    if n == 0:
-        ones = np.ones_like(x)
-        return float(ones[0]) if scalar else ones
-    # L_0 = 1 enters the first step as the scalar 1.0, which rounds alike
-    prev, cur, nxt = 1.0, 1.0 - x, np.empty_like(x)
-    for k in range(1, n):
-        # nxt = ((2k+1 - x) cur - k prev) / (k+1), in place, in that order
-        np.subtract(2 * k + 1, x, out=nxt)
-        nxt *= cur
-        prev *= k
-        nxt -= prev
-        nxt /= k + 1
-        prev, cur, nxt = cur, nxt, (prev if k > 1 else np.empty_like(x))
-    return float(cur[0]) if scalar else cur
+    *_, values = laguerre_rows(x, 1.0, n + 1, np.empty((3, x.size)))
+    return float(values[0]) if scalar else values.reshape(x.shape)
 
 
 def hermite2(m: int, n: int, x, y):

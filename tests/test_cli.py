@@ -514,6 +514,17 @@ class TestScanTheta:
         assert all(a > b for a, b in zip(amp, amp[1:]))
         assert all(a > b for a, b in zip(neg, neg[1:]))
 
+    def test_number_at_zero_theta_names_the_command_that_gives_the_state(self, tmp_path, capsys):
+        # theta = 0 is a removable limit of the number formula; |n> is the
+        # added family at theta = 0
+        out = tmp_path / "scan.csv"
+        assert run(["scan-theta", "--family", "number", "--n", "2", "--theta-min", "0",
+                    "--steps", "3", "--out", str(out)]) == 1
+        payload = strict_json(out)
+        assert payload["error"] == "DegenerateStateError"
+        assert "--family added --theta 0" in payload["message"]
+        assert "error:" in capsys.readouterr().err
+
     def test_no_negativity_flag(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert run([

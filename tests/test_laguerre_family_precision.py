@@ -17,7 +17,7 @@ RADII = 400
 
 # Largest error over every n, theta and radius above, relative to the
 # largest |W| on the radii (both families) and pointwise (subtracted,
-# whose values are all positive).  Measured: 6.7e-15, 5.7e-15 and 7.1e-15.
+# whose values are all positive).  Measured: 6.7e-15, 6.0e-15 and 7.1e-15.
 MAX_ERR_OF_PEAK = {Family.PHOTON_SUBTRACTED: 1e-14, Family.PHOTON_ADDED: 1e-14}
 MAX_REL_ERR_SUBTRACTED = 1e-14
 
