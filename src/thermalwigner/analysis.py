@@ -240,7 +240,7 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 # Peak memory of sample_grid per grid node, in bytes; see sample_grid.
-_SAMPLE_GRID_BYTES_PER_NODE = 20
+_SAMPLE_GRID_BYTES_PER_NODE = 24
 
 
 def _physical_memory_bytes() -> int | None:
@@ -255,14 +255,15 @@ def _physical_memory_bytes() -> int | None:
 def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -> WignerGrid:
     """Evaluate the requested source on every node of the box.
 
-    A grid whose estimated peak, nq * np_ * 20 bytes, exceeds the
+    A grid whose estimated peak, nq * np_ * 24 bytes, exceeds the
     machine's physical memory is refused with ``MemoryError`` before
-    anything is allocated.  The 20 bytes per node are the 8 of the
-    returned grid plus the fold's temporaries, rounded up from the
-    largest measured slope: peak RSS (``ru_maxrss``) of a fresh
-    interpreter that makes one call, against the node count, was
-    16.7-18.5 B per node for the closed form and 16.7-19.3 for the
-    oracle between 1001^2 and 5001^2 nodes (Linux, numpy 2.4).
+    anything is allocated.  The 24 bytes per node are the 8 of the
+    returned grid plus the fold's temporaries and the kernel's rows,
+    rounded up from the largest measured slope: peak RSS (``ru_maxrss``)
+    of a fresh interpreter that makes one call at n = 16 rose by
+    22.8-23.3 B per node for the ``number`` closed form (its n + 1 rows),
+    14.4-18.6 for the other closed forms and 12.6-19.5 for the oracle
+    between 1001^2 and 5001^2 nodes (Linux, numpy 2.4).
 
     Raises:
         MemoryError: for a grid that cannot be held in physical memory.

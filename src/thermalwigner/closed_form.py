@@ -10,9 +10,9 @@ u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
   * photon-added:        W = (-1)^n exp(-2u) / (pi c^(n+1)) * L_n(4 cosh^2(theta) u)
   * thermal number:      W = exp(-2u) sum_{k=0}^{2n} a_k L_k(4u), the paper's
                           double sum over two-variable Hermite moduli,
-                          a_k = (-1)^n / (pi c) sum_r G_kr cos(r psi),
+                          a_k = a_{2n-k} = (-1)^n / (pi c) sum_r G_kr cos(r psi),
                           psi = 2 arctan(sinh 2theta), see
-                          :func:`_thermal_number_kernel`
+                          :func:`_thermal_number_sum`
   * zero-T number state: W = (-1)^n / pi * exp(-2|a|^2) L_n(4 |a|^2),
                           the theta -> 0 limit of the added and thermal
                           number families, where u = |a|^2.
@@ -36,9 +36,10 @@ terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
 the photon-added L_n is one call of
 :func:`~thermalwigner.specfun.laguerre`.  The thermal number
 coefficients a_k are one product of an exact theta-free table G with
-the cosines cos(r psi); the series is summed over rows exp(-v/2) L_j(v),
-v = 4u, which a prepared kernel holds for every theta and a one-theta
-call streams.  Those rows and ``laguerre`` come from the one three-term
+the cosines cos(r psi), and a_k = a_{2n-k}, so the series is summed
+over n + 1 held rows, exp(-v/2) (L_k(v) + L_{2n-k}(v)) at v = 4u, which
+a one-theta call builds and sums once and a scan sums at every theta.
+Those rows and ``laguerre`` come from the one three-term
 recurrence :func:`~thermalwigner.specfun.laguerre_rows`, seeded with
 exp(-v/2) or with 1.  The Horner loop and that recurrence multiply and
 add only.  No kernel writes
@@ -79,7 +80,7 @@ class DegenerateStateError(ValueError):
 # theta-free inputs from prepare_gaussian, then theta: the vacuum kernel the
 # Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope, n) at the
 # radii where that envelope is nonzero (_live), and the thermal number kernel
-# its Laguerre rows.
+# the Laguerre rows it folds from them, and n.
 
 
 def _live(u):
@@ -174,11 +175,11 @@ def _number_kernel(abs2, n: int):
 
 @lru_cache(maxsize=None)
 def _thermal_number_matrix(n: int) -> np.ndarray:
-    """The theta-free table G of the thermal number coefficients, (2n + 1, n + 1), read-only.
+    """The theta-free table G of the thermal number coefficients, (n + 1, n + 1), read-only.
 
     a_k = (-1)^n / (pi cosh 2theta) sum_m b_km tau^m, with
     b_km = (-1)^m C(n, m) C(n + m, m) C(2m, m + k - n) and
-    tau = tanh^2(2 theta) / 4 (:func:`_thermal_number_kernel`).  In floats
+    tau = tanh^2(2 theta) / 4 (:func:`_thermal_number_sum`).  In floats
     the tau-sum alternates and cancels.  In the angle
     psi = 2 arctan(sinh 2theta), cos psi = 1 - 2 tanh^2 2theta, so
     tau = sin^2(psi / 2) / 4 and
@@ -189,8 +190,7 @@ def _thermal_number_matrix(n: int) -> np.ndarray:
     sum_m b_km tau^m.  Each is an integer over 16^n, summed in Python
     integers and divided once, int by int, so it is correctly rounded.
     Row n is nonnegative and sums to 1, and no row's absolute sum exceeds
-    it.  Rows k and 2n - k are equal, so rows k <= n are built and
-    mirrored.  Cached per n.
+    it.  b_km = b_(2n-k)m, so only rows k <= n are built.  Cached per n.
     """
     binomials = [[math.comb(2 * m, m - r) for r in range(m + 1)] for m in range(n + 1)]
     rows = []
@@ -201,17 +201,20 @@ def _thermal_number_matrix(n: int) -> np.ndarray:
             b *= 16 ** (n - m)
             row[:m + 1] = [c + b * binomial for c, binomial in zip(row, binomials[m])]
         rows.append([(-1) ** r * (2 if r else 1) * c / 16**n for r, c in enumerate(row)])
-    matrix = np.array(rows + rows[-2::-1])
+    matrix = np.array(rows)
     matrix.setflags(write=False)
     return matrix
 
 
 def _thermal_number_series(n: int, theta: float) -> np.ndarray:
-    """The coefficients a_0 ... a_2n of W = exp(-v/2) sum_k a_k L_k(v) at temperature theta.
+    """The coefficients a_0 ... a_n of W = exp(-v/2) sum_k a_k L_k(v) at temperature theta.
 
     a_k = (-1)^n / (pi cosh 2theta) sum_r G[k, r] cos(r psi), with
     psi = 2 arctan(sinh 2theta) and G :func:`_thermal_number_matrix`:
-    one product per theta, whose terms are bounded by |G[k, r]|.
+    one product per theta, whose terms are bounded by |G[k, r]|; the
+    other half is the mirror a_{2n-k} = a_k.  The error is absolute, about
+    1e-16 of 1 / (pi cosh 2theta), above the outer a_{n +- j} ~ tau^j at
+    small theta.
 
     Raises:
         DegenerateStateError: at theta = 0, a removable 0/0 limit.
@@ -227,24 +230,23 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
     return _thermal_number_matrix(n) @ np.cos(psi * np.arange(n + 1)) * scale
 
 
-def _laguerre_function_sum(series: np.ndarray, rows) -> np.ndarray:
-    """sum_j series[j] exp(-2u) L_j(4u), accumulated in j order over ``rows``.
+def _thermal_number_rows(u, envelope, n: int) -> np.ndarray:
+    """The n + 1 folded rows S_k = R_k + R_{2n-k} (k < n), S_n = R_n, R_j = exp(-2u) L_j(4u).
 
-    ``rows`` yields exp(-2u) L_j(4u) for j = 0, 1, ...: the rows a
-    prepared kernel holds, or the stream of
-    :func:`~thermalwigner.specfun.laguerre_rows` seeded with exp(-2u).
-    Held or streamed, each row and the sum are rounded alike.
+    R_0 ... R_2n stream through a three-row ring of
+    :func:`~thermalwigner.specfun.laguerre_rows`: rows j <= n are copied
+    out, and each row j > n is added into row 2n - j.
     """
-    rows = iter(rows)
-    total = next(rows) * series[0]
-    tmp = np.empty_like(total)
-    for coeff, row in zip(series[1:], rows):
-        np.multiply(row, coeff, out=tmp)
-        total += tmp
-    return total
+    rows = np.empty((n + 1, u.size))
+    for j, row in enumerate(laguerre_rows(4.0 * u, envelope, 2 * n + 1, np.empty((3, u.size)))):
+        if j <= n:
+            rows[j] = row
+        else:
+            rows[2 * n - j] += row
+    return rows
 
 
-def _thermal_number_kernel(u, n: int, theta: float):
+def _thermal_number_sum(rows: np.ndarray, n: int, theta: float):
     """Double Hermite sum for the finite-temperature number state.
 
     With s = sech(2 theta), t = tanh(2 theta) and the linear arguments
@@ -275,27 +277,30 @@ def _thermal_number_kernel(u, n: int, theta: float):
         a_k = (-1)^n / (pi cosh 2theta)
               * sum_{m=|k-n|}^{n} (-1)^m C(n, m) C(n + m, m) C(2m, m + k - n) tau^m,
 
-    tau = tanh^2(2 theta) / 4.  :func:`_thermal_number_series` takes the
-    a_k from a theta-free exact table in cos(r psi),
-    psi = 2 arctan(sinh 2theta) (:func:`_thermal_number_matrix`), one
-    product per theta.  The series is then accumulated by
-    :func:`_laguerre_function_sum` over the rows of
-    :func:`~thermalwigner.specfun.laguerre_rows` at x = 4u, seeded with
-    exp(-2u), elementwise, so a radius gives the same
-    value in any input.  This one-theta call streams the rows through
-    three buffers and keeps none; :func:`prepare_gaussian` holds them for
-    a scan.
+    tau = tanh^2(2 theta) / 4.  C(2m, m + k - n) is symmetric under
+    k <-> 2n - k, so a_k = a_{2n-k} and W = sum_{k=0}^{n} a_k S_k over
+    the folded ``rows`` of :func:`_thermal_number_rows`.
+    :func:`_thermal_number_series` takes a_0 ... a_n from a theta-free
+    exact table in cos(r psi), psi = 2 arctan(sinh 2theta)
+    (:func:`_thermal_number_matrix`), one product per theta, and the
+    sum is accumulated in k order, elementwise, so a radius gives the
+    same value in any input.  ``rows`` is read, never written.
 
     No step cancels: the table's rows have absolute sums of at most 1,
-    and the cosines and the rows, |exp(-v/2) L_j(v)| <= 1 at v >= 0, are
-    bounded by 1.  Against a 50-digit evaluation of the
+    the cosines and |exp(-v/2) L_j(v)| <= 1 (v >= 0) are bounded by 1,
+    and so each folded row by 2.  Against a 50-digit evaluation of the
     double sum the error is at most about 1e-16 at every n up to 16, for
-    theta from 0.001 to 5.
+    theta from 0.001 to 5.  That bound is absolute, about 1e-16 of
+    1 / (pi cosh 2theta): in the far tail at small theta, where W is far
+    below it, the sign of a value is not resolved.
     """
-    live, u, envelope = _live(u)
     series = _thermal_number_series(n, theta)
-    rows = laguerre_rows(4.0 * u, envelope, series.size, np.empty((3, u.size)))
-    return _scatter(live, _laguerre_function_sum(series, rows).reshape(u.shape))
+    total = rows[0] * series[0]
+    tmp = np.empty_like(total)
+    for coeff, row in zip(series[1:], rows[1:]):
+        np.multiply(row, coeff, out=tmp)
+        total += tmp
+    return total
 
 
 _LAGUERRE_KERNELS = {
@@ -313,37 +318,26 @@ def prepare_gaussian(family: Family, n: int, u):
 
     Does the theta-free work once and returns ``at(theta)``, the closed
     form at each u = |alpha|^2 sech 2theta of ``u``, so that a scan over
-    temperatures on fixed u pays it once.  That work is the Gaussian
-    exp(-2u), which the vacuum and Laguerre kernels scale, and for the
-    thermal number state its 2n + 1 Laguerre rows exp(-2u) L_j(4u), which
-    ``at`` holds and sums at every theta with that theta's coefficients,
-    one product with the cached table of :func:`_thermal_number_matrix`.
-    ``at`` rounds every value
-    exactly as the one-theta call :func:`wigner_closed_gaussian` does,
-    and raises the same errors at the same temperatures.
+    temperatures on fixed u pays it once; a one-theta call
+    (:func:`wigner_closed_gaussian`) is ``at`` called once.  That work is
+    the Gaussian exp(-2u), which the vacuum and Laguerre kernels scale,
+    and for the thermal number state its 2n + 1 rows exp(-2u) L_j(4u)
+    folded onto n + 1 by the mirror symmetry of their coefficients
+    (:func:`_thermal_number_rows`), which ``at`` sums at every theta.
     """
     family = Family(family)
     if family is Family.THERMAL_VACUUM:
         return partial(_vacuum_kernel, np.exp(-2.0 * u))
     live, u, envelope = _live(u)
     if family is Family.THERMAL_NUMBER:
-        rows = np.empty((2 * n + 1, u.size))
-        for _ in laguerre_rows(4.0 * u, envelope, len(rows), rows):
-            pass
-        return lambda theta: _scatter(live, _laguerre_function_sum(
-            _thermal_number_series(n, theta), rows).reshape(u.shape))
-    kernel = partial(_LAGUERRE_KERNELS[family], u, envelope, n)
-    return lambda theta: _scatter(live, kernel(theta))
+        kernel = partial(_thermal_number_sum, _thermal_number_rows(u, envelope, n), n)
+    else:
+        kernel = partial(_LAGUERRE_KERNELS[family], u, envelope, n)
+    return lambda theta: _scatter(live, kernel(theta).reshape(u.shape))
 
 
 def wigner_closed_gaussian(state: StateSpec, u) -> np.ndarray:
-    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``.
-
-    A thermal number state streams its Laguerre rows
-    (:func:`_thermal_number_kernel`) and keeps none.
-    """
-    if state.family is Family.THERMAL_NUMBER:
-        return _thermal_number_kernel(u, state.n, state.thermal.theta)
+    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``."""
     return prepare_gaussian(state.family, state.n, u)(state.thermal.theta)
 
 

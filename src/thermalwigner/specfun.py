@@ -13,8 +13,8 @@ Laguerre values come from one stable three-term recurrence,
 never divides; the tests replay it against the explicit factorial sum
 and, through the bridge identity, against ``hermite2``, the explicit
 double sum at complex arguments.  :func:`laguerre` is its seed-1 last
-row; the thermal number kernel of ``closed_form`` sums its rows seeded
-with exp(-2u) at x = 4u.
+row; the thermal number kernel of ``closed_form`` folds its rows seeded
+with exp(-2u) at x = 4u, L_k + L_{2n-k}, and sums them.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -64,11 +64,12 @@ def laguerre_rows(x, seed, count: int, rows: np.ndarray):
     The forward recurrence (j + 1) l_{j+1} = (2j + 1 - x) l_j - j l_{j-1},
     seeded with l_0 = seed and l_1 = (1 - x) l_0, elementwise in the
     flattened x; each step multiplies by the reciprocal 1 / (j + 1), so
-    no pass divides.  Stable for the moderate orders used here, unlike
-    the alternating factorial sum which degrades past n ~ 15.  Given
-    ``count`` rows it keeps every order; given three, it streams them,
-    and each yielded row is overwritten two steps later.  Either way a
-    row is rounded the same.  ``x`` and ``seed`` are read, never written.
+    no pass divides, and the step to l_2 subtracts l_0 unscaled.  Stable
+    for the moderate orders used here, unlike the alternating factorial
+    sum which degrades past n ~ 15.  Given ``count`` rows it keeps every
+    order; given three, it streams them, and each yielded row is
+    overwritten two steps later.  Either way a row is rounded the same.
+    ``x`` and ``seed`` are read, never written.
     """
     x = np.ravel(x)
     tmp = np.empty_like(x)
@@ -83,8 +84,7 @@ def laguerre_rows(x, seed, count: int, rows: np.ndarray):
         nxt = rows[(j + 1) % size]
         np.subtract(2 * j + 1, x, out=nxt)
         nxt *= rows[j % size]
-        np.multiply(rows[(j - 1) % size], j, out=tmp)
-        nxt -= tmp
+        nxt -= rows[0] if j == 1 else np.multiply(rows[(j - 1) % size], j, out=tmp)
         nxt *= 1.0 / (j + 1)
         yield nxt
 

@@ -26,9 +26,8 @@ def strict_json(path):
 
 
 def spy_on_kernels(monkeypatch, calls):
-    """Record instead of running any closed-form kernel: prepared or streamed."""
-    for name in ("prepare_gaussian", "_thermal_number_kernel"):
-        monkeypatch.setattr(cli.closed_form, name, lambda *args: calls.append(args))
+    """Record instead of running any closed-form kernel: every one is prepared."""
+    monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
 
 
 class _ArrayMemoryError(MemoryError):

@@ -285,16 +285,20 @@ class TestThermalNumber:
         # the kernel sums its series over the flattened u = |alpha|^2
         # sech 2theta; the result comes back in the shape of u, 0-d included
         u = np.array([[0.1, 0.5, 2.0], [0.0, 1.3, 4.2]])
+
+        def kernel(u, n):
+            return closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, u)(0.6)
+
         for n in (0, 1, 5):
-            values = closed_form._thermal_number_kernel(u, n, 0.6)
+            values = kernel(u, n)
             assert values.shape == (2, 3)
-            flat = closed_form._thermal_number_kernel(u.ravel(), n, 0.6)
+            flat = kernel(u.ravel(), n)
             assert values.ravel() == pytest.approx(flat, rel=1e-14)
-            single = closed_form._thermal_number_kernel(1.3, n, 0.6)
+            single = kernel(1.3, n)
             assert single.shape == ()
             assert float(single) == pytest.approx(values[1, 1], rel=1e-14)
         # n = 0 runs no recurrence step and is the thermal vacuum
-        assert closed_form._thermal_number_kernel(u, 0, 0.6) == pytest.approx(
+        assert kernel(u, 0) == pytest.approx(
             closed_form.prepare_gaussian(Family.THERMAL_VACUUM, 0, u)(0.6), rel=1e-14
         )
 
@@ -401,65 +405,63 @@ class TestNodeTable:
                            * abs(hermite2(m, j, z, z)) ** 2) <= 1e-13 * scale**2, (m, j)
 
 
-class TestPreparedRows:
-    # a prepared thermal number kernel holds the Laguerre rows of its radii
-    # for every theta; a one-theta call streams them and keeps nothing.  A
-    # value never depends on what ran before it.
+class TestFoldedRows:
+    # a_k = a_{2n-k}, so the thermal number kernel folds the 2n + 1 rows
+    # R_j = exp(-2u) L_j(4u) onto n + 1 and holds them for every theta; a
+    # one-theta call is a prepared kernel called once.  A value never
+    # depends on what ran before it.
 
     U = np.linspace(0.0, 9.0, 401)
     OTHER_U = np.linspace(0.01, 7.0, 401)  # other radii, the same count
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
-    def test_prepared_rows_equal_streamed_rows(self, n):
-        count, envelope = 2 * n + 1, np.exp(-2.0 * self.U)
-        held = np.empty((count, self.U.size))
-        for _ in laguerre_rows(4.0 * self.U, envelope, count, held):
-            pass
-        ring = np.empty((3, self.U.size))
-        streamed = [row.copy() for row in
-                    laguerre_rows(4.0 * self.U, envelope, count, ring)]
-        assert len(streamed) == count
-        assert all(np.array_equal(h, r) for h, r in zip(held, streamed))
-        at = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)
-        for theta in (0.6, 1.3, 0.05, 5.0):
-            assert np.array_equal(at(theta), closed_form._thermal_number_kernel(self.U, n, theta))
+    @staticmethod
+    def fresh(u, n, theta):
+        return closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, u)(theta)
 
-    @pytest.mark.parametrize("n", [2, 6])
-    def test_interleaved_prepared_kernels_keep_their_own_rows(self, n):
-        thetas = (0.9, 0.2, 2.5)
-        fresh = {id(u): [closed_form._thermal_number_kernel(u, n, t) for t in thetas]
-                 for u in (self.U, self.OTHER_U)}
-        at_u = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)
-        at_other = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.OTHER_U)
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
+    def test_held_rows_are_the_folded_rows(self, n):
+        count, envelope = 2 * n + 1, np.exp(-2.0 * self.U)
+        every = np.empty((count, self.U.size))
+        for _ in laguerre_rows(4.0 * self.U, envelope, count, every):
+            pass
+        expected = [every[k] + every[2 * n - k] for k in range(n)] + [every[n]]
+        held = closed_form._thermal_number_rows(self.U, envelope, n)
+        assert held.shape == (n + 1, self.U.size)
+        assert all(np.array_equal(h, e) for h, e in zip(held, expected))
+
+    def test_interleaved_prepared_kernels_equal_fresh_calls(self):
+        # prepared kernels over two sets of radii and three n, called in
+        # turn at temperatures out of order, each against a fresh call
+        cases = [(u, n) for u in (self.U, self.OTHER_U) for n in (2, 6, 16)]
+        thetas = (0.9, 0.2, 2.5, 0.05, 5.0)
+        fresh = {(id(u), n): [self.fresh(u, n, t) for t in thetas] for u, n in cases}
+        prepared = {(id(u), n): closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, u)
+                    for u, n in cases}
         for i, theta in enumerate(thetas):
-            assert np.array_equal(at_other(theta), fresh[id(self.OTHER_U)][i])
-            assert np.array_equal(at_u(theta), fresh[id(self.U)][i])
+            for key in reversed(list(prepared)) if i % 2 else prepared:
+                assert np.array_equal(prepared[key](theta), fresh[key][i]), (key[1], theta)
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_no_earlier_call_changes_a_value(self, n):
         theta = 0.9
-        reference = closed_form._thermal_number_kernel(self.U, n, theta)
+        reference = self.fresh(self.U, n, theta)
         state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
         earlier_calls = [
-            lambda: closed_form._thermal_number_kernel(self.OTHER_U, n, theta),  # other radii
-            lambda: closed_form._thermal_number_kernel(self.U, n - 1, theta),  # smaller n
-            lambda: closed_form._thermal_number_kernel(self.U, n + 3, theta),  # larger n
-            lambda: closed_form._thermal_number_kernel(self.U, n, 2.0),  # other theta
+            lambda: self.fresh(self.OTHER_U, n, theta),  # other radii
+            lambda: self.fresh(self.U, n - 1, theta),  # smaller n
+            lambda: self.fresh(self.U, n + 3, theta),  # larger n
+            lambda: self.fresh(self.U, n, 2.0),  # other theta
             lambda: closed_form.wigner_closed_gaussian(state, self.U),  # another family
-            lambda: closed_form._thermal_number_kernel(self.U[:50], n, theta),  # a prefix
-            lambda: closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.OTHER_U)(theta),
+            lambda: self.fresh(self.U[:50], n, theta),  # a prefix
         ]
         for earlier in earlier_calls:
             earlier()
-            assert np.array_equal(closed_form._thermal_number_kernel(self.U, n, theta),
-                                  reference)
-            assert np.array_equal(
-                closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, self.U)(theta), reference)
+            assert np.array_equal(self.fresh(self.U, n, theta), reference)
 
     def test_point_values_match_the_prepared_rows(self):
-        values = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, 7, self.U)(0.4)
+        values = self.fresh(self.U, 7, 0.4)
         for i in (0, 17, 200, 400):
-            assert closed_form._thermal_number_kernel(self.U[i], 7, 0.4) == values[i]
+            assert self.fresh(self.U[i], 7, 0.4) == values[i]
 
     def test_a_scan_leaves_no_array_in_the_module(self):
         # the only arrays closed_form keeps are its read-only lru_cache entries
@@ -484,21 +486,18 @@ class TestPreparedRows:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
-    def test_laguerre_function_sum_against_the_explicit_sum(self):
-        # sum_j a_j exp(-2u) L_j(4u), accumulated over the kernel's rows
-        coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        u = np.array([0.0, 0.125, 0.75, 2.75])
-        expected = sum(c * np.exp(-2.0 * u) * laguerre(j, 4.0 * u) for j, c in enumerate(coeffs))
-        held = np.empty((coeffs.size, u.size))
-        for _ in laguerre_rows(4.0 * u, np.exp(-2.0 * u), coeffs.size, held):
-            pass
-        streamed = laguerre_rows(4.0 * u, np.exp(-2.0 * u), coeffs.size,
-                                 np.empty((3, u.size)))
-        got = closed_form._laguerre_function_sum(coeffs, streamed)
-        assert got == pytest.approx(expected, rel=1e-14)
-        assert np.array_equal(closed_form._laguerre_function_sum(coeffs, held), got)
-        assert np.array_equal(closed_form._laguerre_function_sum(coeffs[:1], held),
-                              0.3 * np.exp(-2.0 * u))
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_folded_sum_against_the_explicit_sum(self, n):
+        # sum_{k=0}^{2n} a_k exp(-2u) L_k(4u), every row its own, with the
+        # mirrored coefficients a_{2n-k} = a_k; held to the rows' scale
+        u = np.array([0.0, 0.125, 0.75, 2.75, 6.0])
+        theta = 0.7
+        series = closed_form._thermal_number_series(n, theta)
+        coeffs = np.concatenate([series, series[-2::-1]])
+        expected = sum(c * np.exp(-2.0 * u) * laguerre(k, 4.0 * u) for k, c in enumerate(coeffs))
+        got = self.fresh(u, n, theta)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.abs(coeffs).sum()
+        assert got[0] == pytest.approx(coeffs.sum(), rel=1e-14)
 
 
 class TestNormalizationConstants:

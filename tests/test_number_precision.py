@@ -81,7 +81,7 @@ def test_every_order_to_the_cap_against_50_digit_sum():
         bound = MAX_ABS_ERR[min(k for k in MAX_ABS_ERR if k >= n)]
         for theta in (0.3, 1.2, 3.0, 5.0):
             u = 0.5 * q**2 / math.cosh(2.0 * theta)
-            got = closed_form._thermal_number_kernel(u, n, theta)
+            got = closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, u)(theta)
             ref = np.array([thermal_number_mp(n, theta, float(qi), 0.0) for qi in q])
             worst = float(np.max(np.abs(got - ref)))
             assert worst <= bound, f"n={n}, theta={theta}: max abs error {worst:.2e}"
@@ -139,8 +139,18 @@ def exact_number_table(n):
 
 @pytest.mark.parametrize("n", range(8))
 def test_coefficient_table_is_the_double_sum_correctly_rounded(n):
-    expected = np.array([[float(c) for c in row] for row in exact_number_table(n)])
+    # the kernel's table holds rows k <= n; the others are their mirror
+    expected = np.array([[float(c) for c in row] for row in exact_number_table(n)[:n + 1]])
     assert np.array_equal(closed_form._thermal_number_matrix(n), expected)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_double_sum_coefficients_are_mirror_symmetric(n):
+    # rows k and 2n - k of the exact expansion are equal, so a_k = a_{2n-k}
+    # and the kernel sums L_k + L_{2n-k} against one coefficient
+    table = exact_number_table(n)
+    assert len(table) == 2 * n + 1
+    assert all(table[k] == table[2 * n - k] for k in range(n))
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -148,31 +158,51 @@ def test_coefficient_table_rows_are_bounded(n):
     # at psi = 0 the series is the zero-temperature number state, all in
     # row n; every term of the product is at most |G[k, r]|
     table = closed_form._thermal_number_matrix(n)
-    assert table.shape == (2 * n + 1, n + 1)
+    assert table.shape == (n + 1, n + 1)
     assert np.all(table[n] >= 0.0)
-    assert np.all(np.abs(table.sum(axis=1) - np.eye(2 * n + 1)[n]) <= 1e-15)
+    assert np.all(np.abs(table.sum(axis=1) - np.eye(n + 1)[n]) <= 1e-15)
     assert np.max(np.abs(table).sum(axis=1)) <= 1.0 + 1e-15
-    assert np.array_equal(table, table[::-1])
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 8, 16])
 def test_series_is_the_single_tau_sum(n):
     # a_k = (-1)^n / (pi cosh 2theta) sum_m b_km tau^m, tau = tanh^2(2theta) / 4,
-    # in 50 digits: checks the angle, sign and scale the table is read with;
-    # held in units of 1 / (pi cosh 2theta)
+    # k <= n, in 50 digits: checks the angle, sign and scale the table is
+    # read with; held in units of 1 / (pi cosh 2theta)
     worst = 0.0
     for theta in THETAS:
         got = closed_form._thermal_number_series(n, theta)
+        assert got.shape == (n + 1,)
         with mpmath.workdps(50):
             tau = mpmath.tanh(2 * mpmath.mpf(theta)) ** 2 / 4
             unit = mpmath.pi * mpmath.cosh(2 * mpmath.mpf(theta))
-            for k in range(2 * n + 1):
+            for k in range(n + 1):
                 inner = mpmath.fsum(
                     (-1) ** m * math.comb(n, m) * math.comb(n + m, m)
                     * math.comb(2 * m, m + k - n) * tau**m
                     for m in range(abs(k - n), n + 1))
                 worst = max(worst, float(abs(got[k] - (-1) ** n * inner / unit) * unit))
     assert worst <= 5e-16, f"n={n}: max error {worst:.2e} of 1 / (pi cosh 2theta)"
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1])
+@pytest.mark.parametrize("q", [16.0, 24.0])
+def test_far_tail_error_is_absolute(theta, q):
+    # the coefficients carry absolute precision, about 1e-16 of
+    # 1 / (pi cosh 2theta), so a value's error scales with the rows it sums,
+    # sum_k |exp(-v/2) L_k(v)|, not with W: at n = 16, theta = 0.01, q = 16
+    # W is 2.6e-82 while that scale is 5.3e-62, and the kernel's sign there
+    # is not resolved (measured errors 4.8e-18 to 8.8e-18 of the scale)
+    n = 16
+    u = np.array([0.5 * q * q / math.cosh(2.0 * theta)])
+    got = float(closed_form.prepare_gaussian(Family.THERMAL_NUMBER, n, u)(theta)[0])
+    ref = thermal_number_mp(n, theta, q, 0.0)
+    with mpmath.workdps(30):
+        v = 4 * mpmath.mpf(float(u[0]))
+        rows = mpmath.fsum(abs(mpmath.exp(-v / 2) * mpmath.laguerre(k, 0, v))
+                           for k in range(2 * n + 1))
+        scale = float(rows / (mpmath.pi * mpmath.cosh(2 * mpmath.mpf(theta))))
+    assert abs(got - ref) <= 1e-16 * scale, f"error {abs(got - ref):.2e} of scale {scale:.2e}"
 
 
 @pytest.mark.parametrize("n", range(17))
