@@ -774,8 +774,9 @@ def scan_theta(
     subtracted n >= 8), while each step evaluates its theta's polynomial
     factor and takes its integrals.  The plan's first radius is exactly
     0, so W(0) is read off that pass and equals the point evaluator's
-    value.  Without it, W(0) comes from the point evaluator.  A row is
-    bitwise the one-state value at its theta, and a step that the
+    value.  Without it, the closed form is prepared once at the radius
+    0, as the point evaluator prepares it, and called at each theta.  A
+    row is bitwise the one-state value at its theta, and a step that the
     one-state call refuses raises the same error.
     """
     rows = []
@@ -786,9 +787,11 @@ def scan_theta(
             rows.append({"theta": state.thermal.theta, "w0": w0, "abs_w0": abs(w0),
                          "negativity_volume": negativity})
         return rows
-    origin = PhasePoint(0.0, 0.0)
+    at_origin = None
     for theta in thetas:
         state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
-        w0 = closed_form.wigner_closed_form(state, origin)
+        if at_origin is None:  # after the first StateSpec has checked family and n
+            at_origin = closed_form.prepare_gaussian(state.family, state.n, 0.0)
+        w0 = float(at_origin(state.thermal.theta))
         rows.append({"theta": float(theta), "w0": w0, "abs_w0": abs(w0)})
     return rows

@@ -14,8 +14,10 @@ u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
                           psi = 2 arctan(sinh 2theta), see
                           :func:`_thermal_number_sum`
   * zero-T number state: W = (-1)^n / pi * exp(-2|a|^2) L_n(4 |a|^2),
-                          the theta -> 0 limit of the added and thermal
-                          number families, where u = |a|^2.
+                          the theta = 0 value of the added and thermal
+                          number families, where u = |a|^2; kept as the
+                          reference their zero-temperature limits are
+                          checked against.
 
 Here |a|^2 = (q^2 + p^2)/2 and the normalization is
 integral W dq dp = 1 (vacuum peak 1/pi).
@@ -36,9 +38,10 @@ terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
 the photon-added L_n is one call of
 :func:`~thermalwigner.specfun.laguerre`.  The thermal number
 coefficients a_k are one product of an exact theta-free table G with
-the cosines cos(r psi), and a_k = a_{2n-k}, so the series is summed
-over n + 1 held rows, exp(-v/2) (L_k(v) + L_{2n-k}(v)) at v = 4u, which
-a one-theta call builds and sums once and a scan sums at every theta.
+the cosines cos(r psi) at every theta, 0 included, where they give
+|n>; a_k = a_{2n-k}, so the series is summed over n + 1 held rows,
+exp(-v/2) (L_k(v) + L_{2n-k}(v)) at v = 4u, which a one-theta call
+builds and sums once and a scan sums at every theta.
 Those rows and ``laguerre`` come from the one three-term
 recurrence :func:`~thermalwigner.specfun.laguerre_rows`, seeded with
 exp(-v/2) or with 1.  The Horner loop and that recurrence multiply and
@@ -72,7 +75,7 @@ from .thermo import ThermalParams, params_from_mean_photons
 
 
 class DegenerateStateError(ValueError):
-    """The requested state does not exist (zero norm or removable limit)."""
+    """The requested state does not exist: it has zero norm."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +217,10 @@ def _thermal_number_series(n: int, theta: float) -> np.ndarray:
     one product per theta, whose terms are bounded by |G[k, r]|; the
     other half is the mirror a_{2n-k} = a_k.  The error is absolute, about
     1e-16 of 1 / (pi cosh 2theta), above the outer a_{n +- j} ~ tau^j at
-    small theta.
-
-    Raises:
-        DegenerateStateError: at theta = 0, a removable 0/0 limit.
+    small theta.  At theta = 0, psi = 0 and a_k = (-1)^n / pi times the
+    sum of row k: 1 for k = n and 0 for the others, to the rounding of
+    the table's entries, so the series is the number state |n>.
     """
-    if theta <= 0.0:
-        raise DegenerateStateError(
-            "theta = 0 is a removable limit of the thermal number formula; "
-            "use wigner_number_state for the zero-temperature case, or on the "
-            "command line --family added --theta 0, which gives the same state |n>"
-        )
     psi = 2.0 * math.atan(math.sinh(2.0 * theta))
     scale = (-1.0) ** n / (math.pi * math.cosh(2.0 * theta))
     return _thermal_number_matrix(n) @ np.cos(psi * np.arange(n + 1)) * scale
@@ -238,7 +234,7 @@ def _thermal_number_rows(u, envelope, n: int) -> np.ndarray:
     out, and each row j > n is added into row 2n - j.
     """
     rows = np.empty((n + 1, u.size))
-    for j, row in enumerate(laguerre_rows(4.0 * u, envelope, 2 * n + 1, np.empty((3, u.size)))):
+    for j, row in enumerate(laguerre_rows(4.0 * u, envelope, 2 * n + 1)):
         if j <= n:
             rows[j] = row
         else:
@@ -425,9 +421,8 @@ def wigner_photon_added(point: PhasePoint, n: int, thermal: ThermalParams) -> fl
 def wigner_thermal_number(point: PhasePoint, n: int, thermal: ThermalParams) -> float:
     """Wigner function of the finite-temperature number state.
 
-    Raises:
-        DegenerateStateError: at theta = 0, a removable 0/0 limit of the
-            formula whose value is :func:`wigner_number_state`.
+    theta = 0 is allowed: it gives the number state |n>, whose value
+    :func:`wigner_number_state` evaluates on its own route.
     """
     return wigner_closed_form(StateSpec(Family.THERMAL_NUMBER, thermal, n=n), point)
 

@@ -12,9 +12,10 @@ Laguerre values come from one stable three-term recurrence,
 :func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
 never divides; the tests replay it against the explicit factorial sum
 and, through the bridge identity, against ``hermite2``, the explicit
-double sum at complex arguments.  :func:`laguerre` is its seed-1 last
-row; the thermal number kernel of ``closed_form`` folds its rows seeded
-with exp(-2u) at x = 4u, L_k + L_{2n-k}, and sums them.
+double sum at complex arguments with exact integer coefficients, which
+no kernel calls.  :func:`laguerre` is its seed-1 last row; the thermal
+number kernel of ``closed_form`` folds its rows seeded with exp(-2u) at
+x = 4u, L_k + L_{2n-k}, and sums them.
 
 All functions accept scalars or numpy arrays in their continuous
 arguments and are pure, so they are safe to call from any thread.
@@ -22,27 +23,12 @@ arguments and are pure, so they are safe to call from any thread.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-# Factorials as exact-as-representable floats.  Indices above the table
-# size are refused instead of silently losing precision.
-FACTORIAL_TABLE_SIZE = 64
-_FACTORIALS = np.ones(FACTORIAL_TABLE_SIZE + 1)
-_FACTORIALS[1:] = np.cumprod(np.arange(1.0, FACTORIAL_TABLE_SIZE + 1))
+import numpy as np
 
 # The two-variable Hermite sum is only validated at desk-scale orders.
 HERMITE_ORDER_MAX = 32
-
-
-def factorial(n: int) -> float:
-    """n! as a float, from the cached table (n <= 64)."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"factorial requires a nonnegative integer, got {n!r}")
-    if n > FACTORIAL_TABLE_SIZE:
-        raise ValueError(
-            f"factorial table covers 0..{FACTORIAL_TABLE_SIZE}; got {n}"
-        )
-    return float(_FACTORIALS[int(n)])
 
 
 def _check_order(n: int, name: str = "n") -> int:
@@ -58,22 +44,22 @@ def _check_finite(x, name: str):
     return arr
 
 
-def laguerre_rows(x, seed, count: int, rows: np.ndarray):
-    """Yield seed * L_j(x) for j = 0 .. count - 1, into rows[j % len(rows)].
+def laguerre_rows(x, seed, count: int):
+    """Yield seed * L_j(x) for j = 0 .. count - 1, streamed through three rows.
 
     The forward recurrence (j + 1) l_{j+1} = (2j + 1 - x) l_j - j l_{j-1},
     seeded with l_0 = seed and l_1 = (1 - x) l_0, elementwise in the
     flattened x; each step multiplies by the reciprocal 1 / (j + 1), so
     no pass divides, and the step to l_2 subtracts l_0 unscaled.  Stable
     for the moderate orders used here, unlike the alternating factorial
-    sum which degrades past n ~ 15.  Given ``count`` rows it keeps every
-    order; given three, it streams them, and each yielded row is
-    overwritten two steps later.  Either way a row is rounded the same.
-    ``x`` and ``seed`` are read, never written.
+    sum which degrades past n ~ 15.  The rows live in a three-row ring
+    of its own, so each yielded row is overwritten two steps later; a
+    caller that keeps a row copies it.  ``x`` and ``seed`` are read,
+    never written.
     """
     x = np.ravel(x)
+    rows = np.empty((3, x.size))
     tmp = np.empty_like(x)
-    size = len(rows)
     rows[0] = np.ravel(seed)
     yield rows[0]
     if count > 1:
@@ -81,10 +67,10 @@ def laguerre_rows(x, seed, count: int, rows: np.ndarray):
         rows[1] *= rows[0]
         yield rows[1]
     for j in range(1, count - 1):
-        nxt = rows[(j + 1) % size]
+        nxt = rows[(j + 1) % 3]
         np.subtract(2 * j + 1, x, out=nxt)
-        nxt *= rows[j % size]
-        nxt -= rows[0] if j == 1 else np.multiply(rows[(j - 1) % size], j, out=tmp)
+        nxt *= rows[j % 3]
+        nxt -= rows[0] if j == 1 else np.multiply(rows[(j - 1) % 3], j, out=tmp)
         nxt *= 1.0 / (j + 1)
         yield nxt
 
@@ -106,16 +92,18 @@ def laguerre(n: int, x):
     x = _check_finite(x, "x")
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float, copy=False)  # read-only below
-    *_, values = laguerre_rows(x, 1.0, n + 1, np.empty((3, x.size)))
+    *_, values = laguerre_rows(x, 1.0, n + 1)
     return float(values[0]) if scalar else values.reshape(x.shape)
 
 
 def hermite2(m: int, n: int, x, y):
     """Two-variable Hermite polynomial H_{m,n}(x, y).
 
-    Evaluated by the explicit double-index sum with the factorial
-    coefficients taken from the float table.  Orders are restricted to
-    m, n <= 32, beyond which the coefficient products are unvalidated.
+    Evaluated by the explicit double-index sum, each coefficient
+    m! n! (-1)^l / (l! (n-l)! (m-l)!) = (-1)^l l! C(m, l) C(n, l) an
+    exact Python integer converted once to float.  Orders are restricted
+    to m, n <= 32, beyond which the sum is unvalidated.  It is a test
+    reference: no kernel calls it.
 
     Args:
         m, n: polynomial orders, >= 0.
@@ -137,11 +125,6 @@ def hermite2(m: int, n: int, x, y):
     y = np.atleast_1d(y).astype(complex)
     acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
     for l in range(min(m, n) + 1):
-        coeff = (
-            factorial(m)
-            * factorial(n)
-            * (-1.0) ** l
-            / (factorial(l) * factorial(n - l) * factorial(m - l))
-        )
+        coeff = float((-1) ** l * math.factorial(l) * math.comb(m, l) * math.comb(n, l))
         acc += coeff * x ** (m - l) * y ** (n - l)
     return complex(acc.reshape(-1)[0]) if scalar else acc

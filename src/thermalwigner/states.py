@@ -11,8 +11,8 @@ import numpy as np
 from .thermo import ThermalParams
 
 # Excitation / subtraction / addition counts above this are refused: the
-# finite-temperature number-state formula needs (n+1)^2 polynomial terms
-# with factorial-squared coefficients that are only validated to here.
+# closed forms' precision tests against 50-digit references and the Fock
+# oracle's checks run to here and no further.
 EXCITATION_MAX = 16
 
 _SQRT2 = math.sqrt(2.0)

@@ -10,7 +10,6 @@ oracle's conditioning returns.
 import math
 
 from thermalwigner.closed_form import DegenerateStateError
-from thermalwigner.specfun import factorial
 from thermalwigner.states import check_excitation_count
 from thermalwigner.thermo import ThermalParams
 
@@ -29,7 +28,7 @@ def norm_const_subtracted(n: int, thermal: ThermalParams) -> float:
         )
     if n == 0:
         return 1.0
-    return 1.0 / (factorial(n) * math.sinh(thermal.theta) ** (2 * n))
+    return 1.0 / (math.factorial(n) * math.sinh(thermal.theta) ** (2 * n))
 
 
 def norm_const_added(n: int, thermal: ThermalParams) -> float:
@@ -40,4 +39,4 @@ def norm_const_added(n: int, thermal: ThermalParams) -> float:
     n = check_excitation_count(n)
     if n == 0:
         return 1.0
-    return 1.0 / (factorial(n) * math.cosh(thermal.theta) ** (2 * n))
+    return 1.0 / (math.factorial(n) * math.cosh(thermal.theta) ** (2 * n))

@@ -6,7 +6,9 @@ sum, and the bridge identity (-1)^n / n! H_{n,n}(x, y) = L_n(x y) through
 the two-variable Hermite double sum.
 """
 
-from thermalwigner.specfun import factorial, hermite2
+import math
+
+from thermalwigner.specfun import hermite2
 
 
 def laguerre_sum(n: int, x: float) -> float:
@@ -14,10 +16,10 @@ def laguerre_sum(n: int, x: float) -> float:
 
     Exact for n = 0, 1 by construction.
     """
-    return sum(factorial(n) / (factorial(l) ** 2 * factorial(n - l)) * (-x) ** l
-               for l in range(n + 1))
+    fact = math.factorial
+    return sum(fact(n) / (fact(l) ** 2 * fact(n - l)) * (-x) ** l for l in range(n + 1))
 
 
 def laguerre_from_hermite(n: int, x, y):
     """(-1)^n / n! H_{n,n}(x, y), which is L_n(x y) whenever x y is real."""
-    return (-1.0) ** n / factorial(n) * hermite2(n, n, x, y)
+    return (-1.0) ** n / math.factorial(n) * hermite2(n, n, x, y)

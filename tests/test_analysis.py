@@ -539,6 +539,17 @@ class TestVerifyState:
         assert report.details["oracle_dim"] == fock_oracle.TWO_MODE_DIM
         assert 0.0 < report.details["oracle_tail"] <= fock_oracle.TWO_MODE_DEFICIT_TOL
 
+    @pytest.mark.parametrize("n", [0, 1, 4, 16])
+    def test_number_at_zero_theta_passes(self, n):
+        # S(0) = 1: both routes build |n>, and their negativity volumes agree
+        # to the bound the console smoke run holds the added family to
+        spec = state("number", 0.0, n=n)
+        report = verify_state(spec)
+        assert report.passed and report.errors == []
+        assert report.max_abs_err <= 1e-14
+        oracle = negativity_of_state(spec, Source.ORACLE)
+        assert abs(report.negativity_volume - oracle) <= 1e-12
+
     def test_refused_oracle_leaves_details_empty(self):
         report = verify_state(state("number", 0.5, n=7))
         assert not report.passed and report.details == {}
@@ -601,6 +612,22 @@ class TestScanTheta:
             assert row["abs_w0"] == bare["abs_w0"]
             assert row["negativity_volume"] == negativity_of_state(spec)
 
+    @pytest.mark.parametrize("family, n", [("vacuum", 0), ("subtracted", 3), ("added", 3),
+                                           ("number", 16)])
+    def test_scan_without_negativity_prepares_once(self, monkeypatch, family, n):
+        # W(0) is the closed form at radius 0 for every theta, so one
+        # prepared kernel serves the whole scan
+        prepared = []
+        prepare = closed_form.prepare_gaussian
+
+        def recording(family_, n_, u):
+            prepared.append(u)
+            return prepare(family_, n_, u)
+
+        monkeypatch.setattr(closed_form, "prepare_gaussian", recording)
+        scan_theta(Family(family), n, np.linspace(0.1, 2.0, 20), include_negativity=False)
+        assert prepared == [0.0]
+
     # the CLI's default steps, and a wide scan; together they cross every
     # change of the norm box with theta (added n >= 4, subtracted n >= 8)
     SCAN_GRIDS = (np.linspace(0.1, 2.0, 20), np.linspace(0.01, 5.0, 37))
@@ -656,7 +683,7 @@ class TestScanTheta:
         assert all(np.array_equal(u, want) for u, want in zip(prepared, expected))
 
     @pytest.mark.parametrize("family, n, thetas", [
-        (Family.THERMAL_NUMBER, 3, [0.5, 0.0]),
+        (Family.THERMAL_NUMBER, 3, [0.5, THETA_MAX, THETA_MAX + 0.5]),
         (Family.PHOTON_SUBTRACTED, 2, [0.5, 0.0]),
         (Family.PHOTON_ADDED, 2, [0.5, THETA_MAX, THETA_MAX + 0.5]),
         (Family.THERMAL_VACUUM, 0, [0.5, math.nan]),

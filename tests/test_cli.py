@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from thermalwigner import __version__, cli
+from thermalwigner.analysis import negativity_of_state
 from thermalwigner.cli import main
-from thermalwigner.states import Family
+from thermalwigner.closed_form import wigner_closed_form
+from thermalwigner.states import Family, PhasePoint, StateSpec
+from thermalwigner.thermo import params_from_theta
 
 
 def run(argv):
@@ -513,16 +516,19 @@ class TestScanTheta:
         assert all(a > b for a, b in zip(amp, amp[1:]))
         assert all(a > b for a, b in zip(neg, neg[1:]))
 
-    def test_number_at_zero_theta_names_the_command_that_gives_the_state(self, tmp_path, capsys):
-        # theta = 0 is a removable limit of the number formula; |n> is the
-        # added family at theta = 0
+    def test_number_at_zero_theta_is_the_number_state(self, tmp_path):
+        # S(0) = 1: the scan starts at |n>, and each row is its one-state value
         out = tmp_path / "scan.csv"
         assert run(["scan-theta", "--family", "number", "--n", "2", "--theta-min", "0",
-                    "--steps", "3", "--out", str(out)]) == 1
-        payload = strict_json(out)
-        assert payload["error"] == "DegenerateStateError"
-        assert "--family added --theta 0" in payload["message"]
-        assert "error:" in capsys.readouterr().err
+                    "--steps", "3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        assert float(rows[0][1]) == 1.0 / math.pi
+        for theta, w0, abs_w0, negativity in rows:
+            spec = StateSpec(Family.THERMAL_NUMBER, params_from_theta(float(theta)), n=2)
+            assert float(w0) == wigner_closed_form(spec, PhasePoint(0.0, 0.0))
+            assert float(abs_w0) == abs(float(w0))
+            assert float(negativity) == negativity_of_state(spec)
 
     def test_no_negativity_flag(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -20,7 +20,7 @@ from thermalwigner.closed_form import (
     wigner_photon_subtracted_ncform,
     wigner_thermal_number,
 )
-from thermalwigner.specfun import factorial, hermite2, laguerre, laguerre_rows
+from thermalwigner.specfun import hermite2, laguerre, laguerre_rows
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
 from thermalwigner.thermo import THETA_MAX, params_from_mean_photons, params_from_theta
 
@@ -45,10 +45,11 @@ def thermal_number_complex_sum(alpha, n, theta):
     for l in range(n + 1):
         for k in range(n + 1):
             coeff = (-1.0) ** k * s ** (l + k) * t ** (2 * (n - l)) / (
-                factorial(l) * factorial(k) * (factorial(n - l) * factorial(n - k)) ** 2
+                math.factorial(l) * math.factorial(k)
+                * (math.factorial(n - l) * math.factorial(n - k)) ** 2
             )
             total += coeff * abs(hermite2(n - k, n - l, arg_e, arg_y)) ** 2
-    return factorial(n) ** 2 * math.exp(-2.0 * abs(alpha) ** 2 * s) / (
+    return math.factorial(n) ** 2 * math.exp(-2.0 * abs(alpha) ** 2 * s) / (
         math.pi * math.cosh(2.0 * theta)
     ) * total
 
@@ -262,9 +263,16 @@ class TestThermalNumber:
             wigner_thermal_number(point, 1, thermal) - wigner_number_state(point, 1)
         ) < 1e-6
 
-    def test_zero_theta_rejected_with_guidance(self):
-        with pytest.raises(DegenerateStateError, match="wigner_number_state"):
-            wigner_thermal_number(ORIGIN, 1, params_from_theta(0.0))
+    @pytest.mark.parametrize("n", range(17))
+    def test_zero_theta_is_the_number_state(self, n):
+        # S(0) = 1: at theta = 0 the table's row n sums to 1 and every other
+        # row to 0, so the series is |n>; held to the peak of its own route
+        q = np.sqrt(2.0 * np.linspace(0.0, 40.0, 801))  # u = |alpha|^2 in [0, 40]
+        expected = wigner_number_grid(n, q, [0.0])
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.0), n=n)
+        got = wigner_closed_grid(state, q, [0.0])
+        assert np.max(np.abs(got - expected)) <= 5e-15 * np.max(np.abs(expected))
+        assert wigner_thermal_number(ORIGIN, n, params_from_theta(0.0)) == (-1) ** n / math.pi
 
     def test_phase_invariance(self):
         # the radial kernel against the paper's complex-alpha double sum,
@@ -381,8 +389,8 @@ class TestNodeTable:
     @staticmethod
     def term_scale(m, j, x, y):
         """The sum of the absolute terms of H_{m,j}(x, y) at x, y >= 0: its rounding scale."""
-        return sum(factorial(m) * factorial(j) * x ** (m - l) * y ** (j - l)
-                   / (factorial(l) * factorial(j - l) * factorial(m - l))
+        return sum(math.factorial(m) * math.factorial(j) * x ** (m - l) * y ** (j - l)
+                   / (math.factorial(l) * math.factorial(j - l) * math.factorial(m - l))
                    for l in range(min(m, j) + 1))
 
     @pytest.mark.parametrize("v, theta", [(0.3, 0.1), (2.0, 0.5), (7.5, 1.0), (19.0, 2.5),
@@ -420,10 +428,8 @@ class TestFoldedRows:
 
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
     def test_held_rows_are_the_folded_rows(self, n):
-        count, envelope = 2 * n + 1, np.exp(-2.0 * self.U)
-        every = np.empty((count, self.U.size))
-        for _ in laguerre_rows(4.0 * self.U, envelope, count, every):
-            pass
+        envelope = np.exp(-2.0 * self.U)
+        every = [row.copy() for row in laguerre_rows(4.0 * self.U, envelope, 2 * n + 1)]
         expected = [every[k] + every[2 * n - k] for k in range(n)] + [every[n]]
         held = closed_form._thermal_number_rows(self.U, envelope, n)
         assert held.shape == (n + 1, self.U.size)

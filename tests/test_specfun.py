@@ -8,13 +8,7 @@ import pytest
 
 from specfun_reference import laguerre_from_hermite, laguerre_sum
 from thermalwigner.analysis import NORM_GRID_POINTS, _radial_simpson_plan
-from thermalwigner.specfun import (
-    FACTORIAL_TABLE_SIZE,
-    factorial,
-    hermite2,
-    laguerre,
-    laguerre_rows,
-)
+from thermalwigner.specfun import hermite2, laguerre, laguerre_rows
 
 
 def laguerre_exact(n, x):
@@ -78,8 +72,7 @@ class TestLaguerre:
         # added kernel's argument 4 cosh^2(theta) u on the norm plan's radii
         keys, _ = _radial_simpson_plan(NORM_GRID_POINTS)
         x = 4.0 * math.cosh(1.0) ** 2 * (0.5 * 68.0 / (NORM_GRID_POINTS - 1) ** 2) * keys
-        held = np.empty((17, x.size))
-        rows = list(laguerre_rows(x, 1.0, held.shape[0], held))
+        rows = [row.copy() for row in laguerre_rows(x, 1.0, 17)]
         for n in range(17):
             assert np.array_equal(laguerre(n, x), rows[n]), n
 
@@ -157,6 +150,12 @@ class TestHermite2:
             b = hermite2(n, m, y, x)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
+    def test_coefficients_are_exact(self):
+        # at x = y = 0 only the l = n term of H_{n,n} survives: (-1)^n n!,
+        # the exact integer correctly rounded, up to the order cap
+        for n in range(33):
+            assert hermite2(n, n, 0.0, 0.0) == (-1) ** n * float(math.factorial(n))
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             hermite2(33, 0, 1.0, 1.0)
@@ -196,15 +195,3 @@ class TestBridge:
             bridge = laguerre_from_hermite(n, x, y)
             assert abs(bridge - lref) <= 1e-10 * (1.0 + abs(lref))
 
-
-class TestFactorialTable:
-    def test_exact_small_values(self):
-        for n in range(23):
-            assert factorial(n) == float(math.factorial(n))
-
-    def test_cap(self):
-        assert factorial(FACTORIAL_TABLE_SIZE) > 0
-        with pytest.raises(ValueError):
-            factorial(FACTORIAL_TABLE_SIZE + 1)
-        with pytest.raises(ValueError):
-            factorial(-1)
