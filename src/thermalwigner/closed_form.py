@@ -35,19 +35,23 @@ and the per-family ``wigner_*`` wrappers go through it.  The radial
 quadrature of ``analysis`` builds u itself from its plan and prepares
 it once per scan.  The photon-subtracted L_n(-y), a series of positive
 terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
-the photon-added L_n is one call of
-:func:`~thermalwigner.specfun.laguerre`.  The thermal number
+the photon-added L_n is one call of :func:`laguerre`.  The thermal number
 coefficients a_k are one product of an exact theta-free table G with
 the cosines cos(r psi) at every theta, 0 included, where they give
 |n>; a_k = a_{2n-k}, so the series is summed over n + 1 held rows,
 exp(-v/2) (L_k(v) + L_{2n-k}(v)) at v = 4u, which a one-theta call
 builds and sums once and a scan sums at every theta.
-Those rows and ``laguerre`` come from the one three-term
-recurrence :func:`~thermalwigner.specfun.laguerre_rows`, seeded with
-exp(-v/2) or with 1.  The Horner loop and that recurrence multiply and
-add only.  No kernel writes
-into the u or exp(-2u) it is handed, which a prepared kernel holds
-across theta.  No call keeps state for the next.
+
+Laguerre values come from one stable three-term recurrence,
+:func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
+never divides: :func:`laguerre` is its seed-1 last row, and the thermal
+number rows are its rows seeded with exp(-v/2) at x = v.  The tests
+replay it against the explicit factorial sum and, through the bridge
+identity, against :func:`hermite2`, the explicit two-variable Hermite
+double sum, which no kernel calls.  The Horner loop and that
+recurrence multiply and add only.  No kernel writes into the u or
+exp(-2u) it is handed, which a prepared kernel holds across theta.
+No call keeps state for the next.
 Where exp(-2u) underflows to 0 every closed form is +0.0, and no
 polynomial factor is evaluated there, where it could overflow.
 
@@ -66,10 +70,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-# The kernels never call ``hermite2``.  It stays importable from here
-# because the benchmark's tracer (perfbench/tracing.py) wraps
-# ``closed_form.hermite2`` to count its calls.
-from .specfun import hermite2, laguerre, laguerre_rows  # noqa: F401
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
 from .thermo import ThermalParams, params_from_mean_photons
 
@@ -79,10 +79,121 @@ class DegenerateStateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Laguerre and two-variable Hermite polynomials, scalar or array in x and y
+
+# The two-variable Hermite sum is only validated at desk-scale orders.
+HERMITE_ORDER_MAX = 32
+
+
+def _check_order(n: int, name: str = "n") -> int:
+    if n != int(n) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+def _check_finite(x, name: str):
+    arr = np.asarray(x)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return arr
+
+
+def laguerre_rows(x, seed, count: int):
+    """Yield seed * L_j(x) for j = 0 .. count - 1, streamed through three rows.
+
+    The forward recurrence (j + 1) l_{j+1} = (2j + 1 - x) l_j - j l_{j-1},
+    seeded with l_0 = seed and l_1 = (1 - x) l_0, elementwise in the
+    flattened x; each step multiplies by the reciprocal 1 / (j + 1), so
+    no pass divides, and the step to l_2 subtracts l_0 unscaled.  Stable
+    for the moderate orders used here, unlike the alternating factorial
+    sum which degrades past n ~ 15.  The rows live in a three-row ring
+    of its own, so each yielded row is overwritten two steps later; a
+    caller that keeps a row copies it.  ``x`` and ``seed`` are read,
+    never written.
+    """
+    x = np.ravel(x)
+    rows = np.empty((3, x.size))
+    tmp = np.empty_like(x)
+    rows[0] = np.ravel(seed)
+    yield rows[0]
+    if count > 1:
+        np.subtract(1.0, x, out=rows[1])
+        rows[1] *= rows[0]
+        yield rows[1]
+    for j in range(1, count - 1):
+        nxt = rows[(j + 1) % 3]
+        np.subtract(2 * j + 1, x, out=nxt)
+        nxt *= rows[j % 3]
+        nxt -= rows[0] if j == 1 else np.multiply(rows[(j - 1) % 3], j, out=tmp)
+        nxt *= 1.0 / (j + 1)
+        yield nxt
+
+
+def laguerre(n: int, x):
+    """Laguerre polynomial L_n(x), the last row of :func:`laguerre_rows` seeded with 1.
+
+    The rows stream through three buffers, and the result is a view of
+    one of them, never of ``x``.
+
+    Args:
+        n: polynomial order, n >= 0.
+        x: real argument, scalar or array.
+
+    Returns:
+        L_n(x) with the shape of ``x`` (float scalar for scalar input).
+    """
+    n = _check_order(n)
+    x = _check_finite(x, "x")
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x).astype(float, copy=False)  # read-only below
+    *_, values = laguerre_rows(x, 1.0, n + 1)
+    return float(values[0]) if scalar else values.reshape(x.shape)
+
+
+def hermite2(m: int, n: int, x, y):
+    """Two-variable Hermite polynomial H_{m,n}(x, y), by its double sum
+
+        H_{m,n}(x, y) = sum_{l=0}^{min(m,n)} m! n! (-1)^l x^(m-l) y^(n-l)
+                        / (l! (n-l)! (m-l)!),
+
+    which satisfies the bridge identity (-1)^n / n! * H_{n,n}(x, y) = L_n(x y).
+    Each coefficient m! n! (-1)^l / (l! (n-l)! (m-l)!) = (-1)^l l! C(m, l) C(n, l)
+    is an exact Python integer converted once to float.  Orders are
+    restricted to m, n <= 32, beyond which the sum is unvalidated.  It is
+    a test reference: no kernel calls it, and it stays in the package
+    while the benchmark's tracer (perfbench/tracing.py) wraps it.
+
+    Args:
+        m, n: polynomial orders, >= 0.
+        x, y: complex arguments, scalars or broadcastable arrays.
+
+    Returns:
+        H_{m,n}(x, y), complex, with the broadcast shape of (x, y).
+    """
+    m = _check_order(m, "m")
+    n = _check_order(n, "n")
+    if m > HERMITE_ORDER_MAX or n > HERMITE_ORDER_MAX:
+        raise ValueError(
+            f"hermite2 orders are limited to {HERMITE_ORDER_MAX}, got ({m}, {n})"
+        )
+    x = _check_finite(x, "x")
+    y = _check_finite(y, "y")
+    scalar = x.ndim == 0 and y.ndim == 0
+    x = np.atleast_1d(x).astype(complex)
+    y = np.atleast_1d(y).astype(complex)
+    acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    for l in range(min(m, n) + 1):
+        coeff = float((-1) ** l * math.factorial(l) * math.comb(m, l) * math.comb(n, l))
+        acc += coeff * x ** (m - l) * y ** (n - l)
+    return complex(acc.reshape(-1)[0]) if scalar else acc
+
+
+# ---------------------------------------------------------------------------
 # radial kernels, vectorized over u = |alpha|^2 sech 2theta.  Each takes its
 # theta-free inputs from prepare_gaussian, then theta: the vacuum kernel the
-# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope, n) at the
-# radii where that envelope is nonzero (_live), and the thermal number kernel
+# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope) at the
+# radii where that envelope is nonzero (_live) with the subtracted state's
+# exact coefficients or the added state's n, and the thermal number kernel
 # the Laguerre rows it folds from them, and n.
 
 
@@ -116,18 +227,20 @@ def _vacuum_kernel(envelope, theta: float):
     return (1.0 / math.cosh(2.0 * theta)) / math.pi * envelope
 
 
-def _subtracted_kernel(u, envelope, n: int, theta: float):
+def _subtracted_kernel(u, envelope, coefficients: list[float], theta: float):
     """exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(-y) at y = 4 sinh^2(theta) u.
 
     L_n(-y) = sum_k C(n, k) y^k / k! has positive terms only, so it is
-    summed by Horner in y on coefficients that are the exact ratios
-    C(n, k) / k!, correctly rounded: every step adds positive to
-    positive, so nothing cancels, the error is a few n ulp pointwise and
-    no value is negative or -0.0.  The polynomial is then scaled, in
+    summed by Horner in y on ``coefficients``, the exact ratios
+    C(n, k) / k!, k = 0 ... n, correctly rounded, which
+    :func:`prepare_gaussian` builds once for every theta: each step adds
+    positive to positive, so nothing cancels, the error is a few n ulp
+    pointwise and no value is negative or -0.0.  The polynomial is then scaled, in
     place, by the envelope and by 1 / (pi cosh^(n+1) 2theta).  2n + 3
     array passes and no division; ``u`` and ``envelope`` are read, never
     written, since a prepared kernel holds them for every theta.
     """
+    n = len(coefficients) - 1
     if n >= 1 and theta == 0.0:
         raise DegenerateStateError(
             "photon subtraction from the zero-temperature vacuum yields the "
@@ -136,7 +249,6 @@ def _subtracted_kernel(u, envelope, n: int, theta: float):
     scale = 1.0 / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
     if n == 0:
         return envelope * scale
-    coefficients = [math.comb(n, k) / math.factorial(k) for k in range(n + 1)]
     y = 4.0 * math.sinh(theta) ** 2 * u
     values = y * coefficients[n]
     values += coefficients[n - 1]
@@ -159,7 +271,7 @@ def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
 def _added_kernel(u, envelope, n: int, theta: float):
     """(-1)^n exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(4 cosh^2(theta) u).
 
-    L_n from one :func:`~thermalwigner.specfun.laguerre` call, the seed-1
+    L_n from one :func:`laguerre` call, the seed-1
     last row of the recurrence that also builds the thermal number rows,
     then two in-place products: the envelope, and the one scalar
     (-1)^n / (pi cosh^(n+1) 2theta).
@@ -230,7 +342,7 @@ def _thermal_number_rows(u, envelope, n: int) -> np.ndarray:
     """The n + 1 folded rows S_k = R_k + R_{2n-k} (k < n), S_n = R_n, R_j = exp(-2u) L_j(4u).
 
     R_0 ... R_2n stream through a three-row ring of
-    :func:`~thermalwigner.specfun.laguerre_rows`: rows j <= n are copied
+    :func:`laguerre_rows`: rows j <= n are copied
     out, and each row j > n is added into row 2n - j.
     """
     rows = np.empty((n + 1, u.size))
@@ -299,12 +411,6 @@ def _thermal_number_sum(rows: np.ndarray, n: int, theta: float):
     return total
 
 
-_LAGUERRE_KERNELS = {
-    Family.PHOTON_SUBTRACTED: _subtracted_kernel,
-    Family.PHOTON_ADDED: _added_kernel,
-}
-
-
 # ---------------------------------------------------------------------------
 # dispatch and grid evaluation
 
@@ -317,6 +423,7 @@ def prepare_gaussian(family: Family, n: int, u):
     temperatures on fixed u pays it once; a one-theta call
     (:func:`wigner_closed_gaussian`) is ``at`` called once.  That work is
     the Gaussian exp(-2u), which the vacuum and Laguerre kernels scale,
+    the photon-subtracted state's exact Horner coefficients C(n, k) / k!,
     and for the thermal number state its 2n + 1 rows exp(-2u) L_j(4u)
     folded onto n + 1 by the mirror symmetry of their coefficients
     (:func:`_thermal_number_rows`), which ``at`` sums at every theta.
@@ -327,8 +434,11 @@ def prepare_gaussian(family: Family, n: int, u):
     live, u, envelope = _live(u)
     if family is Family.THERMAL_NUMBER:
         kernel = partial(_thermal_number_sum, _thermal_number_rows(u, envelope, n), n)
+    elif family is Family.PHOTON_SUBTRACTED:
+        coefficients = [math.comb(n, k) / math.factorial(k) for k in range(n + 1)]
+        kernel = partial(_subtracted_kernel, u, envelope, coefficients)
     else:
-        kernel = partial(_LAGUERRE_KERNELS[family], u, envelope, n)
+        kernel = partial(_added_kernel, u, envelope, n)
     return lambda theta: _scatter(live, kernel(theta).reshape(u.shape))
 
 
@@ -387,7 +497,7 @@ def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> fl
     Algebraically identical to :func:`wigner_photon_subtracted` under
     n_c = sinh^2(theta), 2 n_c + 1 = cosh(2 theta), and kept as an
     independent evaluation route for cross-checking: it takes L_n from
-    the three-term recurrence of :func:`~thermalwigner.specfun.laguerre`,
+    the three-term recurrence of :func:`laguerre`,
     where the theta form sums the power series by Horner.
 
     Raises:

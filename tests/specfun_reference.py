@@ -1,6 +1,7 @@
-"""Test-side references for the special functions of ``thermalwigner.specfun``.
+"""Test-side references for the Laguerre and Hermite functions of ``thermalwigner.closed_form``.
 
-The package evaluates L_n by its three-term recurrence; these are the
+The package evaluates L_n by its three-term recurrence
+(``closed_form.laguerre``); these are the
 independent routes the tests replay it against: the explicit factorial
 sum, and the bridge identity (-1)^n / n! H_{n,n}(x, y) = L_n(x y) through
 the two-variable Hermite double sum.
@@ -8,7 +9,7 @@ the two-variable Hermite double sum.
 
 import math
 
-from thermalwigner.specfun import hermite2
+from thermalwigner.closed_form import hermite2
 
 
 def laguerre_sum(n: int, x: float) -> float:

@@ -19,6 +19,8 @@ from thermalwigner.analysis import (
     sample_grid,
 )
 from thermalwigner.closed_form import (
+    hermite2,
+    laguerre,
     wigner_number_grid,
     wigner_photon_added,
     wigner_photon_subtracted,
@@ -30,7 +32,6 @@ from thermalwigner.fock_oracle import (
     min_thermal_dim,
     thermal_density_matrix,
 )
-from thermalwigner.specfun import hermite2, laguerre
 from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 from thermalwigner import cli

@@ -11,6 +11,9 @@ from thermalwigner import closed_form
 from thermalwigner.analysis import default_norm_box, negativity_of_state, scan_theta
 from thermalwigner.closed_form import (
     DegenerateStateError,
+    hermite2,
+    laguerre,
+    laguerre_rows,
     wigner_closed_form,
     wigner_closed_grid,
     wigner_number_grid,
@@ -20,7 +23,6 @@ from thermalwigner.closed_form import (
     wigner_photon_subtracted_ncform,
     wigner_thermal_number,
 )
-from thermalwigner.specfun import hermite2, laguerre, laguerre_rows
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
 from thermalwigner.thermo import THETA_MAX, params_from_mean_photons, params_from_theta
 

@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__`` and what the docs import from it."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -37,17 +38,19 @@ def test_readme_and_demo_imports_are_exported():
 def test_test_only_references_are_not_exported():
     # the dense point evaluator and the explicit Laguerre references serve
     # the tests alone: they stay out of the public surface
-    from thermalwigner import specfun
+    from thermalwigner import closed_form
 
     assert "wigner_from_density" not in thermalwigner.__all__
     assert not hasattr(thermalwigner, "wigner_from_density")
-    assert not hasattr(specfun, "laguerre_sum") and not hasattr(specfun, "laguerre_from_hermite")
+    for name in ("laguerre_sum", "laguerre_from_hermite"):
+        assert not hasattr(closed_form, name), name
 
 
 def test_names_without_callers_are_gone():
     # no caller outside the tests: the normalization constants and the Bose
-    # occupation live in test helpers, laguerre in thermalwigner.specfun
-    from thermalwigner import closed_form, specfun, thermo
+    # occupation live in test helpers; laguerre lives in thermalwigner.closed_form,
+    # and the special-function module it came from is gone
+    from thermalwigner import closed_form, thermo
 
     removed = ("norm_const_added", "norm_const_subtracted", "wigner_thermal_vacuum",
                "mean_photon_number", "laguerre")
@@ -57,4 +60,5 @@ def test_names_without_callers_are_gone():
     for module, name in [(closed_form, "norm_const_added"), (closed_form, "norm_const_subtracted"),
                          (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number")]:
         assert not hasattr(module, name), name
-    assert callable(specfun.laguerre)
+    assert callable(closed_form.laguerre)
+    assert importlib.util.find_spec("thermalwigner.specfun") is None

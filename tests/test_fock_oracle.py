@@ -593,17 +593,23 @@ class TestSeriesGrid:
         assert report.passed, report.errors
 
     def test_oracle_imports_no_closed_form_code(self):
-        # the oracle certifies the closed forms only while it shares no code with them
+        # the oracle certifies the closed forms only while it shares no code
+        # with them: from the package it imports the state types alone
         tree = ast.parse(Path(fock_oracle.__file__).read_text())
-        imported = []
+        imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
+                imported |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
-                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        assert imported
-        for name in imported:
-            assert not {"specfun", "closed_form"} & set(name.split(".")), name
+                parts = ["thermalwigner"] * (node.level > 0) + (node.module or "").split(".")
+                module = ".".join(part for part in parts if part)
+                if module == "thermalwigner":  # from . import <module>
+                    imported |= {f"{module}.{alias.name}" for alias in node.names}
+                else:
+                    imported.add(module)
+        assert "numpy" in imported
+        package = {name for name in imported if name.split(".")[0] == "thermalwigner"}
+        assert package == {"thermalwigner.states"}, package
 
 
 class TestBuildOracleState:

@@ -8,7 +8,7 @@ import pytest
 
 from specfun_reference import laguerre_from_hermite, laguerre_sum
 from thermalwigner.analysis import NORM_GRID_POINTS, _radial_simpson_plan
-from thermalwigner.specfun import hermite2, laguerre, laguerre_rows
+from thermalwigner.closed_form import hermite2, laguerre, laguerre_rows
 
 
 def laguerre_exact(n, x):
