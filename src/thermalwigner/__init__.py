@@ -30,10 +30,7 @@ from .closed_form import (
     wigner_closed_form,
     wigner_closed_grid,
     wigner_number_state,
-    wigner_photon_added,
-    wigner_photon_subtracted,
     wigner_photon_subtracted_ncform,
-    wigner_thermal_number,
 )
 from .fock_oracle import (
     AnnihilatedStateError,
@@ -87,8 +84,5 @@ __all__ = [
     "wigner_closed_grid",
     "wigner_grid_from_density",
     "wigner_number_state",
-    "wigner_photon_added",
-    "wigner_photon_subtracted",
     "wigner_photon_subtracted_ncform",
-    "wigner_thermal_number",
 ]

@@ -416,11 +416,10 @@ def _second_moment_in_widths(state: StateSpec) -> float:
     (n + 1) n_c, M = (n + 1) - n sech 2theta; adding them gives
     (n + 1)(n_c + 1) - 1, M = (n + 1) + n sech 2theta; the number state,
     |n> x |n> squeezed in the doubled space, has n cosh 2theta + n_c,
-    M = 2n + 1.
+    M = 2n + 1.  The vacuum's n is 0, where the added formula gives its
+    M = 1 exactly.
     """
     n, family = state.n, state.family
-    if family is Family.THERMAL_VACUUM:
-        return 1.0
     if family is Family.THERMAL_NUMBER:
         return 2.0 * n + 1.0
     sech2 = 1.0 / state.thermal.cosh_2theta
@@ -452,7 +451,7 @@ def default_norm_box(state: StateSpec) -> Box:
 
 
 # Odd, so that the norm grid has a node at the origin: the radial plan's
-# first key is 0 and _state_integrals reads W(0) off the norm-grid pass.
+# first key is 0, and a norm-grid pass holds W(0) as its first value.
 NORM_GRID_POINTS = 241
 
 
@@ -525,23 +524,14 @@ def _require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _state_integrals(state: StateSpec, source: Source) -> tuple[float, float, float]:
-    """Normalization, negativity volume and W(0) of ``state`` from one :func:`_norm_pass`.
-
-    The first radius is exactly 0, so W(0) is the point evaluator's value.
-    """
-    _, values, norm, negativity = _norm_pass(state, source)
-    return norm, negativity, float(values[0])
-
-
 def normalization_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Normalization integral on the auto-sized box."""
-    return _state_integrals(state, source)[0]
+    return _norm_pass(state, source)[2]
 
 
 def negativity_of_state(state: StateSpec, source: Source = Source.CLOSED_FORM) -> float:
     """Negativity volume on the auto-sized box."""
-    return _state_integrals(state, source)[1]
+    return _norm_pass(state, source)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +723,8 @@ def limit_suite() -> list[VerificationReport]:
         n = int(rng.integers(0, 6))
         point = PhasePoint(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
         thermal = params_from_theta(theta)
-        w_theta = closed_form.wigner_photon_subtracted(point, n, thermal)
+        w_theta = closed_form.wigner_closed_form(
+            StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n), point)
         w_nc = closed_form.wigner_photon_subtracted_ncform(point, n, thermal.n_c)
         worst = max(worst, abs(w_theta - w_nc))
     reports.append(

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, analysis, closed_form
+from . import __version__, analysis
 from .analysis import Box, Source
 from .states import Family, StateSpec
 from .thermo import (
@@ -316,8 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (analysis.BoxTooSmallError, closed_form.DegenerateStateError,
-            ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         _write_failure(getattr(args, "out", None), _config_echo(args), exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

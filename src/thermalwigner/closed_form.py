@@ -27,20 +27,19 @@ alone.  Each family has one radial kernel in u, dispatched by
 :func:`prepare_gaussian`: given (family, n, u) it does the theta-free
 work once, the Gaussian exp(-2u) that the vacuum and Laguerre kernels
 scale and the Laguerre rows of the thermal number state, and returns
-the closed form as a function of theta.  :func:`wigner_closed_gaussian`
-is its one-theta call; :func:`wigner_closed_radial` passes that
-u = |a|^2 * sech(2 theta), and the point evaluator
-:func:`wigner_closed_form`, the grid evaluator :func:`wigner_closed_grid`
-and the per-family ``wigner_*`` wrappers go through it.  The radial
-quadrature of ``analysis`` builds u itself from its plan and prepares
-it once per scan.  The photon-subtracted L_n(-y), a series of positive
-terms, is summed by Horner in y on its exact coefficients C(n, k) / k!;
-the photon-added L_n is one call of :func:`laguerre`.  The thermal number
-coefficients a_k are one product of an exact theta-free table G with
-the cosines cos(r psi) at every theta, 0 included, where they give
-|n>; a_k = a_{2n-k}, so the series is summed over n + 1 held rows,
-exp(-v/2) (L_k(v) + L_{2n-k}(v)) at v = 4u, which a one-theta call
-builds and sums once and a scan sums at every theta.
+the closed form as a function of theta.  :func:`wigner_closed_radial`
+calls it once at u = |a|^2 * sech(2 theta), and the point evaluator
+:func:`wigner_closed_form` and the grid evaluator :func:`wigner_closed_grid`
+go through it.  The radial quadrature of ``analysis`` builds u itself
+from its plan and prepares it once per scan.  The photon-subtracted
+L_n(-y), a series of positive terms, is summed by Horner in y on its
+exact coefficients C(n, k) / k!; the photon-added L_n is one call of
+:func:`laguerre`.  The thermal number coefficients a_k are one product
+of an exact theta-free table G with the cosines cos(r psi) at every
+theta, 0 included, where they give |n>; a_k = a_{2n-k}, so the series
+is summed over n + 1 held rows, exp(-v/2) (L_k(v) + L_{2n-k}(v)) at
+v = 4u, which a one-theta call builds and sums once and a scan sums at
+every theta.
 
 Laguerre values come from one stable three-term recurrence,
 :func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
@@ -71,7 +70,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
-from .thermo import ThermalParams, params_from_mean_photons
+from .thermo import params_from_mean_photons
 
 
 class DegenerateStateError(ValueError):
@@ -421,7 +420,7 @@ def prepare_gaussian(family: Family, n: int, u):
     Does the theta-free work once and returns ``at(theta)``, the closed
     form at each u = |alpha|^2 sech 2theta of ``u``, so that a scan over
     temperatures on fixed u pays it once; a one-theta call
-    (:func:`wigner_closed_gaussian`) is ``at`` called once.  That work is
+    (:func:`wigner_closed_radial`) calls ``at`` once.  That work is
     the Gaussian exp(-2u), which the vacuum and Laguerre kernels scale,
     the photon-subtracted state's exact Horner coefficients C(n, k) / k!,
     and for the thermal number state its 2n + 1 rows exp(-2u) L_j(4u)
@@ -442,20 +441,29 @@ def prepare_gaussian(family: Family, n: int, u):
     return lambda theta: _scatter(live, kernel(theta).reshape(u.shape))
 
 
-def wigner_closed_gaussian(state: StateSpec, u) -> np.ndarray:
-    """The closed form selected by ``state`` at each u = |alpha|^2 sech 2theta of ``u``."""
+def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:
+    """The closed form selected by ``state`` at each |alpha|^2 of ``abs2``."""
+    u = np.asarray(abs2, dtype=float) * (1.0 / state.thermal.cosh_2theta)
     return prepare_gaussian(state.family, state.n, u)(state.thermal.theta)
 
 
-def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:
-    """The closed form selected by ``state`` at each |alpha|^2 of ``abs2``."""
-    return wigner_closed_gaussian(
-        state, np.asarray(abs2, dtype=float) * (1.0 / state.thermal.cosh_2theta)
-    )
-
-
 def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:
-    """Evaluate the closed form selected by ``state`` at one point."""
+    """Evaluate the closed form selected by ``state`` at one point.
+
+    The photon-subtracted state is nonnegative everywhere: its Laguerre
+    polynomial is evaluated at a nonpositive argument, where all its
+    terms are positive.  The photon-added state has sign (-1)^n at the
+    origin, and its radial profile inherits the n sign changes of the
+    Laguerre polynomial, so it dips negative for every n >= 1.  At
+    theta = 0 the photon-added and thermal number states are the number
+    state |n>, which :func:`wigner_number_state` evaluates on its own
+    route.
+
+    Raises:
+        DegenerateStateError: for the photon-subtracted state with n >= 1
+            at theta = 0, where subtraction annihilates the vacuum and
+            the state has zero norm.
+    """
     return float(wigner_closed_radial(state, point.abs2))
 
 
@@ -478,27 +486,15 @@ def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 # public point evaluators
 
 
-def wigner_photon_subtracted(point: PhasePoint, n: int, thermal: ThermalParams) -> float:
-    """Wigner function after subtracting n photons from the thermal state.
-
-    Nonnegative everywhere: the Laguerre polynomial is evaluated at a
-    nonpositive argument where all its terms are positive.
-
-    Raises:
-        DegenerateStateError: for n >= 1 at theta = 0, where subtraction
-            annihilates the vacuum and the state has zero norm.
-    """
-    return wigner_closed_form(StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n), point)
-
-
 def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> float:
     """Photon-subtracted Wigner function parameterized by the occupation n_c.
 
-    Algebraically identical to :func:`wigner_photon_subtracted` under
-    n_c = sinh^2(theta), 2 n_c + 1 = cosh(2 theta), and kept as an
-    independent evaluation route for cross-checking: it takes L_n from
-    the three-term recurrence of :func:`laguerre`,
-    where the theta form sums the power series by Horner.
+    Algebraically identical to the photon-subtracted closed form of
+    :func:`wigner_closed_form` under n_c = sinh^2(theta),
+    2 n_c + 1 = cosh(2 theta), and kept as an independent evaluation
+    route for cross-checking: it takes L_n from the three-term
+    recurrence of :func:`laguerre`, where the theta form sums the power
+    series by Horner.
 
     Raises:
         ValueError: for an n_c that is not finite, is negative or exceeds
@@ -515,26 +511,6 @@ def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> fl
             "null state; no Wigner function exists"
         )
     return float(_subtracted_nc_kernel(point.abs2, n, n_c))
-
-
-def wigner_photon_added(point: PhasePoint, n: int, thermal: ThermalParams) -> float:
-    """Wigner function after adding n photons to the thermal state.
-
-    Sign at the origin is (-1)^n and the radial profile inherits the n
-    sign changes of the Laguerre polynomial, so the function dips
-    negative for every n >= 1.  theta = 0 is allowed (it gives the
-    number state |n>).
-    """
-    return wigner_closed_form(StateSpec(Family.PHOTON_ADDED, thermal, n=n), point)
-
-
-def wigner_thermal_number(point: PhasePoint, n: int, thermal: ThermalParams) -> float:
-    """Wigner function of the finite-temperature number state.
-
-    theta = 0 is allowed: it gives the number state |n>, whose value
-    :func:`wigner_number_state` evaluates on its own route.
-    """
-    return wigner_closed_form(StateSpec(Family.THERMAL_NUMBER, thermal, n=n), point)
 
 
 def wigner_number_state(point: PhasePoint, n: int) -> float:

@@ -21,9 +21,8 @@ from thermalwigner.analysis import (
 from thermalwigner.closed_form import (
     hermite2,
     laguerre,
+    wigner_closed_form,
     wigner_number_grid,
-    wigner_photon_added,
-    wigner_photon_subtracted,
     wigner_photon_subtracted_ncform,
 )
 from thermalwigner.fock_oracle import (
@@ -88,11 +87,10 @@ def test_criterion_3_photon_added_matches_oracle_with_sign_structure():
             state = StateSpec(Family.PHOTON_ADDED, thermal, n=n)
             _, _, err = compare_grids(state, Box.symmetric(4.0), 81)
             worst = max(worst, err)
-            value = wigner_photon_added(origin, n, thermal)
+            value = wigner_closed_form(state, origin)
             sign_ok &= math.copysign(1.0, value) == (-1.0) ** n
             radial = np.array([
-                wigner_photon_added(PhasePoint(math.sqrt(2.0) * r, 0.0), n, thermal)
-                for r in radii
+                wigner_closed_form(state, PhasePoint(math.sqrt(2.0) * r, 0.0)) for r in radii
             ])
             signs = np.sign(radial)
             crossings_ok &= int(np.sum(signs[1:] * signs[:-1] < 0)) == n
@@ -164,7 +162,7 @@ def test_criterion_6_limits_and_parameterization_equivalence():
         point = PhasePoint(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
         thermal = params_from_theta(theta)
         worst_pair = max(worst_pair, abs(
-            wigner_photon_subtracted(point, n, thermal)
+            wigner_closed_form(StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n), point)
             - wigner_photon_subtracted_ncform(point, n, thermal.n_c)
         ))
 
@@ -223,16 +221,11 @@ def test_criterion_9_temperature_damping_with_scan_artifact(tmp_path):
     monotone = True
     for family in (Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED):
         for n in (1, 5):
-            if family is Family.PHOTON_SUBTRACTED:
-                amplitudes = [
-                    abs(wigner_photon_subtracted(PhasePoint(0, 0), n, params_from_theta(t)))
-                    for t in thetas
-                ]
-            else:
-                amplitudes = [
-                    abs(wigner_photon_added(PhasePoint(0, 0), n, params_from_theta(t)))
-                    for t in thetas
-                ]
+            amplitudes = [
+                abs(wigner_closed_form(StateSpec(family, params_from_theta(t), n=n),
+                                       PhasePoint(0, 0)))
+                for t in thetas
+            ]
             monotone &= bool(np.all(np.diff(amplitudes) < 0.0))
 
     # figure-data artifact through the CLI

@@ -525,7 +525,8 @@ class TestVerifyState:
         abs2, _ = _radial_quadrature(default_norm_box(spec).q_max, NORM_GRID_POINTS)
         is_compared = _radial_simpson_plan(NORM_GRID_POINTS)[0] % 36 == 0
         compared = abs2[is_compared]
-        closed = closed_form.wigner_closed_gaussian(spec, norm_plan_u(spec)[is_compared])
+        at = closed_form.prepare_gaussian(spec.family, spec.n, norm_plan_u(spec)[is_compared])
+        closed = at(spec.thermal.theta)
         report = verify_state(spec)
         assert report.details["max_abs_w"] == np.max(np.abs(closed))
         worst = report.details["max_err_abs2"]
@@ -644,7 +645,8 @@ class TestScanTheta:
             assert len(rows) == len(bare) == thetas.size
             for theta, row, bare_row in zip(thetas, rows, bare):
                 spec = state(family, theta, n)
-                norm, negativity, w0 = analysis._state_integrals(spec, Source.CLOSED_FORM)
+                _, values, _, negativity = analysis._norm_pass(spec, Source.CLOSED_FORM)
+                w0 = float(values[0])
                 point = closed_form.wigner_closed_form(spec, origin)
                 assert row == {"theta": float(theta), "w0": w0, "abs_w0": abs(w0),
                                "negativity_volume": negativity}
@@ -691,8 +693,8 @@ class TestScanTheta:
     def test_a_refused_step_raises_as_the_one_state_call(self, family, n, thetas):
         # the scan refuses the first bad step with the one-state call's error
         with pytest.raises(Exception) as one_state:
-            analysis._state_integrals(StateSpec(family, params_from_theta(thetas[-1]), n=n),
-                                      Source.CLOSED_FORM)
+            analysis._norm_pass(StateSpec(family, params_from_theta(thetas[-1]), n=n),
+                                Source.CLOSED_FORM)
         for include_negativity in (True, False):
             with pytest.raises(type(one_state.value)) as scanned:
                 scan_theta(family, n, thetas, include_negativity=include_negativity)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermalwigner import __version__, cli
+from thermalwigner import __version__, cli, closed_form
 from thermalwigner.analysis import negativity_of_state
 from thermalwigner.cli import main
 from thermalwigner.closed_form import wigner_closed_form
@@ -30,7 +30,7 @@ def strict_json(path):
 
 def spy_on_kernels(monkeypatch, calls):
     """Record instead of running any closed-form kernel: every one is prepared."""
-    monkeypatch.setattr(cli.closed_form, "prepare_gaussian", lambda *args: calls.append(args))
+    monkeypatch.setattr(closed_form, "prepare_gaussian", lambda *args: calls.append(args))
 
 
 class _ArrayMemoryError(MemoryError):
@@ -53,10 +53,8 @@ class TestEval:
         assert [float(r[1]) for r in rows[:9]] == list(np.linspace(-4, 4, 9))
         # 17 significant digits round-trip doubles exactly
         center = rows[4 * 9 + 4]
-        from thermalwigner.closed_form import wigner_photon_added
-        from thermalwigner.states import PhasePoint
-        from thermalwigner.thermo import params_from_theta
-        expected = wigner_photon_added(PhasePoint(0.0, 0.0), 1, params_from_theta(0.2))
+        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(0.2), n=1)
+        expected = wigner_closed_form(state, PhasePoint(0.0, 0.0))
         assert float(center[2]) == expected
 
     def test_json_output_is_self_describing(self, tmp_path):
@@ -192,10 +190,8 @@ class TestVerify:
             "--box", "2", "--res", "5", "--source", "oracle", "--out", str(out),
         ]) == 0
         w_origin = float(out.read_text().splitlines()[1 + 2 * 5 + 2].split(",")[2])
-        from thermalwigner.closed_form import wigner_thermal_number
-        from thermalwigner.states import PhasePoint
-        from thermalwigner.thermo import params_from_theta
-        expected = wigner_thermal_number(PhasePoint(0.0, 0.0), 1, params_from_theta(0.3))
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.3), n=1)
+        expected = wigner_closed_form(state, PhasePoint(0.0, 0.0))
         assert w_origin == pytest.approx(expected, abs=1e-10)
 
 

@@ -18,10 +18,7 @@ from thermalwigner.closed_form import (
     wigner_closed_grid,
     wigner_number_grid,
     wigner_number_state,
-    wigner_photon_added,
-    wigner_photon_subtracted,
     wigner_photon_subtracted_ncform,
-    wigner_thermal_number,
 )
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
 from thermalwigner.thermo import THETA_MAX, params_from_mean_photons, params_from_theta
@@ -91,20 +88,21 @@ class TestThermalVacuum:
 class TestPhotonSubtracted:
     def test_n_zero_reduces_to_vacuum(self):
         thermal = params_from_theta(0.7)
+        state = StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=0)
         for point in random_points(np.random.default_rng(1), 20):
-            assert wigner_photon_subtracted(point, 0, thermal) == pytest.approx(
+            assert wigner_closed_form(state, point) == pytest.approx(
                 thermal_vacuum(point, thermal), abs=1e-15
             )
 
     def test_origin_value(self):
         # L_n(0) = 1, so W(0) = 1 / (pi cosh^(n+1) 2 theta)
-        assert wigner_photon_subtracted(ORIGIN, 1, params_from_theta(0.8)) == pytest.approx(
-            0.04791425637129727, rel=1e-14
-        )
+        state = StateSpec(Family.PHOTON_SUBTRACTED, params_from_theta(0.8), n=1)
+        assert wigner_closed_form(state, ORIGIN) == pytest.approx(0.04791425637129727, rel=1e-14)
 
     def test_degenerate_subtraction_rejected(self):
+        state = StateSpec(Family.PHOTON_SUBTRACTED, params_from_theta(0.0), n=1)
         with pytest.raises(DegenerateStateError):
-            wigner_photon_subtracted(ORIGIN, 1, params_from_theta(0.0))
+            wigner_closed_form(state, ORIGIN)
 
     def test_nonnegative_everywhere(self):
         # Horner on positive coefficients at y >= 0: no value is negative or
@@ -128,11 +126,12 @@ class TestPhotonSubtracted:
         for n in range(17):
             for theta in (0.01, 0.05, 0.3, 1.0, 2.0, 3.5, 5.0):
                 thermal = params_from_theta(theta)
-                box = default_norm_box(StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n))
+                state = StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n)
+                box = default_norm_box(state)
                 for r in np.linspace(0.0, box.q_max, 25):
                     for phi in (0.0, 0.7):
                         point = PhasePoint(r * math.cos(phi), r * math.sin(phi))
-                        w_theta = wigner_photon_subtracted(point, n, thermal)
+                        w_theta = wigner_closed_form(state, point)
                         w_nc = wigner_photon_subtracted_ncform(point, n, thermal.n_c)
                         assert abs(w_theta - w_nc) <= 1e-13 * w_theta, (n, theta, r, phi)
 
@@ -143,8 +142,9 @@ class TestPhotonSubtracted:
         # n_c = 1 corresponds to theta = arsinh(1)
         thermal = params_from_theta(math.asinh(1.0))
         point = PhasePoint(1.0, 0.0)
+        state = StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=1)
         assert wigner_photon_subtracted_ncform(point, 1, 1.0) == pytest.approx(
-            wigner_photon_subtracted(point, 1, thermal), abs=1e-12
+            wigner_closed_form(state, point), abs=1e-12
         )
 
     def test_occupation_form_degenerate(self):
@@ -172,33 +172,34 @@ class TestPhotonAdded:
         for theta in (0.0, 0.2, 0.8, 1.5):
             thermal = params_from_theta(theta)
             c2 = math.cosh(2 * theta)
+            state = StateSpec(Family.PHOTON_ADDED, thermal, n=1)
             for point in random_points(rng, 5):
                 expected = (
                     -math.exp(-2.0 * point.abs2 / c2)
                     / (math.pi * c2**2)
                     * (1.0 - 4.0 * math.cosh(theta) ** 2 / c2 * point.abs2)
                 )
-                assert wigner_photon_added(point, 1, thermal) == pytest.approx(
+                assert wigner_closed_form(state, point) == pytest.approx(
                     expected, rel=1e-13, abs=1e-16
                 )
 
     def test_origin_values(self):
         for theta in (0.0, 0.3, 0.9):
             expected = -1.0 / (math.pi * math.cosh(2 * theta) ** 2)
-            assert wigner_photon_added(ORIGIN, 1, params_from_theta(theta)) == pytest.approx(
-                expected, rel=1e-14
-            )
+            state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=1)
+            assert wigner_closed_form(state, ORIGIN) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_temperature_is_number_state(self):
         thermal = params_from_theta(0.0)
+        one, three = (StateSpec(Family.PHOTON_ADDED, thermal, n=n) for n in (1, 3))
         for point in random_points(np.random.default_rng(4), 20):
             expected = (
                 -1.0 / math.pi * math.exp(-2.0 * point.abs2) * (1.0 - 4.0 * point.abs2)
             )
-            assert wigner_photon_added(point, 1, thermal) == pytest.approx(
+            assert wigner_closed_form(one, point) == pytest.approx(
                 expected, rel=1e-13, abs=1e-16
             )
-            assert wigner_photon_added(point, 3, thermal) == pytest.approx(
+            assert wigner_closed_form(three, point) == pytest.approx(
                 wigner_number_state(point, 3), rel=1e-13, abs=1e-16
             )
 
@@ -206,19 +207,16 @@ class TestPhotonAdded:
         for theta in (0.0, 0.2, 0.8, 2.0):
             thermal = params_from_theta(theta)
             for n in range(6):
-                value = wigner_photon_added(ORIGIN, n, thermal)
+                value = wigner_closed_form(StateSpec(Family.PHOTON_ADDED, thermal, n=n), ORIGIN)
                 assert math.copysign(1.0, value) == (-1.0) ** n
 
     def test_radial_sign_changes_count_n(self):
         radii = np.linspace(0.0, 5.0, 4001)
         for n in range(1, 6):
             for theta in (0.2, 0.5, 1.0):
-                thermal = params_from_theta(theta)
+                state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
                 vals = np.array(
-                    [
-                        wigner_photon_added(PhasePoint(math.sqrt(2.0) * r, 0.0), n, thermal)
-                        for r in radii
-                    ]
+                    [wigner_closed_form(state, PhasePoint(math.sqrt(2.0) * r, 0.0)) for r in radii]
                 )
                 signs = np.sign(vals)
                 changes = int(np.sum(signs[1:] * signs[:-1] < 0))
@@ -226,8 +224,9 @@ class TestPhotonAdded:
 
     def test_n_zero_reduces_to_vacuum(self):
         thermal = params_from_theta(0.4)
+        state = StateSpec(Family.PHOTON_ADDED, thermal, n=0)
         for point in random_points(np.random.default_rng(5), 10):
-            assert wigner_photon_added(point, 0, thermal) == pytest.approx(
+            assert wigner_closed_form(state, point) == pytest.approx(
                 thermal_vacuum(point, thermal), abs=1e-16
             )
 
@@ -253,17 +252,16 @@ class TestNumberState:
 class TestThermalNumber:
     def test_n_zero_reduces_to_vacuum(self):
         thermal = params_from_theta(0.5)
+        state = StateSpec(Family.THERMAL_NUMBER, thermal, n=0)
         for point in random_points(np.random.default_rng(6), 20):
-            assert wigner_thermal_number(point, 0, thermal) == pytest.approx(
+            assert wigner_closed_form(state, point) == pytest.approx(
                 thermal_vacuum(point, thermal), abs=1e-14
             )
 
     def test_small_theta_limit_is_number_state(self):
-        thermal = params_from_theta(1e-6)
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(1e-6), n=1)
         point = PhasePoint(1.0, 0.0)
-        assert abs(
-            wigner_thermal_number(point, 1, thermal) - wigner_number_state(point, 1)
-        ) < 1e-6
+        assert abs(wigner_closed_form(state, point) - wigner_number_state(point, 1)) < 1e-6
 
     @pytest.mark.parametrize("n", range(17))
     def test_zero_theta_is_the_number_state(self, n):
@@ -274,7 +272,7 @@ class TestThermalNumber:
         state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.0), n=n)
         got = wigner_closed_grid(state, q, [0.0])
         assert np.max(np.abs(got - expected)) <= 5e-15 * np.max(np.abs(expected))
-        assert wigner_thermal_number(ORIGIN, n, params_from_theta(0.0)) == (-1) ** n / math.pi
+        assert wigner_closed_form(state, ORIGIN) == (-1) ** n / math.pi
 
     def test_phase_invariance(self):
         # the radial kernel against the paper's complex-alpha double sum,
@@ -282,14 +280,13 @@ class TestThermalNumber:
         thermal = params_from_theta(0.4)
         rng = np.random.default_rng(7)
         for n in (2, 8):
+            state = StateSpec(Family.THERMAL_NUMBER, thermal, n=n)
             for _ in range(10):
                 radius = float(rng.uniform(0.1, 2.5))
                 for phase in rng.uniform(0.0, 2.0 * math.pi, size=4):
                     point = PhasePoint(radius * math.cos(phase), radius * math.sin(phase))
                     expected = thermal_number_complex_sum(point.alpha, n, thermal.theta)
-                    assert wigner_thermal_number(point, n, thermal) == pytest.approx(
-                        expected, rel=1e-12
-                    )
+                    assert wigner_closed_form(state, point) == pytest.approx(expected, rel=1e-12)
 
     def test_kernel_keeps_the_argument_shape(self):
         # the kernel sums its series over the flattened u = |alpha|^2
@@ -322,7 +319,8 @@ class TestThermalNumber:
         assert np.array_equal(values, np.zeros(4))
 
     def test_returns_float(self):
-        value = wigner_thermal_number(PhasePoint(0.3, -0.8), 3, params_from_theta(0.6))
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(0.6), n=3)
+        value = wigner_closed_form(state, PhasePoint(0.3, -0.8))
         assert isinstance(value, float)
 
 
@@ -453,13 +451,13 @@ class TestFoldedRows:
     def test_no_earlier_call_changes_a_value(self, n):
         theta = 0.9
         reference = self.fresh(self.U, n, theta)
-        state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
         earlier_calls = [
             lambda: self.fresh(self.OTHER_U, n, theta),  # other radii
             lambda: self.fresh(self.U, n - 1, theta),  # smaller n
             lambda: self.fresh(self.U, n + 3, theta),  # larger n
             lambda: self.fresh(self.U, n, 2.0),  # other theta
-            lambda: closed_form.wigner_closed_gaussian(state, self.U),  # another family
+            # another family
+            lambda: closed_form.prepare_gaussian(Family.PHOTON_ADDED, n, self.U)(theta),
             lambda: self.fresh(self.U[:50], n, theta),  # a prefix
         ]
         for earlier in earlier_calls:
@@ -566,7 +564,8 @@ class TestDispatchAndGrids:
             s / math.pi * math.exp(-2.0 * point.abs2 * s), rel=1e-14)
         assert wigner_closed_form(
             StateSpec(Family.PHOTON_ADDED, thermal, n=2), point
-        ) == wigner_photon_added(point, 2, thermal)
+        ) == closed_form.prepare_gaussian(Family.PHOTON_ADDED, 2,
+                                          point.abs2 * (1.0 / thermal.cosh_2theta))(thermal.theta)
 
     @pytest.mark.parametrize("family, n", [
         (Family.THERMAL_VACUUM, 0), (Family.PHOTON_SUBTRACTED, 3),
@@ -576,7 +575,7 @@ class TestDispatchAndGrids:
     ])
     def test_prepared_kernel_is_the_one_theta_call(self, family, n):
         # prepare_gaussian does the theta-free work once; each theta it is
-        # then handed gives bitwise the one-theta call, on any radii.  It
+        # then handed gives bitwise a fresh one-theta call, on any radii.  It
         # holds u and exp(-2u) across theta, so a kernel that wrote into
         # either would change a later step: u is read-only here, and the
         # steps come back to their first theta
@@ -584,12 +583,9 @@ class TestDispatchAndGrids:
         u.setflags(write=False)
         at = closed_form.prepare_gaussian(family, n, u)
         for theta in (1.7, 0.05, 0.9, 5.0, 1.7):
-            state = StateSpec(family, params_from_theta(theta), n=n)
-            assert np.array_equal(at(theta), closed_form.wigner_closed_gaussian(state, u))
+            assert np.array_equal(at(theta), closed_form.prepare_gaussian(family, n, u)(theta))
         single = closed_form.prepare_gaussian(family, n, np.float64(1.3))(0.7)
         assert np.ndim(single) == 0
-        assert single == closed_form.wigner_closed_gaussian(
-            StateSpec(family, params_from_theta(0.7), n=n), np.float64(1.3))
 
     def test_grid_matches_point_evaluator(self):
         thermal = params_from_theta(0.6)
@@ -675,6 +671,6 @@ class TestDispatchAndGrids:
     def test_excitation_cap(self):
         thermal = params_from_theta(0.5)
         with pytest.raises(ValueError):
-            wigner_photon_added(ORIGIN, 17, thermal)
+            wigner_number_state(ORIGIN, 17)
         with pytest.raises(ValueError):
             StateSpec(Family.PHOTON_ADDED, thermal, n=17)

@@ -20,6 +20,11 @@ def package_imports(source: str) -> set[str]:
     }
 
 
+def readme_python_blocks() -> list[str]:
+    """The source of each python block of README.md."""
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in thermalwigner.__all__ if not hasattr(thermalwigner, name)]
     assert missing == []
@@ -27,12 +32,19 @@ def test_every_exported_name_resolves():
 
 
 def test_readme_and_demo_imports_are_exported():
-    readme = (ROOT / "README.md").read_text()
-    sources = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    sources = readme_python_blocks()
     sources += [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
     imported = set().union(*(package_imports(source) for source in sources))
     assert imported, "expected the README and demos to import from thermalwigner"
     assert imported <= set(thermalwigner.__all__)
+
+
+def test_readme_library_example_runs():
+    # each python block of the README runs as written, in a fresh namespace
+    sources = readme_python_blocks()
+    assert sources, "expected a python example in the README"
+    for source in sources:
+        exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
 
 
 def test_test_only_references_are_not_exported():
@@ -49,16 +61,22 @@ def test_test_only_references_are_not_exported():
 def test_names_without_callers_are_gone():
     # no caller outside the tests: the normalization constants and the Bose
     # occupation live in test helpers; laguerre lives in thermalwigner.closed_form,
-    # and the special-function module it came from is gone
-    from thermalwigner import closed_form, thermo
+    # and the special-function module it came from is gone; every family is
+    # evaluated at a point by wigner_closed_form(StateSpec(...), point), so
+    # the per-family wrappers and the one-theta layer are gone
+    from thermalwigner import analysis, closed_form, thermo
 
+    wrappers = ("wigner_photon_subtracted", "wigner_photon_added", "wigner_thermal_number")
     removed = ("norm_const_added", "norm_const_subtracted", "wigner_thermal_vacuum",
-               "mean_photon_number", "laguerre")
+               "mean_photon_number", "laguerre", *wrappers)
     for name in removed:
         assert name not in thermalwigner.__all__
         assert not hasattr(thermalwigner, name), name
     for module, name in [(closed_form, "norm_const_added"), (closed_form, "norm_const_subtracted"),
-                         (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number")]:
+                         (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number"),
+                         *[(closed_form, name) for name in wrappers],
+                         (closed_form, "wigner_closed_gaussian"),
+                         (analysis, "_state_integrals")]:
         assert not hasattr(module, name), name
     assert callable(closed_form.laguerre)
     assert importlib.util.find_spec("thermalwigner.specfun") is None

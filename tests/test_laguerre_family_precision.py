@@ -60,7 +60,7 @@ def errors(family, n, theta):
     """
     state = StateSpec(family, params_from_theta(theta), n=n)
     u = norm_box_radii(state)
-    got = closed_form.wigner_closed_gaussian(state, u)
+    got = closed_form.prepare_gaussian(family, n, u)(theta)
     ref = laguerre_family_mp(family, n, theta, u)
     err = np.abs(got - ref)
     pointwise = float(np.max(err / ref)) if family is Family.PHOTON_SUBTRACTED else None

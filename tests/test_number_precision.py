@@ -15,7 +15,7 @@ import pytest
 
 from thermalwigner import closed_form
 from thermalwigner.analysis import default_norm_box
-from thermalwigner.closed_form import wigner_closed_grid, wigner_thermal_number
+from thermalwigner.closed_form import wigner_closed_form, wigner_closed_grid
 from thermalwigner.states import Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
@@ -212,7 +212,8 @@ def test_origin_value_is_a_legendre_polynomial(n):
     worst = 0.0
     for theta in np.geomspace(1e-3, 5.0, 40):
         theta = float(theta)
-        got = wigner_thermal_number(PhasePoint(0.0, 0.0), n, params_from_theta(theta))
+        state = StateSpec(Family.THERMAL_NUMBER, params_from_theta(theta), n=n)
+        got = wigner_closed_form(state, PhasePoint(0.0, 0.0))
         with mpmath.workdps(30):
             t = mpmath.tanh(2 * mpmath.mpf(theta))
             unit = mpmath.pi * mpmath.cosh(2 * mpmath.mpf(theta))
