@@ -16,7 +16,6 @@ from .analysis import (
     Source,
     VerificationReport,
     WignerGrid,
-    limit_suite,
     negativity_of_state,
     negativity_volume,
     normalization_integral,
@@ -68,7 +67,6 @@ __all__ = [
     "VerificationReport",
     "WignerGrid",
     "build_oracle_state",
-    "limit_suite",
     "negativity_of_state",
     "negativity_volume",
     "normalization_integral",

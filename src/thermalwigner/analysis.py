@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import closed_form, fock_oracle
-from .states import Family, PhasePoint, StateSpec
+from .states import Family, StateSpec
 from .thermo import params_from_theta
 
 
@@ -104,9 +104,7 @@ class Box:
         return asdict(self)
 
 
-def _state_echo(state: StateSpec | None) -> dict | None:
-    if state is None:
-        return None
+def _state_echo(state: StateSpec) -> dict:
     return {
         "family": state.family.value,
         "n": state.n,
@@ -120,18 +118,13 @@ class WignerGrid:
     """Uniform sampling of one Wigner function plus its provenance.
 
     ``values[i, j]`` is W at node i of the q axis and node j of the p
-    axis, so the node counts ``nq`` and ``np_`` are its shape.  An
-    oracle grid's ``details`` hold ``oracle_dim``, the levels of the
-    Fock state it was evaluated from, and ``oracle_tail``, the bound on
-    the population mass that truncation cut off (see
-    ``fock_oracle.FockDensityMatrix``).
+    axis, so the node counts ``nq`` and ``np_`` are its shape.
     """
 
     state: StateSpec
     source: Source
     box: Box
     values: np.ndarray
-    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -180,7 +173,7 @@ class WignerGrid:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one closed-form vs oracle (or reduction) comparison.
+    """Outcome of one closed-form vs oracle comparison.
 
     Self-contained: the label, state echo, grid spec and tolerances are
     enough to reproduce the run.  Sub-errors are collected rather than
@@ -188,7 +181,7 @@ class VerificationReport:
     """
 
     label: str
-    state: StateSpec | None
+    state: StateSpec
     box: Box | None
     nq: int
     np_: int
@@ -279,14 +272,12 @@ def sample_grid(state: StateSpec, box: Box, nq: int, np_: int, source: Source) -
     source = Source(source)
     q = _axis(box.q_min, box.q_max, nq)
     p = _axis(box.p_min, box.p_max, np_)
-    details = {}
     if source is Source.CLOSED_FORM:
         values = closed_form.wigner_closed_grid(state, q, p)
     else:
         rho = fock_oracle.build_oracle_state(state)
         values = fock_oracle.wigner_grid_from_density(rho, q, p)
-        details = {"oracle_dim": rho.dim, "oracle_tail": rho.tail}
-    return WignerGrid(state=state, source=source, box=box, values=values, details=details)
+    return WignerGrid(state=state, source=source, box=box, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -645,103 +636,6 @@ def verify_state(
         errors=errors,
         passed=passed,
     )
-
-
-# ---------------------------------------------------------------------------
-# reduction / limit checks
-
-
-# Excitation counts, temperature and sample seed of the limit checks.
-LIMIT_N_VALUES = (1, 2, 3)
-LIMIT_SMALL_THETA = 1e-6
-LIMIT_SEED = 20240817
-
-
-def limit_suite() -> list[VerificationReport]:
-    """Run the reduction matrix of the closed forms.
-
-    * n = 0 collapses every family to the thermal-vacuum Gaussian
-      (exact algebraic identity, tolerance 1e-12);
-    * theta -> 0 collapses the added and number families to the
-      zero-temperature number state and the subtracted family to the
-      vacuum Gaussian (tolerance 1e-6 at theta = 1e-6);
-    * the theta-form and occupation-form subtracted expressions agree
-      pointwise (tolerance 1e-12 on seeded random samples).
-
-    Each grid case is (label, state, reference grid, tolerance) and is
-    compared on 41 x 41 nodes of [-4, 4]^2.
-    """
-    box = Box.symmetric(4.0)
-    q = _axis(box.q_min, box.q_max, 41)
-
-    def grid(state):
-        return closed_form.wigner_closed_grid(state, q, q)
-
-    thermal, tiny = params_from_theta(0.6), params_from_theta(LIMIT_SMALL_THETA)
-    thermal_gaussian = grid(StateSpec(Family.THERMAL_VACUUM, thermal))
-    vacuum_gaussian = grid(StateSpec(Family.THERMAL_VACUUM, params_from_theta(0.0)))
-    cases = [
-        (f"n=0 {family.value} reduces to the thermal Gaussian",
-         StateSpec(family, thermal, n=0), thermal_gaussian, 1e-12)
-        for family in (Family.PHOTON_SUBTRACTED, Family.PHOTON_ADDED, Family.THERMAL_NUMBER)
-    ]
-    small = f"theta={LIMIT_SMALL_THETA:g}"
-    for n in LIMIT_N_VALUES:
-        number_state = closed_form.wigner_number_grid(n, q, q)
-        cases += [
-            (f"{small} {family.value} n={n} reduces to the number state",
-             StateSpec(family, tiny, n=n), number_state, 1e-6)
-            for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER)
-        ]
-        cases.append((f"{small} subtracted n={n} reduces to the vacuum Gaussian",
-                      StateSpec(Family.PHOTON_SUBTRACTED, tiny, n=n), vacuum_gaussian, 1e-6))
-
-    reports = []
-    for label, state, reference, tol in cases:
-        diff = np.abs(grid(state) - reference)
-        max_err = float(np.max(diff))
-        reports.append(
-            VerificationReport(
-                label=label,
-                state=state,
-                box=box,
-                nq=q.size,
-                np_=q.size,
-                max_abs_err=max_err,
-                mean_abs_err=float(np.mean(diff)),
-                tolerances={"max_abs_err": tol},
-                passed=max_err <= tol,
-            )
-        )
-
-    # theta-form vs occupation-form equality on random samples
-    rng = np.random.default_rng(LIMIT_SEED)
-    samples = 100
-    worst = 0.0
-    for _ in range(samples):
-        theta = float(rng.uniform(0.05, 1.2))
-        n = int(rng.integers(0, 6))
-        point = PhasePoint(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
-        thermal = params_from_theta(theta)
-        w_theta = closed_form.wigner_closed_form(
-            StateSpec(Family.PHOTON_SUBTRACTED, thermal, n=n), point)
-        w_nc = closed_form.wigner_photon_subtracted_ncform(point, n, thermal.n_c)
-        worst = max(worst, abs(w_theta - w_nc))
-    reports.append(
-        VerificationReport(
-            label="subtracted theta-form vs occupation-form pointwise equality",
-            state=None,
-            box=None,
-            nq=0,
-            np_=0,
-            max_abs_err=worst,
-            mean_abs_err=worst,
-            tolerances={"max_abs_err": 1e-12},
-            details={"samples": samples, "seed": LIMIT_SEED},
-            passed=worst <= 1e-12,
-        )
-    )
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ Subcommands:
   eval        sample one state's Wigner function on a box and write it
   verify      compare closed form and oracle on the state's norm box, write a report
   negativity  print the negativity volume of one state
-  limits      run the reduction/limit checks
   scan-theta  tabulate W(0) and negativity volume across temperatures
 
 Exit codes: 0 success, 1 numerical or verification failure (with a
-machine-readable reason in the output), 2 usage error.  CSV floats are
-printed with 17 significant digits so doubles round-trip exactly.
+machine-readable reason in the output), 2 usage error, 141 (128 + SIGPIPE)
+when stdout is the output and its reader closes it early, as ``head``
+does; that exit writes nothing to stderr.  CSV floats are printed with
+17 significant digits so doubles round-trip exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -137,15 +139,9 @@ def write_grid_json(grid: analysis.WignerGrid, fh, config: dict):
     fh.write("\n    ]" + tail + "\n")
 
 
-def write_report_json(reports, fh, config: dict, tolerances: dict | None = None):
-    if isinstance(reports, analysis.VerificationReport):
-        body = reports.to_dict()
-    else:
-        body = [r.to_dict() for r in reports]
-    payload = {"version": __version__, "config": config, "report": body}
-    if tolerances is not None:
-        payload["tolerances"] = tolerances
-    _dump_json(payload, fh)
+def write_report_json(report: analysis.VerificationReport, fh, config: dict):
+    _dump_json({"version": __version__, "config": config, "report": report.to_dict(),
+                "tolerances": report.tolerances}, fh)
 
 
 def _error_name(exc: Exception) -> str:
@@ -198,7 +194,7 @@ def _cmd_verify(parser, args) -> int:
     report = analysis.verify_state(_state_from_args(parser, args),
                                    max_err_tol=args.tol_max_err, norm_tol=args.tol_norm)
     with _output(args.out) as fh:
-        write_report_json(report, fh, _config_echo(args), tolerances=report.tolerances)
+        write_report_json(report, fh, _config_echo(args))
     if args.out not in (None, "-"):
         status = "PASS" if report.passed else "FAIL"
         err = (f"{report.max_abs_err:.3e}" if math.isfinite(report.max_abs_err)
@@ -212,19 +208,6 @@ def _cmd_negativity(parser, args) -> int:
     value = analysis.negativity_of_state(state, Source(args.source))
     print(_fmt(value))
     return 0
-
-
-def _cmd_limits(parser, args) -> int:
-    reports = analysis.limit_suite()
-    if args.out != "-":  # stdout carries the JSON report alone
-        for rep in reports:
-            status = "PASS" if rep.passed else "FAIL"
-            print(f"{status} {rep.label} (max_abs_err={rep.max_abs_err:.3e}, "
-                  f"tol={rep.tolerances['max_abs_err']:g})")
-    if args.out is not None:
-        with _output(args.out) as fh:
-            write_report_json(reports, fh, _config_echo(args))
-    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_scan_theta(parser, args) -> int:
@@ -282,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=Source.CLOSED_FORM.value)
     p_neg.set_defaults(func=_cmd_negativity)
 
-    p_limits = sub.add_parser("limits", help="run the reduction/limit checks")
-    p_limits.add_argument("--out", default=None, help="optional JSON report path")
-    p_limits.set_defaults(func=_cmd_limits)
-
     p_scan = sub.add_parser("scan-theta",
                             help="W(0) and negativity volume versus temperature")
     p_scan.add_argument("--family", required=True, choices=_FAMILIES)
@@ -314,9 +293,20 @@ def _main_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _main_parser()
     args = parser.parse_args(argv)
+    to_stdout = getattr(args, "out", None) in (None, "-")
     try:
-        return args.func(parser, args)
+        code = args.func(parser, args)
+        if to_stdout:  # a reader that closed early is met here, not at exit
+            sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        if to_stdout and isinstance(exc, BrokenPipeError):
+            # the reader has gone, which is no failure; what is still
+            # buffered goes to os.devnull, so the flush at exit is silent too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141  # 128 + SIGPIPE, what a shell reports for a filter it killed
         _write_failure(getattr(args, "out", None), _config_echo(args), exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ from thermalwigner.analysis import (
     _simpson2d,
     _unit_simpson_weights,
     default_norm_box,
-    limit_suite,
     negativity_of_state,
     negativity_volume,
     normalization_integral,
@@ -554,30 +553,6 @@ class TestVerifyState:
     def test_refused_oracle_leaves_details_empty(self):
         report = verify_state(state("number", 0.5, n=7))
         assert not report.passed and report.details == {}
-
-
-class TestLimitSuite:
-    def test_all_pass(self):
-        reports = limit_suite()
-        for rep in reports:
-            assert rep.passed, f"{rep.label}: max_abs_err={rep.max_abs_err:.3e}"
-
-    def test_expected_coverage(self):
-        # every report, in order, with its tolerance
-        expected = [
-            (f"n=0 {family} reduces to the thermal Gaussian", 1e-12)
-            for family in ("subtracted", "added", "number")
-        ]
-        for n in (1, 2, 3):
-            expected += [
-                (f"theta=1e-06 added n={n} reduces to the number state", 1e-6),
-                (f"theta=1e-06 number n={n} reduces to the number state", 1e-6),
-                (f"theta=1e-06 subtracted n={n} reduces to the vacuum Gaussian", 1e-6),
-            ]
-        expected.append(("subtracted theta-form vs occupation-form pointwise equality", 1e-12))
-        reports = limit_suite()
-        assert [rep.label for rep in reports] == [label for label, _ in expected]
-        assert [rep.tolerances for rep in reports] == [{"max_abs_err": tol} for _, tol in expected]
 
 
 class TestScanTheta:

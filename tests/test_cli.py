@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,33 @@ class TestNumericalFailures:
         assert payload["config"]["out"] == str(out)
         assert captured.err[end:].startswith("\nerror: ")
 
+    def test_closed_stdout_exits_141_and_writes_nothing_to_stderr(self):
+        # a reader that stops after two lines, as head -2 does, is no failure
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thermalwigner.cli", "eval", "--family", "added", "--n", "1",
+             "--theta", "0.3", "--res", "301"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+        assert head[0] == b"q,p,w\n" and head[1].startswith(b"-4,-4,")
+
+    def test_broken_pipe_on_an_out_file_is_a_failure(self, tmp_path, monkeypatch):
+        def closed(grid, fh):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "write_grid_csv", closed)
+        out = tmp_path / "w.csv"
+        assert run(["eval", "--family", "added", "--n", "1", "--theta", "0.4", "--res", "11",
+                    "--out", str(out)]) == 1
+        assert strict_json(out)["error"] == "BrokenPipeError"
+
     def test_non_finite_argument_is_echoed_as_null(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["verify", "--family", "vacuum", "--theta", "nan", "--out", str(out)]) == 1
@@ -533,19 +564,3 @@ class TestScanTheta:
             "--no-negativity", "--out", str(out),
         ]) == 0
         assert out.read_text().splitlines()[0] == "theta,w0,abs_w0"
-
-
-class TestLimitsCommand:
-    def test_all_pass(self, tmp_path, capsys):
-        out = tmp_path / "limits.json"
-        assert run(["limits", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "PASS" in stdout and "FAIL" not in stdout
-        payload = json.loads(out.read_text())
-        assert all(rep["passed"] for rep in payload["report"])
-
-    def test_report_to_stdout_is_json_alone(self, capsys):
-        assert run(["limits", "--out", "-"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["report"]) == 13
-        assert all(rep["passed"] for rep in payload["report"])

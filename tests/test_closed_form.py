@@ -184,10 +184,13 @@ class TestPhotonAdded:
                 )
 
     def test_origin_values(self):
-        for theta in (0.0, 0.3, 0.9):
-            expected = -1.0 / (math.pi * math.cosh(2 * theta) ** 2)
-            state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=1)
-            assert wigner_closed_form(state, ORIGIN) == pytest.approx(expected, rel=1e-14)
+        # L_n(0) = 1: W(0) = (-1)^n / (pi cosh^(n+1) 2theta) to relative
+        # precision, also where it is tiny against the peak at high temperature
+        for n in (1, 4, 8, 16):
+            for theta in (0.0, 0.3, 0.9, 2.0, 3.0, 5.0):
+                expected = (-1.0) ** n / (math.pi * math.cosh(2 * theta) ** (n + 1))
+                state = StateSpec(Family.PHOTON_ADDED, params_from_theta(theta), n=n)
+                assert wigner_closed_form(state, ORIGIN) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_temperature_is_number_state(self):
         thermal = params_from_theta(0.0)

@@ -5,6 +5,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import thermalwigner
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,12 +65,14 @@ def test_names_without_callers_are_gone():
     # occupation live in test helpers; laguerre lives in thermalwigner.closed_form,
     # and the special-function module it came from is gone; every family is
     # evaluated at a point by wigner_closed_form(StateSpec(...), point), so
-    # the per-family wrappers and the one-theta layer are gone
-    from thermalwigner import analysis, closed_form, thermo
+    # the per-family wrappers and the one-theta layer are gone; the
+    # reduction checks are tier-1 tests, so limit_suite and the limits
+    # command are gone
+    from thermalwigner import analysis, cli, closed_form, thermo
 
     wrappers = ("wigner_photon_subtracted", "wigner_photon_added", "wigner_thermal_number")
     removed = ("norm_const_added", "norm_const_subtracted", "wigner_thermal_vacuum",
-               "mean_photon_number", "laguerre", *wrappers)
+               "mean_photon_number", "laguerre", "limit_suite", *wrappers)
     for name in removed:
         assert name not in thermalwigner.__all__
         assert not hasattr(thermalwigner, name), name
@@ -76,7 +80,12 @@ def test_names_without_callers_are_gone():
                          (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number"),
                          *[(closed_form, name) for name in wrappers],
                          (closed_form, "wigner_closed_gaussian"),
-                         (analysis, "_state_integrals")]:
+                         (analysis, "_state_integrals"), (analysis, "limit_suite"),
+                         (analysis, "LIMIT_N_VALUES"), (analysis, "LIMIT_SMALL_THETA"),
+                         (analysis, "LIMIT_SEED"), (cli, "_cmd_limits")]:
         assert not hasattr(module, name), name
+    with pytest.raises(SystemExit) as usage_error:
+        cli.main(["limits"])
+    assert usage_error.value.code == 2
     assert callable(closed_form.laguerre)
     assert importlib.util.find_spec("thermalwigner.specfun") is None

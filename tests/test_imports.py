@@ -72,7 +72,6 @@ def test_commands_run_with_scipy_refused(tmp_path):
         ["scan-theta", "--family", "number", "--n", "3", "--steps", "3", "--out", "scan.csv"],
         ["negativity", "--family", "number", "--n", "3", "--theta", "0.4"],
         ["verify", "--family", "added", "--n", "1", "--theta", "0.4", "--out", "added.json"],
-        ["limits", "--out", "limits.json"],
         *NUMBER_ORACLE_COMMANDS,
     ]
     run_fresh(REFUSE_SCIPY + textwrap.dedent(f'''
@@ -83,8 +82,7 @@ def test_commands_run_with_scipy_refused(tmp_path):
         assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     '''), tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {
-        "closed.csv", "oracle.csv", "scan.csv", "added.json", "limits.json",
-        "number.json", "number-oracle.csv",
+        "closed.csv", "oracle.csv", "scan.csv", "added.json", "number.json", "number-oracle.csv",
     }
 
 
