@@ -413,22 +413,52 @@ class TestNumericalFailures:
         assert payload["config"]["out"] == str(out)
         assert captured.err[end:].startswith("\nerror: ")
 
-    def test_closed_stdout_exits_141_and_writes_nothing_to_stderr(self):
-        # a reader that stops after two lines, as head -2 does, is no failure
+    @staticmethod
+    def _cli_process(args, stdout):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "thermalwigner.cli", "eval", "--family", "added", "--n", "1",
-             "--theta", "0.3", "--res", "301"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        return subprocess.Popen([sys.executable, "-m", "thermalwigner.cli", *args],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def _head_two_lines(self, args):
+        # a reader that stops after two lines, as head -2 does
+        proc = self._cli_process(args, subprocess.PIPE)
         head = [proc.stdout.readline() for _ in range(2)]
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=120) == 141
+        return proc.wait(timeout=120), err, head
+
+    def test_closed_stdout_exits_141_and_writes_nothing_to_stderr(self):
+        code, err, head = self._head_two_lines(
+            ["eval", "--family", "added", "--n", "1", "--theta", "0.3", "--res", "301"])
+        assert code == 141
         assert err == b""
         assert head[0] == b"q,p,w\n" and head[1].startswith(b"-4,-4,")
+
+    def test_closed_stdout_named_by_out_dash_exits_141(self):
+        code, err, head = self._head_two_lines(
+            ["eval", "--family", "added", "--n", "1", "--theta", "0.3", "--res", "301",
+             "--out", "-"])
+        assert code == 141
+        assert err == b""
+        assert head[0] == b"q,p,w\n" and head[1].startswith(b"-4,-4,")
+
+    def test_small_output_to_a_pipe_without_reader_exits_141(self):
+        # the whole output fits the buffer, so the write fails only at the
+        # flush before main returns; as `negativity ... | true` does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._cli_process(
+                ["negativity", "--family", "added", "--n", "1", "--theta", "0.3"], write_end)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_broken_pipe_on_an_out_file_is_a_failure(self, tmp_path, monkeypatch):
         def closed(grid, fh):
