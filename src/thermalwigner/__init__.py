@@ -28,8 +28,6 @@ from .closed_form import (
     DegenerateStateError,
     wigner_closed_form,
     wigner_closed_grid,
-    wigner_number_state,
-    wigner_photon_subtracted_ncform,
 )
 from .fock_oracle import (
     AnnihilatedStateError,
@@ -81,6 +79,4 @@ __all__ = [
     "wigner_closed_form",
     "wigner_closed_grid",
     "wigner_grid_from_density",
-    "wigner_number_state",
-    "wigner_photon_subtracted_ncform",
 ]

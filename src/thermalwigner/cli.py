@@ -10,7 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 numerical or verification failure (with a
 machine-readable reason in the output), 2 usage error, 141 (128 + SIGPIPE)
 when stdout is the output and its reader closes it early, as ``head``
-does; that exit writes nothing to stderr.  CSV floats are printed with
+does; that exit writes nothing to stderr.  ``verify --out FILE`` prints
+its PASS/FAIL line to stdout after the report is written; if that
+line's reader has gone, it still exits with its verdict, 0 or 1, keeps
+the report and writes nothing to stderr.  CSV floats are printed with
 17 significant digits so doubles round-trip exactly.
 """
 
@@ -153,6 +156,13 @@ def _error_name(exc: Exception) -> str:
     return next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
 
 
+def _discard_stdout():
+    """Point stdout at os.devnull once its reader has gone: the flush at exit is silent too."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _write_failure(path, config: dict, exc: Exception):
     payload = {
         "version": __version__,
@@ -199,7 +209,10 @@ def _cmd_verify(parser, args) -> int:
         status = "PASS" if report.passed else "FAIL"
         err = (f"{report.max_abs_err:.3e}" if math.isfinite(report.max_abs_err)
                else "not measured")
-        print(f"{status} {report.label} (max_abs_err={err})")
+        try:
+            print(f"{status} {report.label} (max_abs_err={err})", flush=True)
+        except BrokenPipeError:  # the line's reader has gone; the report is written
+            _discard_stdout()
     return 0 if report.passed else 1
 
 
@@ -301,11 +314,8 @@ def main(argv=None) -> int:
         return code
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         if to_stdout and isinstance(exc, BrokenPipeError):
-            # the reader has gone, which is no failure; what is still
-            # buffered goes to os.devnull, so the flush at exit is silent too
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            # the reader has gone, which is no failure
+            _discard_stdout()
             return 141  # 128 + SIGPIPE, what a shell reports for a filter it killed
         _write_failure(getattr(args, "out", None), _config_echo(args), exc)
         print(f"error: {exc}", file=sys.stderr)

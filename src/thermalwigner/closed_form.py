@@ -13,11 +13,6 @@ u = |a|^2 sech(2 theta).  Writing s = sech(2 theta), c = cosh(2 theta):
                           a_k = a_{2n-k} = (-1)^n / (pi c) sum_r G_kr cos(r psi),
                           psi = 2 arctan(sinh 2theta), see
                           :func:`_thermal_number_sum`
-  * zero-T number state: W = (-1)^n / pi * exp(-2|a|^2) L_n(4 |a|^2),
-                          the theta = 0 value of the added and thermal
-                          number families, where u = |a|^2; kept as the
-                          reference their zero-temperature limits are
-                          checked against.
 
 Here |a|^2 = (q^2 + p^2)/2 and the normalization is
 integral W dq dp = 1 (vacuum peak 1/pi).
@@ -54,7 +49,7 @@ No call keeps state for the next.
 Where exp(-2u) underflows to 0 every closed form is +0.0, and no
 polynomial factor is evaluated there, where it could overflow.
 
-The grid evaluators are one call to
+The grid evaluator is one call to
 :func:`~thermalwigner.states.radial_grid`, which folds the product grid
 onto its distinct |alpha|^2 and calls the kernel once on them, so every
 kernel sees distinct radii and none deduplicates its input.  Every kernel
@@ -69,8 +64,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .states import Family, PhasePoint, StateSpec, check_excitation_count, radial_grid
-from .thermo import params_from_mean_photons
+from .states import Family, PhasePoint, StateSpec, radial_grid
 
 
 class DegenerateStateError(ValueError):
@@ -259,14 +253,6 @@ def _subtracted_kernel(u, envelope, coefficients: list[float], theta: float):
     return values
 
 
-def _subtracted_nc_kernel(abs2: float, n: int, n_c: float) -> float:
-    width = 2.0 * n_c + 1.0
-    envelope = np.exp(-2.0 * abs2 / width) / (math.pi * width ** (n + 1))
-    if envelope == 0.0:  # the far tail, where L_n can overflow
-        return 0.0
-    return envelope * laguerre(n, -4.0 * n_c * abs2 / width)
-
-
 def _added_kernel(u, envelope, n: int, theta: float):
     """(-1)^n exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(4 cosh^2(theta) u).
 
@@ -279,12 +265,6 @@ def _added_kernel(u, envelope, n: int, theta: float):
     values *= envelope
     values *= (-1.0) ** n / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
     return values
-
-
-def _number_kernel(abs2, n: int):
-    """The zero-temperature number state, where u = |alpha|^2."""
-    live, abs2, envelope = _live(abs2)
-    return _scatter(live, (-1.0) ** n / math.pi * envelope * laguerre(n, 4.0 * abs2))
 
 
 @lru_cache(maxsize=None)
@@ -456,8 +436,7 @@ def wigner_closed_form(state: StateSpec, point: PhasePoint) -> float:
     origin, and its radial profile inherits the n sign changes of the
     Laguerre polynomial, so it dips negative for every n >= 1.  At
     theta = 0 the photon-added and thermal number states are the number
-    state |n>, which :func:`wigner_number_state` evaluates on its own
-    route.
+    state |n>.
 
     Raises:
         DegenerateStateError: for the photon-subtracted state with n >= 1
@@ -474,46 +453,3 @@ def wigner_closed_grid(state: StateSpec, q: np.ndarray, p: np.ndarray) -> np.nda
     (q[i], p[j]).
     """
     return radial_grid(lambda abs2: wigner_closed_radial(state, abs2), q, p)
-
-
-def wigner_number_grid(n: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Zero-temperature number-state Wigner function on the axes q x p."""
-    n = check_excitation_count(n)
-    return radial_grid(lambda abs2: _number_kernel(abs2, n), q, p)
-
-
-# ---------------------------------------------------------------------------
-# public point evaluators
-
-
-def wigner_photon_subtracted_ncform(point: PhasePoint, n: int, n_c: float) -> float:
-    """Photon-subtracted Wigner function parameterized by the occupation n_c.
-
-    Algebraically identical to the photon-subtracted closed form of
-    :func:`wigner_closed_form` under n_c = sinh^2(theta),
-    2 n_c + 1 = cosh(2 theta), and kept as an independent evaluation
-    route for cross-checking: it takes L_n from the three-term
-    recurrence of :func:`laguerre`, where the theta form sums the power
-    series by Horner.
-
-    Raises:
-        ValueError: for an n_c that is not finite, is negative or exceeds
-            sinh^2(THETA_MAX), with the message of
-            :func:`~thermalwigner.thermo.params_from_mean_photons`.
-        DegenerateStateError: for n >= 1 at n_c = 0.
-    """
-    n = check_excitation_count(n)
-    n_c = float(n_c)
-    params_from_mean_photons(n_c)  # the theta form's range, refused alike
-    if n >= 1 and n_c == 0.0:
-        raise DegenerateStateError(
-            "photon subtraction from the zero-occupation state yields the "
-            "null state; no Wigner function exists"
-        )
-    return float(_subtracted_nc_kernel(point.abs2, n, n_c))
-
-
-def wigner_number_state(point: PhasePoint, n: int) -> float:
-    """Wigner function of the zero-temperature number state |n>."""
-    n = check_excitation_count(n)
-    return float(_number_kernel(point.abs2, n))

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from closed_form_reference import wigner_number_grid, wigner_photon_subtracted_ncform
 from specfun_reference import laguerre_from_hermite
 from thermalwigner.analysis import (
     Box,
@@ -21,8 +22,6 @@ from thermalwigner.closed_form import (
     hermite2,
     laguerre,
     wigner_closed_form,
-    wigner_number_grid,
-    wigner_photon_subtracted_ncform,
 )
 from thermalwigner.fock_oracle import (
     apply_addition,

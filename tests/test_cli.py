@@ -414,12 +414,28 @@ class TestNumericalFailures:
         assert captured.err[end:].startswith("\nerror: ")
 
     @staticmethod
-    def _cli_process(args, stdout):
+    def _cli_process(args, stdout, unbuffered=False):
+        # stdout block-buffered, as for any pipe, or unbuffered as under
+        # PYTHONUNBUFFERED=1, where each write meets a closed pipe at once
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.Popen([sys.executable, "-m", "thermalwigner.cli", *args],
                                 stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def _to_a_pipe_without_reader(self, args, unbuffered=False):
+        """(exit code, stderr) of a command whose stdout pipe has no reader from the start."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._cli_process(args, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
 
     def _head_two_lines(self, args):
         # a reader that stops after two lines, as head -2 does
@@ -448,17 +464,27 @@ class TestNumericalFailures:
     def test_small_output_to_a_pipe_without_reader_exits_141(self):
         # the whole output fits the buffer, so the write fails only at the
         # flush before main returns; as `negativity ... | true` does
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = self._cli_process(
-                ["negativity", "--family", "added", "--n", "1", "--theta", "0.3"], write_end)
-        finally:
-            os.close(write_end)
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=120) == 141
+        code, err = self._to_a_pipe_without_reader(
+            ["negativity", "--family", "added", "--n", "1", "--theta", "0.3"])
+        assert code == 141
         assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, passed", [
+        (["--family", "added", "--n", "1", "--theta", "0.3"], True),
+        (["--family", "number", "--n", "7", "--theta", "0.5"], False),  # refused by the oracle
+    ], ids=["passing", "failing"])
+    def test_verify_status_line_without_reader_keeps_the_report(self, tmp_path, args, passed,
+                                                                unbuffered):
+        # as `verify --out FILE | true`: the report is written before the
+        # PASS/FAIL line meets the closed pipe, so the exit is the verdict,
+        # stderr stays empty and the report stays in the file
+        out = tmp_path / "v.json"
+        code, err = self._to_a_pipe_without_reader(["verify", *args, "--out", str(out)],
+                                                   unbuffered)
+        assert code == (0 if passed else 1)
+        assert err == b""
+        assert strict_json(out)["report"]["passed"] is passed
 
     def test_broken_pipe_on_an_out_file_is_a_failure(self, tmp_path, monkeypatch):
         def closed(grid, fh):

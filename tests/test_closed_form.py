@@ -5,7 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from closed_form_reference import norm_const_added, norm_const_subtracted
+from closed_form_reference import (
+    norm_const_added,
+    norm_const_subtracted,
+    wigner_number_grid,
+    wigner_number_state,
+    wigner_photon_subtracted_ncform,
+)
 
 from thermalwigner import closed_form
 from thermalwigner.analysis import default_norm_box, negativity_of_state, scan_theta
@@ -16,12 +22,9 @@ from thermalwigner.closed_form import (
     laguerre_rows,
     wigner_closed_form,
     wigner_closed_grid,
-    wigner_number_grid,
-    wigner_number_state,
-    wigner_photon_subtracted_ncform,
 )
 from thermalwigner.states import Family, PhasePoint, StateSpec, radial_grid
-from thermalwigner.thermo import THETA_MAX, params_from_mean_photons, params_from_theta
+from thermalwigner.thermo import params_from_mean_photons, params_from_theta
 
 ORIGIN = PhasePoint(0.0, 0.0)
 
@@ -120,9 +123,10 @@ class TestPhotonSubtracted:
                 assert negativity_of_state(state) == 0.0
 
     def test_occupation_form_matches_theta_form(self):
-        # two algorithms: the theta form sums L_n(-y) by Horner, the
-        # occupation form by the three-term recurrence (largest relative
-        # difference measured out to the norm-box edge: 2.2e-14)
+        # two algorithms: the theta form sums L_n(-y) by Horner in floats,
+        # the test-side occupation form exactly in integers at its float
+        # argument (largest relative difference measured out to the
+        # norm-box edge: 2.1e-14)
         for n in range(17):
             for theta in (0.01, 0.05, 0.3, 1.0, 2.0, 3.5, 5.0):
                 thermal = params_from_theta(theta)
@@ -148,20 +152,10 @@ class TestPhotonSubtracted:
         )
 
     def test_occupation_form_degenerate(self):
+        # the state at occupation n_c is StateSpec(..., params_from_mean_photons(n_c))
+        state = StateSpec(Family.PHOTON_SUBTRACTED, params_from_mean_photons(0.0), n=2)
         with pytest.raises(DegenerateStateError):
-            wigner_photon_subtracted_ncform(ORIGIN, 2, 0.0)
-
-    @pytest.mark.parametrize("n, n_c", [(2, 1e200), (16, 1e20), (3, 1e6),
-                                        (0, math.sinh(THETA_MAX) ** 2 * (1 + 1e-15))])
-    def test_occupation_form_refuses_what_the_theta_form_refuses(self, n, n_c):
-        # an occupation beyond sinh^2(THETA_MAX) is refused with the message
-        # of params_from_mean_photons, not evaluated or overflowed
-        with pytest.raises(ValueError) as expected:
-            params_from_mean_photons(n_c)
-        with pytest.raises(ValueError) as got:
-            wigner_photon_subtracted_ncform(PhasePoint(0.3, -0.2), n, n_c)
-        assert str(got.value) == str(expected.value)
-        assert "exceeds the validated range" in str(got.value)
+            wigner_closed_form(state, ORIGIN)
 
 
 class TestPhotonAdded:
@@ -235,21 +229,30 @@ class TestPhotonAdded:
 
 
 class TestNumberState:
+    # |n> is the theta = 0 state of the added and thermal number families
+    @staticmethod
+    def number_states(n):
+        return [StateSpec(family, params_from_theta(0.0), n=n)
+                for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER)]
+
     def test_origin(self):
-        assert wigner_number_state(ORIGIN, 0) == pytest.approx(1.0 / math.pi, rel=1e-15)
-        assert wigner_number_state(ORIGIN, 1) == pytest.approx(-1.0 / math.pi, rel=1e-15)
+        for n, expected in ((0, 1.0 / math.pi), (1, -1.0 / math.pi)):
+            for state in self.number_states(n):
+                assert wigner_closed_form(state, ORIGIN) == pytest.approx(expected, rel=1e-15)
 
     def test_first_zero_crossing(self):
         # L_1(4 |a|^2) = 0 at |a|^2 = 1/4, i.e. q = 1/sqrt(2)
         point = PhasePoint(1.0 / math.sqrt(2.0), 0.0)
-        assert wigner_number_state(point, 1) == pytest.approx(0.0, abs=1e-16)
+        for state in self.number_states(1):
+            assert wigner_closed_form(state, point) == pytest.approx(0.0, abs=1e-16)
 
     def test_grid_matches_points(self):
         q = np.linspace(-2, 2, 9)
-        grid = wigner_number_grid(2, q, q)
-        for i in (0, 4, 8):
-            for j in (1, 5):
-                assert grid[i, j] == wigner_number_state(PhasePoint(q[i], q[j]), 2)
+        for state in self.number_states(2):
+            grid = wigner_closed_grid(state, q, q)
+            for i in (0, 4, 8):
+                for j in (1, 5):
+                    assert grid[i, j] == wigner_closed_form(state, PhasePoint(q[i], q[j]))
 
 
 class TestThermalNumber:
@@ -355,13 +358,18 @@ class TestFarTail:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 16])
     def test_zero_temperature_forms_underflow_to_positive_zero(self, n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = wigner_number_grid(n, [0.0, 1e12, 1e154], [0.0])
-            points = [wigner_number_state(PhasePoint(1e154, 0.0), n),
-                      wigner_photon_subtracted_ncform(PhasePoint(1e154, 0.0), n, 0.5)]
-        assert self.positive_zeros(grid[1:]) and self.positive_zeros(np.array(points))
-        assert grid[0, 0] == wigner_number_state(ORIGIN, n)
+        # |n> at theta = 0 through both of its families, and the subtracted
+        # state at the occupation n_c = 0.5
+        states = [StateSpec(family, params_from_theta(0.0), n=n)
+                  for family in (Family.PHOTON_ADDED, Family.THERMAL_NUMBER)]
+        states.append(StateSpec(Family.PHOTON_SUBTRACTED, params_from_mean_photons(0.5), n=n))
+        for state in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = wigner_closed_grid(state, [0.0, 1e12, 1e154], [0.0])
+                point = wigner_closed_form(state, PhasePoint(1e154, 0.0))
+            assert self.positive_zeros(grid[1:]) and self.positive_zeros(np.array([point]))
+            assert grid[0, 0] == wigner_closed_form(state, ORIGIN)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_point_with_an_overflowing_radius_is_refused(self, family):
@@ -370,10 +378,6 @@ class TestFarTail:
             with pytest.raises(ValueError, match=r"^\|alpha\|\^2 = \(q\^2 \+ p\^2\) / 2 "
                                                  r"overflows at the point"):
                 wigner_closed_form(state, point)
-        with pytest.raises(ValueError, match="overflows at the point |q| = 1e+200, |p| = 0"):
-            wigner_number_state(PhasePoint(1e200, 0.0), 2)
-        with pytest.raises(ValueError, match="overflows at the point"):
-            wigner_photon_subtracted_ncform(PhasePoint(0.0, -1e200), 2, 0.5)
 
 
 class TestNodeTable:
@@ -628,7 +632,6 @@ class TestDispatchAndGrids:
             per_node = closed_form.prepare_gaussian(family, n, abs2 * (1.0 / math.cosh(1.4)))(0.7)
             assert grid.shape == (q.size, p.size)
             assert np.array_equal(grid, per_node), family
-        assert np.array_equal(wigner_number_grid(3, q, p), closed_form._number_kernel(abs2, 3))
 
     @pytest.mark.parametrize("q, p", GRID_AXES)
     def test_radial_grid_calls_its_kernel_once_on_distinct_radii(self, q, p):
@@ -669,11 +672,11 @@ class TestDispatchAndGrids:
         with pytest.raises(ValueError, match="non-empty"):
             wigner_closed_grid(state, [], [0.0, 1.0])
         with pytest.raises(ValueError, match="non-empty"):
-            wigner_number_grid(2, [0.0, 1.0], np.array([]))
+            wigner_closed_grid(state, [0.0, 1.0], np.array([]))
 
     def test_excitation_cap(self):
         thermal = params_from_theta(0.5)
         with pytest.raises(ValueError):
-            wigner_number_state(ORIGIN, 17)
+            StateSpec(Family.PHOTON_ADDED, params_from_theta(0.0), n=17)  # |17>
         with pytest.raises(ValueError):
             StateSpec(Family.PHOTON_ADDED, thermal, n=17)

@@ -67,18 +67,23 @@ def test_names_without_callers_are_gone():
     # evaluated at a point by wigner_closed_form(StateSpec(...), point), so
     # the per-family wrappers and the one-theta layer are gone; the
     # reduction checks are tier-1 tests, so limit_suite and the limits
-    # command are gone
+    # command are gone; |n> is the theta = 0 added or thermal number state
+    # and the occupation form is the subtracted state at
+    # params_from_mean_photons(n_c), so their evaluators are test references
     from thermalwigner import analysis, cli, closed_form, thermo
 
     wrappers = ("wigner_photon_subtracted", "wigner_photon_added", "wigner_thermal_number")
+    references = ("wigner_number_state", "wigner_number_grid", "wigner_photon_subtracted_ncform")
     removed = ("norm_const_added", "norm_const_subtracted", "wigner_thermal_vacuum",
-               "mean_photon_number", "laguerre", "limit_suite", *wrappers)
+               "mean_photon_number", "laguerre", "limit_suite", *wrappers, *references)
     for name in removed:
         assert name not in thermalwigner.__all__
         assert not hasattr(thermalwigner, name), name
     for module, name in [(closed_form, "norm_const_added"), (closed_form, "norm_const_subtracted"),
                          (closed_form, "wigner_thermal_vacuum"), (thermo, "mean_photon_number"),
                          *[(closed_form, name) for name in wrappers],
+                         *[(closed_form, name) for name in references],
+                         (closed_form, "_number_kernel"), (closed_form, "_subtracted_nc_kernel"),
                          (closed_form, "wigner_closed_gaussian"),
                          (analysis, "_state_integrals"), (analysis, "limit_suite"),
                          (analysis, "LIMIT_N_VALUES"), (analysis, "LIMIT_SMALL_THETA"),

@@ -37,6 +37,27 @@ from thermalwigner.thermo import params_from_theta
 ORIGIN = PhasePoint(0.0, 0.0)
 
 
+def imported_names(path):
+    """(module, name) for every import of the Python source at ``path``.
+
+    ``from module import name`` gives (module, name); ``import module`` and
+    ``from thermalwigner import module`` give (module, None).  Relative
+    imports are resolved inside ``thermalwigner``.
+    """
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            parts = ["thermalwigner"] * (node.level > 0) + (node.module or "").split(".")
+            module = ".".join(part for part in parts if part)
+            if module == "thermalwigner":  # from . import <module>
+                imported |= {(f"{module}.{alias.name}", None) for alias in node.names}
+            else:
+                imported |= {(module, alias.name) for alias in node.names}
+    return imported
+
+
 def annihilator(dim):
     """Dense <m| a |m+1> = sqrt(m+1) on a dim-level mode."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
@@ -595,21 +616,22 @@ class TestSeriesGrid:
     def test_oracle_imports_no_closed_form_code(self):
         # the oracle certifies the closed forms only while it shares no code
         # with them: from the package it imports the state types alone
-        tree = ast.parse(Path(fock_oracle.__file__).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                parts = ["thermalwigner"] * (node.level > 0) + (node.module or "").split(".")
-                module = ".".join(part for part in parts if part)
-                if module == "thermalwigner":  # from . import <module>
-                    imported |= {f"{module}.{alias.name}" for alias in node.names}
-                else:
-                    imported.add(module)
+        imported = {module for module, _ in imported_names(Path(fock_oracle.__file__))}
         assert "numpy" in imported
         package = {name for name in imported if name.split(".")[0] == "thermalwigner"}
         assert package == {"thermalwigner.states"}, package
+
+    def test_closed_form_reference_takes_no_kernel_code(self):
+        # the test-side |n> and occupation-form references check the kernels
+        # only while they share no code with them: from closed_form they take
+        # the error class alone, and otherwise only the states and thermo
+        # value types, name by name
+        imported = imported_names(Path(__file__).with_name("closed_form_reference.py"))
+        package = {pair for pair in imported if pair[0].split(".")[0] == "thermalwigner"}
+        assert all(name is not None for _, name in package), package
+        beyond_value_types = {(module, name) for module, name in package
+                              if module not in ("thermalwigner.states", "thermalwigner.thermo")}
+        assert beyond_value_types == {("thermalwigner.closed_form", "DegenerateStateError")}
 
 
 class TestBuildOracleState:

@@ -3,24 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from closed_form_reference import laguerre_exact
 from specfun_reference import laguerre_from_hermite, laguerre_sum
 from thermalwigner.analysis import NORM_GRID_POINTS, _radial_simpson_plan
 from thermalwigner.closed_form import hermite2, laguerre, laguerre_rows
-
-
-def laguerre_exact(n, x):
-    """Exact rational evaluation of the factorial sum (test-side oracle)."""
-    acc = Fraction(0)
-    xf = Fraction(x)
-    for l in range(n + 1):
-        acc += (
-            Fraction(math.factorial(n), math.factorial(l) ** 2 * math.factorial(n - l))
-            * (-xf) ** l
-        )
-    return float(acc)
 
 
 def hermite2_brute(m, n, x, y):
@@ -45,6 +35,17 @@ class TestLaguerre:
     def test_order_two_explicit(self):
         # 1 - 2x + x^2/2 at x = 1: 1 - 2 + 0.5
         assert laguerre(2, 1.0) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_exact_reference_is_correctly_rounded(self):
+        # the test-side L_n that the |n> and occupation-form references sum
+        # in integers: within half an ulp of 50 digits, also where the
+        # factorial sum alternates (4 |alpha|^2 up to the Gaussian's underflow)
+        with mpmath.workdps(50):
+            for n in range(21):
+                for x in (0.0, 1e-300, 0.3, 1.7, 13.3, 57.1, 400.0, 1490.0, -3.2, -1e5):
+                    exact = mpmath.laguerre(n, 0, mpmath.mpf(x))
+                    got = laguerre_exact(n, x)
+                    assert abs(got - exact) <= 0.5 * math.ulp(got), (n, x)
 
     def test_sum_matches_exact_low_order(self):
         for n in (0, 1):

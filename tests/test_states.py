@@ -4,21 +4,16 @@ import math
 
 import pytest
 
-from thermalwigner import closed_form
+from thermalwigner.analysis import scan_theta
 from thermalwigner.states import EXCITATION_MAX, Family, PhasePoint, StateSpec
 from thermalwigner.thermo import params_from_theta
 
 _THERMAL = params_from_theta(0.4)
-_ORIGIN = PhasePoint(0.0, 0.0)
 
 # every entry point that takes an excitation count n
 _TAKES_N = {
     "StateSpec": lambda n: StateSpec(Family.PHOTON_ADDED, _THERMAL, n=n),
-    "wigner_number_state": lambda n: closed_form.wigner_number_state(_ORIGIN, n),
-    "wigner_number_grid": lambda n: closed_form.wigner_number_grid(n, [0.0], [0.0]),
-    "wigner_photon_subtracted_ncform": lambda n: closed_form.wigner_photon_subtracted_ncform(
-        _ORIGIN, n, 0.5
-    ),
+    "scan_theta": lambda n: scan_theta(Family.PHOTON_ADDED, n, [0.4], include_negativity=False),
 }
 
 
