@@ -26,15 +26,31 @@ the closed form as a function of theta.  :func:`wigner_closed_radial`
 calls it once at u = |a|^2 * sech(2 theta), and the point evaluator
 :func:`wigner_closed_form` and the grid evaluator :func:`wigner_closed_grid`
 go through it.  The radial quadrature of ``analysis`` builds u itself
-from its plan and prepares it once per scan.  The photon-subtracted
-L_n(-y), a series of positive terms, is summed by Horner in y on its
-exact coefficients C(n, k) / k!; the photon-added L_n is one call of
+from its plan.  The photon-subtracted L_n(-y), a series of positive
+terms, is summed by Horner in y on its exact coefficients
+C(n, k) / k!; the photon-added L_n is one call of
 :func:`laguerre`.  The thermal number coefficients a_k are one product
 of an exact theta-free table G with the cosines cos(r psi) at every
 theta, 0 included, where they give |n>; a_k = a_{2n-k}, so the series
 is summed over n + 1 held rows, exp(-v/2) (L_k(v) + L_{2n-k}(v)) at
 v = 4u, which a one-theta call builds and sums once and a scan sums at
 every theta.
+
+A prepared kernel takes one theta or a block of them: a column of k
+temperatures against u of shape (1, m) or (k, m), one row of radii per
+temperature, gives the (k, m) block in one call.  Each per-theta scalar
+is computed with ``math`` from its own theta, as a one-theta call
+computes it, so row i of a block is bitwise the one-theta call at its
+theta and radii; the one-theta call is the one-row case.  A temperature
+scan (``analysis.scan_theta``) evaluates each step only on the radii
+where W can be negative, which :func:`negative_bound` gives per family:
+nowhere for the vacuum and photon-subtracted states, below
+(2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u for the
+photon-added one, past the largest zero of L_n, and anywhere for the
+thermal number state, whose far-tail values have no resolved sign.
+Both took the `sweep` benchmark from 548 to 685 default scans per
+second (2-CPU VM, medians of 10 alternating pairs), where a scan had
+called the kernel once per step on all 5 251 radii of its norm plan.
 
 Laguerre values come from one stable three-term recurrence,
 :func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
@@ -46,8 +62,9 @@ double sum, which no kernel calls.  The Horner loop and that
 recurrence multiply and add only.  No kernel writes into the u or
 exp(-2u) it is handed, which a prepared kernel holds across theta.
 No call keeps state for the next.
-Where exp(-2u) underflows to 0 every closed form is +0.0, and no
-polynomial factor is evaluated there, where it could overflow.
+Where exp(-2u) underflows to 0 every closed form is +0.0: the
+polynomial factor, which could overflow there, is evaluated at u = 0
+in its place and the value written as +0.0.
 
 The grid evaluator is one call to
 :func:`~thermalwigner.states.radial_grid`, which folds the product grid
@@ -184,43 +201,52 @@ def hermite2(m: int, n: int, x, y):
 # ---------------------------------------------------------------------------
 # radial kernels, vectorized over u = |alpha|^2 sech 2theta.  Each takes its
 # theta-free inputs from prepare_gaussian, then theta: the vacuum kernel the
-# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope) at the
-# radii where that envelope is nonzero (_live) with the subtracted state's
-# exact coefficients or the added state's n, and the thermal number kernel
-# the Laguerre rows it folds from them, and n.
+# Gaussian envelope = exp(-2u), the Laguerre kernels (u, envelope), with u
+# set to 0 where that envelope underflows (_live), and the subtracted
+# state's exact coefficients or the added state's n, and the thermal number
+# kernel the Laguerre rows it folds from them, and n.  theta is one
+# temperature or a block of them, a column with one row per temperature
+# that broadcasts against u: each kernel takes its per-theta scalars from
+# _per_theta, so a block's rows are bitwise its one-theta calls.
+
+
+def _per_theta(scalar, theta):
+    """``scalar(t)`` at every temperature t of ``theta``, in the shape of ``theta``.
+
+    Each value is computed with ``math`` from its own Python float, as a
+    one-theta call computes it.  An array-valued ``scalar`` puts its own
+    axis first: n + 1 series coefficients per theta give shape
+    (n + 1,) + theta's shape.
+    """
+    if np.ndim(theta) == 0:
+        return scalar(float(theta))
+    theta = np.asarray(theta, dtype=float)
+    values = np.array([scalar(t) for t in theta.ravel().tolist()])
+    return values.T.reshape(values.shape[1:] + theta.shape)
 
 
 def _live(u):
-    """(live, u[live], exp(-2u)[live]) at the radii u, live where exp(-2u) != 0.
+    """(u, exp(-2u), dead) at the radii u, dead where exp(-2u) underflows to 0.
 
-    Beyond them every closed form is +0.0, while its polynomial factor can
-    overflow there (and 0 * inf is NaN): a kernel sees the live radii
-    alone and :func:`_scatter` writes +0.0 at the others.  Where every
-    radius is live, as on every norm plan, ``live`` is None and the radii
-    are u itself.
+    Beyond those radii every closed form is +0.0, while its polynomial
+    factor can overflow there (and 0 * inf is NaN): u is 0 in the kernel's
+    copy at the dead radii, and :func:`prepare_gaussian` writes +0.0 over
+    whatever the kernel gives there.  Where every radius is live, as on
+    every norm plan, ``dead`` is None and the radii are u itself.
     """
     u = np.asarray(u, dtype=float)
     envelope = np.exp(-2.0 * u)
-    live = envelope != 0.0
-    if live.all():
-        return None, u, envelope
-    return live, u[live], envelope[live]
+    dead = envelope == 0.0
+    if not dead.any():
+        return u, envelope, None
+    return np.where(dead, 0.0, u), envelope, dead
 
 
-def _scatter(live, values):
-    """``values`` at the ``live`` radii and +0.0 at the others; ``values`` if live is None."""
-    if live is None:
-        return values
-    out = np.zeros(live.shape)
-    out[live] = values
-    return out
+def _vacuum_kernel(envelope, theta):
+    return _per_theta(lambda t: (1.0 / math.cosh(2.0 * t)) / math.pi, theta) * envelope
 
 
-def _vacuum_kernel(envelope, theta: float):
-    return (1.0 / math.cosh(2.0 * theta)) / math.pi * envelope
-
-
-def _subtracted_kernel(u, envelope, coefficients: list[float], theta: float):
+def _subtracted_kernel(u, envelope, coefficients: list[float], theta):
     """exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(-y) at y = 4 sinh^2(theta) u.
 
     L_n(-y) = sum_k C(n, k) y^k / k! has positive terms only, so it is
@@ -234,15 +260,19 @@ def _subtracted_kernel(u, envelope, coefficients: list[float], theta: float):
     written, since a prepared kernel holds them for every theta.
     """
     n = len(coefficients) - 1
-    if n >= 1 and theta == 0.0:
-        raise DegenerateStateError(
-            "photon subtraction from the zero-temperature vacuum yields the "
-            "null state; no Wigner function exists"
-        )
-    scale = 1.0 / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
+
+    def scale_at(t):
+        if n >= 1 and t == 0.0:
+            raise DegenerateStateError(
+                "photon subtraction from the zero-temperature vacuum yields the "
+                "null state; no Wigner function exists"
+            )
+        return 1.0 / (math.pi * math.cosh(2.0 * t) ** (n + 1))
+
+    scale = _per_theta(scale_at, theta)
     if n == 0:
         return envelope * scale
-    y = 4.0 * math.sinh(theta) ** 2 * u
+    y = _per_theta(lambda t: 4.0 * math.sinh(t) ** 2, theta) * u
     values = y * coefficients[n]
     values += coefficients[n - 1]
     for coefficient in reversed(coefficients[:n - 1]):
@@ -253,17 +283,18 @@ def _subtracted_kernel(u, envelope, coefficients: list[float], theta: float):
     return values
 
 
-def _added_kernel(u, envelope, n: int, theta: float):
+def _added_kernel(u, envelope, n: int, theta):
     """(-1)^n exp(-2u) / (pi cosh^(n+1) 2theta) * L_n(4 cosh^2(theta) u).
 
     L_n from one :func:`laguerre` call, the seed-1
     last row of the recurrence that also builds the thermal number rows,
     then two in-place products: the envelope, and the one scalar
-    (-1)^n / (pi cosh^(n+1) 2theta).
+    (-1)^n / (pi cosh^(n+1) 2theta) per theta.
     """
-    values = laguerre(n, 4.0 * math.cosh(theta) ** 2 * u)
+    values = laguerre(n, _per_theta(lambda t: 4.0 * math.cosh(t) ** 2, theta) * u)
     values *= envelope
-    values *= (-1.0) ** n / (math.pi * math.cosh(2.0 * theta) ** (n + 1))
+    values *= _per_theta(lambda t: (-1.0) ** n / (math.pi * math.cosh(2.0 * t) ** (n + 1)),
+                         theta)
     return values
 
 
@@ -322,7 +353,8 @@ def _thermal_number_rows(u, envelope, n: int) -> np.ndarray:
 
     R_0 ... R_2n stream through a three-row ring of
     :func:`laguerre_rows`: rows j <= n are copied
-    out, and each row j > n is added into row 2n - j.
+    out, and each row j > n is added into row 2n - j.  Row k has the
+    shape of u.
     """
     rows = np.empty((n + 1, u.size))
     for j, row in enumerate(laguerre_rows(4.0 * u, envelope, 2 * n + 1)):
@@ -330,10 +362,10 @@ def _thermal_number_rows(u, envelope, n: int) -> np.ndarray:
             rows[j] = row
         else:
             rows[2 * n - j] += row
-    return rows
+    return rows.reshape((n + 1,) + u.shape)
 
 
-def _thermal_number_sum(rows: np.ndarray, n: int, theta: float):
+def _thermal_number_sum(rows: np.ndarray, n: int, theta):
     """Double Hermite sum for the finite-temperature number state.
 
     With s = sech(2 theta), t = tanh(2 theta) and the linear arguments
@@ -371,7 +403,8 @@ def _thermal_number_sum(rows: np.ndarray, n: int, theta: float):
     exact table in cos(r psi), psi = 2 arctan(sinh 2theta)
     (:func:`_thermal_number_matrix`), one product per theta, and the
     sum is accumulated in k order, elementwise, so a radius gives the
-    same value in any input.  ``rows`` is read, never written.
+    same value in any input and at any row of a block of temperatures.
+    ``rows`` is read, never written.
 
     No step cancels: the table's rows have absolute sums of at most 1,
     the cosines and |exp(-v/2) L_j(v)| <= 1 (v >= 0) are bounded by 1,
@@ -381,7 +414,7 @@ def _thermal_number_sum(rows: np.ndarray, n: int, theta: float):
     1 / (pi cosh 2theta): in the far tail at small theta, where W is far
     below it, the sign of a value is not resolved.
     """
-    series = _thermal_number_series(n, theta)
+    series = _per_theta(partial(_thermal_number_series, n), theta)
     total = rows[0] * series[0]
     tmp = np.empty_like(total)
     for coeff, row in zip(series[1:], rows[1:]):
@@ -406,11 +439,18 @@ def prepare_gaussian(family: Family, n: int, u):
     and for the thermal number state its 2n + 1 rows exp(-2u) L_j(4u)
     folded onto n + 1 by the mirror symmetry of their coefficients
     (:func:`_thermal_number_rows`), which ``at`` sums at every theta.
+
+    ``at`` takes one temperature and gives the values in the shape of
+    ``u``.  Or it takes a block of k temperatures as a column (k, 1),
+    against u of shape (1, m) or (k, m) with one row of radii per
+    temperature, and gives the (k, m) block in one kernel call.  Row i
+    of a block is bitwise ``at(theta[i, 0])`` on its row of u: the
+    one-theta call is the one-row case.
     """
     family = Family(family)
     if family is Family.THERMAL_VACUUM:
         return partial(_vacuum_kernel, np.exp(-2.0 * u))
-    live, u, envelope = _live(u)
+    u, envelope, dead = _live(u)
     if family is Family.THERMAL_NUMBER:
         kernel = partial(_thermal_number_sum, _thermal_number_rows(u, envelope, n), n)
     elif family is Family.PHOTON_SUBTRACTED:
@@ -418,7 +458,32 @@ def prepare_gaussian(family: Family, n: int, u):
         kernel = partial(_subtracted_kernel, u, envelope, coefficients)
     else:
         kernel = partial(_added_kernel, u, envelope, n)
-    return lambda theta: _scatter(live, kernel(theta).reshape(u.shape))
+    if dead is None:
+        return kernel
+    return lambda theta: np.where(dead, 0.0, kernel(theta))
+
+
+def negative_bound(family: Family, n: int, theta: float) -> float:
+    """A u = |alpha|^2 sech 2theta at and beyond which the closed form is never negative.
+
+    The thermal vacuum is a Gaussian and the photon-subtracted form's
+    L_n(-y) a sum of positive terms, so neither is negative anywhere:
+    0.0.  The photon-added form changes sign only at the zeros of
+    L_n(4 cosh^2(theta) u), and every zero of L_n lies below
+    2n + 1 + sqrt((2n + 1)^2 + 1/4) (Szego, Orthogonal Polynomials,
+    section 6.31); beyond them L_n has the sign (-1)^n of its leading
+    term, which the form's (-1)^n cancels.  The thermal number series has no
+    such bound: its far-tail values are resolved only to an absolute
+    1e-16 of 1 / (pi cosh 2theta) (:func:`_thermal_number_sum`) and can
+    take either sign, so its bound is infinite.  The tests check that
+    every value beyond the bound on the norm plans is +0.0 or positive.
+    """
+    family = Family(family)
+    if family is Family.THERMAL_NUMBER:
+        return math.inf
+    if family is Family.PHOTON_ADDED:
+        return (2 * n + 1 + math.sqrt((2 * n + 1) ** 2 + 0.25)) / (4.0 * math.cosh(theta) ** 2)
+    return 0.0
 
 
 def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:

@@ -600,18 +600,27 @@ class TestScanTheta:
     @pytest.mark.parametrize("family, n", [("vacuum", 0), ("subtracted", 3), ("added", 3),
                                            ("number", 16)])
     def test_scan_without_negativity_prepares_once(self, monkeypatch, family, n):
-        # W(0) is the closed form at radius 0 for every theta, so one
-        # prepared kernel serves the whole scan
-        prepared = []
+        # W(0) is the closed form at radius 0 for every theta, so a 20-step
+        # scan is one block: one kernel prepared at u = 0 and called once,
+        # with the 20 temperatures as a column
+        prepared, called = [], []
         prepare = closed_form.prepare_gaussian
 
         def recording(family_, n_, u):
-            prepared.append(u)
-            return prepare(family_, n_, u)
+            prepared.append(np.array(u))
+            at = prepare(family_, n_, u)
+
+            def values(theta):
+                called.append(np.array(theta))
+                return at(theta)
+            return values
 
         monkeypatch.setattr(closed_form, "prepare_gaussian", recording)
-        scan_theta(Family(family), n, np.linspace(0.1, 2.0, 20), include_negativity=False)
-        assert prepared == [0.0]
+        thetas = np.linspace(0.1, 2.0, 20)
+        rows = scan_theta(Family(family), n, thetas, include_negativity=False)
+        assert len(prepared) == 1 and prepared[0].shape == (1, 1) and prepared[0][0, 0] == 0.0
+        assert len(called) == 1 and np.array_equal(called[0], thetas[:, None])
+        assert [row["theta"] for row in rows] == thetas.tolist()
 
     # the CLI's default steps, and a wide scan; together they cross every
     # change of the norm box with theta (added n >= 4, subtracted n >= 8)
@@ -644,29 +653,34 @@ class TestScanTheta:
     ])
     def test_box_changes_over_the_default_scan(self, family, n, boxes):
         # the norm box, and so u, changes with theta for the broad conditioned
-        # states: the scan must rebuild u there and share it elsewhere
+        # states: each step's row of u in a scan block must be its own norm
+        # box's u, up to the block's prefix, and a row shared by a block
+        # must be every one of its steps' u
         thetas = self.SCAN_GRIDS[0]
         # in theta order: along a scan the box size is monotonic in theta
         widths = list(dict.fromkeys(analysis._norm_box_widths(state(family, t, n))
                                     for t in thetas))
         assert len(widths) == boxes
-        prepared = []
+        calls = []
         prepare = closed_form.prepare_gaussian
 
         def recording(family_, n_, u):
-            prepared.append(u)
-            return prepare(family_, n_, u)
+            at = prepare(family_, n_, u)
+
+            def values(theta):
+                calls.append((np.array(u), np.ravel(theta)))
+                return at(theta)
+            return values
 
         _quadrature_self_check()  # cached: its own closed-form pass runs before the count
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(closed_form, "prepare_gaussian", recording)
-            steps = list(analysis._norm_passes(Family(family), n, thetas, Source.CLOSED_FORM))
-        # each step's box is the state's own norm box
-        assert [box for _, box, *_ in steps] == [default_norm_box(spec) for spec, *_ in steps]
-        keys = _radial_simpson_plan(NORM_GRID_POINTS)[0]
-        expected = [(0.5 * w / (NORM_GRID_POINTS - 1) ** 2) * keys for w in widths]
-        assert len(prepared) == len(expected) == boxes
-        assert all(np.array_equal(u, want) for u, want in zip(prepared, expected))
+            scan_theta(Family(family), n, thetas)
+        assert np.array_equal(np.concatenate([block for _, block in calls]), thetas)
+        for u, block in calls:
+            assert u.shape[0] in (1, block.size)
+            for row, theta in zip(np.broadcast_to(u, (block.size, u.shape[1])), block):
+                assert np.array_equal(row, norm_plan_u(state(family, theta, n))[:u.shape[1]])
 
     @pytest.mark.parametrize("family, n, thetas", [
         (Family.THERMAL_NUMBER, 3, [0.5, THETA_MAX, THETA_MAX + 0.5]),
@@ -685,10 +699,32 @@ class TestScanTheta:
             assert type(scanned.value) is type(one_state.value)
             assert str(scanned.value) == str(one_state.value)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_an_integral_float_n_scans_as_its_int(self, family):
+        # the kernels take n as the state checked it, an int
+        n = 0 if family is Family.THERMAL_VACUUM else 3
+        for include_negativity in (True, False):
+            assert scan_theta(family, float(n), [0.3, 1.1], include_negativity) == \
+                scan_theta(family, n, [0.3, 1.1], include_negativity)
+
+    def test_a_degenerate_step_before_an_invalid_one_is_refused_first(self):
+        # the steps are validated in order: theta = 0 annihilates the vacuum
+        # before theta = 6 is refused as out of range, in a block or not
+        for include_negativity in (True, False):
+            with pytest.raises(closed_form.DegenerateStateError):
+                scan_theta(Family.PHOTON_SUBTRACTED, 2, [0.5, 0.0, 6.0],
+                           include_negativity=include_negativity)
+
     def test_non_finite_values_are_refused_at_their_step(self, monkeypatch):
-        # the finiteness check reads the normalization sum: every plan weight
-        # is positive, so a NaN or infinity anywhere makes that sum non-finite
-        assert np.all(_radial_simpson_plan(NORM_GRID_POINTS)[1] > 0.0)
+        # the scan checks each block it evaluates; the poisoned radius is one
+        # that the theta > 1 step reads, inside its prefix below the bound.
+        # The one-state pass reads the normalization sum first: every plan
+        # weight is positive, so a NaN or infinity makes that sum non-finite
+        keys, weights = _radial_simpson_plan(NORM_GRID_POINTS)
+        assert np.all(weights > 0.0)
+        spec = state("added", 1.5, n=1)
+        scale = analysis._u_scale(analysis._norm_box_widths(spec))
+        assert keys[17] <= closed_form.negative_bound(Family.PHOTON_ADDED, 1, 1.5) / scale
         prepare = closed_form.prepare_gaussian
         for bad in (math.nan, math.inf, -math.inf):
             def poisoned(family_, n_, u, bad=bad):
@@ -696,8 +732,11 @@ class TestScanTheta:
 
                 def values(theta):
                     out = at(theta)
-                    if theta > 1.0:
-                        out[17] = bad
+                    if np.ndim(theta) == 0:
+                        if theta > 1.0:
+                            out[17] = bad
+                    else:
+                        out[np.ravel(theta) > 1.0, 17] = bad
                     return out
                 return values
 
@@ -705,6 +744,69 @@ class TestScanTheta:
             assert len(scan_theta(Family.PHOTON_ADDED, 1, [0.5, 1.0])) == 2
             with pytest.raises(ValueError, match="grid values must be finite"):
                 scan_theta(Family.PHOTON_ADDED, 1, [0.5, 1.5])
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                negativity_of_state(spec)
+
+    @pytest.mark.parametrize("family, n", [("added", 2), ("added", 8), ("added", 16),
+                                           ("number", 4)])
+    def test_a_scan_of_many_blocks_is_the_one_state_pass(self, monkeypatch, family, n):
+        # a long scan takes several blocks; its rows are still the one-state
+        # pass at their theta, bit for bit, also across the jump in theta,
+        # where a block's prefix is far shorter than the block's before it.
+        # A number scan's u is the whole plan at every step, so one prepared
+        # kernel serves every block
+        thetas = np.concatenate([np.linspace(0.05, 0.5, 60), np.linspace(3.0, 5.0, 60)])
+        prepared, called = [], []
+        prepare = closed_form.prepare_gaussian
+
+        def recording(family_, n_, u):
+            prepared.append(np.shape(u))
+            at = prepare(family_, n_, u)
+
+            def values(theta):
+                called.append(np.shape(theta))
+                return at(theta)
+            return values
+
+        _quadrature_self_check()  # cached: its own closed-form pass runs before the count
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(closed_form, "prepare_gaussian", recording)
+            rows = scan_theta(Family(family), n, thetas)
+        assert sum(shape[0] for shape in called) == thetas.size
+        assert max(shape[0] for shape in called) < thetas.size
+        if family == "number":
+            assert prepared == [(1, _radial_simpson_plan(NORM_GRID_POINTS)[0].size)]
+        for theta, row in zip(thetas, rows):
+            _, values, _, negativity = analysis._norm_pass(state(family, theta, n),
+                                                           Source.CLOSED_FORM)
+            w0 = float(values[0])
+            assert row == {"theta": float(theta), "w0": w0, "abs_w0": abs(w0),
+                           "negativity_volume": negativity}
+
+    def test_no_value_beyond_the_negativity_bound_is_negative(self):
+        # the scan reads each step only up to its family's bound; beyond it
+        # every closed-form value must have its sign bit clear, so that
+        # min(W, 0) there is +0.0 bit for bit.  The photon-added bound lies
+        # beyond the largest zero of L_n (Gauss-Laguerre nodes) at every theta
+        thetas = [*np.concatenate(self.SCAN_GRIDS), 5.0]
+        for n in range(1, 17):
+            largest = np.polynomial.laguerre.laggauss(n)[0].max()
+            for theta in thetas:
+                bound = closed_form.negative_bound(Family.PHOTON_ADDED, n, theta)
+                assert largest / (4.0 * math.cosh(theta) ** 2) < bound, (n, theta)
+        keys, _ = _radial_simpson_plan(NORM_GRID_POINTS)
+        checked = 0
+        for family in Family:
+            for n in [0] if family is Family.THERMAL_VACUUM else [*range(9), 12, 16]:
+                for theta in thetas:
+                    spec = state(family, theta, n)
+                    _, values, _, _ = analysis._norm_pass(spec, Source.CLOSED_FORM)
+                    scale = analysis._u_scale(analysis._norm_box_widths(spec))
+                    beyond = values[keys > closed_form.negative_bound(family, n, theta) / scale]
+                    assert not np.signbit(beyond).any(), (family, n, theta)
+                    assert not np.signbit(np.minimum(beyond, 0.0)).any()
+                    checked += beyond.size
+        assert checked > 0
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt counts the process's minor page faults on Linux")

@@ -594,6 +594,32 @@ class TestDispatchAndGrids:
         single = closed_form.prepare_gaussian(family, n, np.float64(1.3))(0.7)
         assert np.ndim(single) == 0
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [0, 1, 7, 16])
+    def test_a_block_of_temperatures_is_its_one_theta_calls(self, family, n):
+        # theta as a column against one row of u for every temperature, or
+        # one row each: every row is the one-theta call bit for bit, sign
+        # of zero included, in the far tail where exp(-2u) underflows too
+        thetas = np.array([[1.7], [0.05], [0.9], [5.0], [0.0]])
+        if family is Family.PHOTON_SUBTRACTED and n >= 1:
+            thetas = thetas[:-1]  # theta = 0 annihilates the vacuum
+        u = np.concatenate([np.linspace(0.0, 30.0, 301), [400.0, 1e300]])
+        rows = np.array([u * scale for scale in (1.0, 0.5, 2.0, 1.0, 0.7)[:thetas.size]])
+        shared = closed_form.prepare_gaussian(family, n, u[None, :])(thetas)
+        each = closed_form.prepare_gaussian(family, n, rows)(thetas)
+        assert shared.shape == each.shape == (thetas.size, u.size)
+        for i, theta in enumerate(thetas[:, 0]):
+            one = closed_form.prepare_gaussian(family, n, u)(theta)
+            assert shared[i].tobytes() == one.tobytes()
+            assert each[i].tobytes() == closed_form.prepare_gaussian(family, n, rows[i])(
+                theta).tobytes()
+        assert not np.signbit(shared[:, -2:]).any() and not shared[:, -2:].any()
+
+    def test_a_block_with_a_degenerate_temperature_is_refused(self):
+        at = closed_form.prepare_gaussian(Family.PHOTON_SUBTRACTED, 2, np.zeros((1, 3)))
+        with pytest.raises(DegenerateStateError):
+            at(np.array([[0.5], [0.0], [1.0]]))
+
     def test_grid_matches_point_evaluator(self):
         thermal = params_from_theta(0.6)
         q = np.linspace(-3.0, 3.0, 7)
