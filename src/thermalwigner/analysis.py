@@ -34,32 +34,31 @@ evaluation there gives a state's normalization, its negativity volume,
 W(0) at the first radius 0 and, at the radii of every third node (cached
 positions in the plan), the closed-form values that :func:`verify_state`
 compares with the oracle.  :func:`_norm_pass` makes that evaluation,
-for the one-state integrals and :func:`verify_state`.  Before either
-contraction is trusted, a cached self-check integrates the exact thermal
-Gaussian at theta = 0.5 on [-6, 6]^2 with 241 x 241 nodes through both;
-each must be within 1e-6 of 1 and the two within 1e-14 of each other.
-Normalization and negativity integrals also refuse boxes whose
-half-width is under 4 * sqrt(cosh 2 theta), the radius that captures
-all but ~1e-7 of the Gaussian envelope mass.
+for the one-state integrals and :func:`verify_state`, from
+:func:`_norm_step`, which gives a state's u per key and half-width and
+builds no box.  Before either contraction is trusted, a cached
+self-check integrates the exact thermal Gaussian at theta = 0.5 on
+[-6, 6]^2 with 241 x 241 nodes through both; each must be within 1e-6
+of 1 and the two within 1e-14 of each other.  The integrals of a grid
+also refuse boxes whose half-width is under 4 * sqrt(cosh 2 theta), the
+radius that captures all but ~1e-7 of the Gaussian envelope mass; a
+norm box, R^2 >= 36 cosh 2theta, never is.
 
 :func:`scan_theta` reads only W(0) and the negativity, the sum of
 min(W, 0), off each step, so it evaluates only the radii where W can
 be negative (:func:`~thermalwigner.closed_form.negative_bound`): none
-for the vacuum and photon-subtracted states, u below
-(2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) for the
-photon-added one (for n >= 1 its prefix of the plan's sorted radii is
-36 to 734 of the 5 251 over the default scan) and the whole box for
-the number state, always with radius 0.  It validates every step in order, as
-:func:`_norm_pass` does, and evaluates consecutive steps as one block
-in one kernel call, one row of u per step and theta as a column, on the
+for the vacuum, photon-subtracted and photon-added n = 0 states, u below
+(2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) for the other
+photon-added ones (a prefix of 36 to 734 of the plan's 5 251 sorted
+radii over the default scan) and the whole box for the number state,
+always with radius 0.  It validates every step in one pass through
+:func:`_norm_step`, then evaluates consecutive steps as one block in
+one kernel call, one row of u per step and theta as a column, on the
 radii up to the largest bound in the block; a block holds at most
 SCAN_BLOCK_ELEMENTS (16 384) steps x radii, which the measurement in
 :func:`scan_theta` chose.  Beyond the bound min(W, 0) is +0.0, so each
 step's negativity, the full-length dot product over its zero-padded
-row, is bitwise the one-state value.  On a 2-CPU VM (Python 3.11,
-numpy 2.4) this took the `sweep` benchmark from 548 to 685 scans per
-second (medians of 10 alternating pairs), where every step had been
-evaluated at all 5 251 radii, one step per kernel call.
+row, is bitwise the one-state value.
 """
 
 from __future__ import annotations
@@ -449,9 +448,10 @@ def default_norm_box(state: StateSpec) -> Box:
     takes over for the broad states, the number state from n = 4 and the
     conditioned states at large n, where the first left up to 5e-3 of the
     mass outside the box.  For the vacuum and number states the box
-    holds the same u at every temperature.
+    holds the same u at every temperature.  The half-width is
+    :func:`_norm_step`'s.
     """
-    return Box.symmetric(math.sqrt(state.thermal.cosh_2theta * _norm_box_widths(state)))
+    return Box.symmetric(_norm_step(state.family, state.n, state.thermal.theta)[2])
 
 
 # Odd, so that the norm grid has a node at the origin: the radial plan's
@@ -459,21 +459,22 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
-def _norm_step(family: Family, n: int, theta) -> tuple[StateSpec, float, Box]:
-    """The state at ``theta``, its norm box's size in widths and the box, checked.
+def _norm_step(family: Family, n: int, theta) -> tuple[StateSpec, float, float]:
+    """The state at ``theta``, its u per norm-plan key and its norm box's half-width.
 
-    Raises as the state, or the box's mass check, refuses the step.
+    Node key d_i^2 + d_j^2 of the norm grid on a box of half-width R has
+    |alpha|^2 = (R / (N - 1))^2 key / 2, so with
+    R^2 = cosh 2theta * widths (:func:`default_norm_box`) it has
+    u = widths / (2 (N - 1)^2) key.  No box is built and no mass check
+    runs: R^2 is at least 36 cosh 2theta, past the 16 cosh 2theta that
+    :func:`_require_box_captures_mass` asks for, which a test checks.
+
+    Raises as the state refuses the step.
     """
     state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
     widths = _norm_box_widths(state)
-    box = Box.symmetric(math.sqrt(state.thermal.cosh_2theta * widths))
-    _require_box_captures_mass(state, box)
-    return state, widths, box
-
-
-def _u_scale(widths: float) -> float:
-    """u per plan key on a norm box of ``widths``: u = R^2 sech 2theta / (2 (N - 1)^2) key."""
-    return 0.5 * widths / (NORM_GRID_POINTS - 1) ** 2
+    return (state, 0.5 * widths / (NORM_GRID_POINTS - 1) ** 2,
+            math.sqrt(state.thermal.cosh_2theta * widths))
 
 
 def _norm_pass(state: StateSpec, source: Source):
@@ -482,18 +483,16 @@ def _norm_pass(state: StateSpec, source: Source):
     The state is evaluated on its norm grid, NORM_GRID_POINTS^2 nodes on
     :func:`default_norm_box`, and ``values`` holds it once per distinct
     radius of that grid, in the order of the radial plan's keys; the grid
-    is never built.  Node key d_i^2 + d_j^2 has
-    |alpha|^2 = (R / (N - 1))^2 key / 2, so the closed form gets
-    u = (R^2 sech 2theta / (2 (N - 1)^2)) key straight from the box's
-    size in widths, which is theta-free for the vacuum and number states
-    and changes with theta for the broad conditioned ones (see
-    :func:`default_norm_box`).  The oracle gets |alpha|^2.  Both
-    integrals are Simpson sums over ``values`` with the plan's unit
-    weights, scaled by the box area after the dot; the negativity sums
-    min(W, 0).  The finiteness check reads the normalization sum first:
-    every plan weight is positive, so that sum is finite unless some
-    value is not or the sum overflows, and only then are the values
-    scanned.
+    is never built.  The closed form gets u straight from the plan's keys
+    and :func:`_norm_step`'s u per key, which is theta-free for the vacuum
+    and number states and changes with theta for the broad conditioned
+    ones; the oracle gets |alpha|^2.  ``box`` is built from the step's
+    half-width, for :func:`verify_state`'s report.  Both integrals are
+    Simpson sums over ``values`` with the plan's unit weights, scaled by
+    the box area after the dot; the negativity sums min(W, 0).  The
+    finiteness check reads the normalization sum first: every plan weight
+    is positive, so that sum is finite unless some value is not or the sum
+    overflows, and only then are the values scanned.
 
     This is the full pass, every radius of the plan, which the one-state
     integrals, :func:`verify_state` and the oracle need.
@@ -502,19 +501,20 @@ def _norm_pass(state: StateSpec, source: Source):
     """
     _quadrature_self_check()
     keys, unit = _radial_simpson_plan(NORM_GRID_POINTS)
-    state, widths, box = _norm_step(state.family, state.n, state.thermal.theta)
+    state, scale, half_width = _norm_step(state.family, state.n, state.thermal.theta)
     if Source(source) is Source.CLOSED_FORM:
-        at = closed_form.prepare_gaussian(state.family, state.n, _u_scale(widths) * keys)
+        at = closed_form.prepare_gaussian(state.family, state.n, scale * keys)
         values = at(state.thermal.theta)
     else:
         rho = fock_oracle.build_oracle_state(state)
-        abs2 = _radial_quadrature(box.q_max, NORM_GRID_POINTS)[0]
+        abs2 = _radial_quadrature(half_width, NORM_GRID_POINTS)[0]
         values = fock_oracle.wigner_radial_from_density(rho, abs2)
     mass = float(unit @ values)
     if not math.isfinite(mass):  # every weight is positive: a finite sum has finite terms
         _require_finite(values)
-    area = (2.0 * box.q_max) ** 2
-    return box, values, area * mass, area * abs(float(unit @ np.minimum(values, 0.0)))
+    area = (2.0 * half_width) ** 2
+    return (Box.symmetric(half_width), values, area * mass,
+            area * abs(float(unit @ np.minimum(values, 0.0))))
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
@@ -671,22 +671,26 @@ def scan_theta(
     The scan reads only W(0) and min(W, 0) off each step's norm-grid
     pass, and the closed forms fix where W can be negative
     (:func:`~thermalwigner.closed_form.negative_bound`): nowhere for the
-    vacuum and photon-subtracted states, below
+    vacuum, photon-subtracted and photon-added n = 0 states, below
     (2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u for the
-    photon-added one, and anywhere on the box for the number state.  So
-    each step is evaluated on the plan's sorted radii up to its bound,
-    radius 0 always included (the plan's first key is radius 0), and on
-    radius 0 alone without the negativity.  Each step is validated in
-    order, as :func:`_norm_pass` validates it; consecutive steps are
-    then evaluated as one block, one row of u per step and one kernel
-    call with theta as a column, on the radii up to the largest bound in
-    the block.  A step that fails validation first has the steps before
-    it evaluated, so that their own refusals come first.  The block's
-    values are checked for finiteness, and each step's negativity is the
-    full-length dot product of the plan's weights with min(W, 0) over its
-    row padded with +0.0, which is what min(W, 0) is beyond the bound, so
-    it is bitwise the one-state value; a row with no negative value has
-    volume +0.0, which that dot would give, without it.
+    other photon-added ones, and anywhere on the box for the number
+    state.  So each step is evaluated on the plan's sorted radii up to
+    its bound, radius 0 always included (the plan's first key is radius
+    0), and on radius 0 alone without the negativity.
+
+    It runs in three stages.  One pass validates the steps in order
+    through :func:`_norm_step`, with or without the negativity, and keeps
+    the first refusal.  One ``searchsorted`` gives every step's prefix of
+    the plan.  Consecutive steps are then evaluated as one block, one row
+    of u per step, or one row that all of them share, and one kernel call
+    with theta as a column, on the radii up to the largest bound in the
+    block; the kept refusal is raised after them, so that the refusals of
+    the steps before it come first.  The block's values are checked for
+    finiteness, and each step's negativity is the full-length dot product
+    of the plan's weights with min(W, 0) over its row padded with +0.0,
+    which is what min(W, 0) is beyond the bound, so it is bitwise the
+    one-state value; a row with no negative value has volume +0.0, which
+    that dot would give, without it.
 
     A block holds as many steps as keep it within SCAN_BLOCK_ELEMENTS
     steps x radii.  Of 2 048, 4 096, 8 192, 16 384, 32 768 and 65 536,
@@ -696,25 +700,37 @@ def scan_theta(
     is one kernel call for the vacuum, subtracted and added states, and
     seven for the number state, three steps per call on the held rows of
     one prepared kernel, which serves every block whose one row of u is
-    the same.  On that machine the default added scans went from 1.70 ms
-    to 0.50 ms each and the number scans from 1.06 to 0.93 ms.
+    the same.
     """
     keys, unit = _radial_simpson_plan(NORM_GRID_POINTS)
     if include_negativity:
         _quadrature_self_check()
-    padded = np.zeros(keys.size)
-    rows = []
-    block, width = [], 0  # the validated steps, (state, box, u scale), and their prefix
-    prepared = None, None  # the last kernel's one row of u as (scale, width), and the kernel
+    steps, refusal = [], None  # the valid steps, (state, u per key, half-width), in order
+    for theta in thetas:
+        try:
+            steps.append(_norm_step(family, n, theta))
+        except Exception as exc:  # raised once the steps before it are evaluated
+            refusal = exc
+            break
+    bounds = [closed_form.negative_bound(state.family, state.n, state.thermal.theta) / scale
+              if include_negativity else 0.0 for state, scale, _ in steps]
+    counts = np.searchsorted(keys, bounds, side="right").tolist()  # >= 1: keys[0] is 0
+    starts, width = [], 0
+    for i, count in enumerate(counts):
+        if not starts or (i + 1 - starts[-1]) * max(width, count) > SCAN_BLOCK_ELEMENTS:
+            starts.append(i)
+            width = 0
+        width = max(width, count)
 
-    def evaluate():
-        nonlocal prepared, width
-        if not block:
-            return
-        scales = {scale for _, _, scale in block}
+    rows, padded = [], np.zeros(keys.size)
+    prepared = None, None  # the last kernel's one row of u as (scale, width), and the kernel
+    for start, stop in zip(starts, [*starts[1:], len(steps)]):
+        block, width = steps[start:stop], max(counts[start:stop])
+        # on radius 0 alone every step's row of u is [0.0], whatever its scale
+        scales = {scale for _, scale, _ in block} if width > 1 else {0.0}
         shared = (scales.pop(), width) if len(scales) == 1 else None
         if shared is None or shared != prepared[0]:
-            u = np.array([[scale] for _, _, scale in (block[:1] if shared else block)])
+            u = np.array([[scale] for _, scale, _ in (block[:1] if shared else block)])
             state = block[0][0]  # family and n as the state checked them
             prepared = shared, closed_form.prepare_gaussian(state.family, state.n,
                                                             u * keys[:width])
@@ -723,7 +739,7 @@ def scan_theta(
             lows = np.minimum(values, 0.0)
             negative = lows.any(axis=1)
             padded[width:] = 0.0
-        for i, (state, box, _) in enumerate(block):
+        for i, (state, _, half_width) in enumerate(block):
             w0 = float(values[i, 0])
             rows.append({"theta": state.thermal.theta, "w0": w0, "abs_w0": abs(w0)})
             if include_negativity:
@@ -731,27 +747,8 @@ def scan_theta(
                 volume = 0.0
                 if negative[i]:
                     padded[:width] = lows[i]
-                    volume = (2.0 * box.q_max) ** 2 * abs(float(unit @ padded))
+                    volume = (2.0 * half_width) ** 2 * abs(float(unit @ padded))
                 rows[-1]["negativity_volume"] = volume
-        block.clear()
-        width = 0
-
-    for theta in thetas:
-        try:
-            if include_negativity:
-                state, widths, box = _norm_step(family, n, theta)
-                scale = _u_scale(widths)
-                bound = closed_form.negative_bound(state.family, state.n, state.thermal.theta)
-                count = max(1, int(np.searchsorted(keys, bound / scale, side="right")))
-            else:
-                state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
-                box, scale, count = None, 0.0, 1
-        except Exception:
-            evaluate()  # the steps before a refused one, and their own refusals, come first
-            raise
-        if (len(block) + 1) * max(width, count) > SCAN_BLOCK_ELEMENTS:
-            evaluate()
-        block.append((state, box, scale))
-        width = max(width, count)
-    evaluate()
+    if refusal is not None:
+        raise refusal
     return rows

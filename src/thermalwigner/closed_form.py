@@ -44,13 +44,11 @@ computes it, so row i of a block is bitwise the one-theta call at its
 theta and radii; the one-theta call is the one-row case.  A temperature
 scan (``analysis.scan_theta``) evaluates each step only on the radii
 where W can be negative, which :func:`negative_bound` gives per family:
-nowhere for the vacuum and photon-subtracted states, below
-(2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u for the
-photon-added one, past the largest zero of L_n, and anywhere for the
-thermal number state, whose far-tail values have no resolved sign.
-Both took the `sweep` benchmark from 548 to 685 default scans per
-second (2-CPU VM, medians of 10 alternating pairs), where a scan had
-called the kernel once per step on all 5 251 radii of its norm plan.
+nowhere for the vacuum, photon-subtracted and photon-added n = 0
+states, below (2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u
+for the other photon-added ones, past the largest zero of L_n, and
+anywhere for the thermal number state, whose far-tail values have no
+resolved sign.
 
 Laguerre values come from one stable three-term recurrence,
 :func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
@@ -468,7 +466,8 @@ def negative_bound(family: Family, n: int, theta: float) -> float:
 
     The thermal vacuum is a Gaussian and the photon-subtracted form's
     L_n(-y) a sum of positive terms, so neither is negative anywhere:
-    0.0.  The photon-added form changes sign only at the zeros of
+    0.0.  Nor is the photon-added n = 0 form, whose L_0 = 1 has no zeros.
+    For n >= 1 it changes sign only at the zeros of
     L_n(4 cosh^2(theta) u), and every zero of L_n lies below
     2n + 1 + sqrt((2n + 1)^2 + 1/4) (Szego, Orthogonal Polynomials,
     section 6.31); beyond them L_n has the sign (-1)^n of its leading
@@ -481,7 +480,7 @@ def negative_bound(family: Family, n: int, theta: float) -> float:
     family = Family(family)
     if family is Family.THERMAL_NUMBER:
         return math.inf
-    if family is Family.PHOTON_ADDED:
+    if family is Family.PHOTON_ADDED and n > 0:
         return (2 * n + 1 + math.sqrt((2 * n + 1) ** 2 + 0.25)) / (4.0 * math.cosh(theta) ** 2)
     return 0.0
 

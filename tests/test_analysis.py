@@ -73,10 +73,18 @@ class TestQuadrature:
             normalization_integral(grid)
 
     def test_auto_box_covers_requirement(self):
-        for theta in (0.0, 0.5, 2.0):
-            spec = state("added", theta, n=5)
-            box = default_norm_box(spec)
-            assert box.min_half_width >= 4.0 * math.sqrt(spec.thermal.cosh_2theta)
+        # a norm step builds no box and runs no mass check: its R^2 is at
+        # least 36 cosh 2theta (up to the rounding of R), well past the
+        # check's 16 cosh 2theta
+        for family in Family:
+            for n in (0, 1, 4, 8, 16):
+                for theta in (0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0):
+                    spec = state(family, theta, n)
+                    half_width = analysis._norm_step(family, n, theta)[2]
+                    assert half_width ** 2 >= 36.0 * spec.thermal.cosh_2theta * (1 - 1e-15)
+                    box = default_norm_box(spec)
+                    assert box.q_max == half_width
+                    assert box.min_half_width >= 4.0 * math.sqrt(spec.thermal.cosh_2theta)
 
     @pytest.mark.parametrize("nq, np_", [(241, 241), (240, 240), (21, 8), (2, 3)])
     def test_simpson2d_matches_scipy(self, nq, np_):
@@ -723,7 +731,7 @@ class TestScanTheta:
         keys, weights = _radial_simpson_plan(NORM_GRID_POINTS)
         assert np.all(weights > 0.0)
         spec = state("added", 1.5, n=1)
-        scale = analysis._u_scale(analysis._norm_box_widths(spec))
+        scale = analysis._norm_step(spec.family, spec.n, spec.thermal.theta)[1]
         assert keys[17] <= closed_form.negative_bound(Family.PHOTON_ADDED, 1, 1.5) / scale
         prepare = closed_form.prepare_gaussian
         for bad in (math.nan, math.inf, -math.inf):
@@ -787,8 +795,11 @@ class TestScanTheta:
         # the scan reads each step only up to its family's bound; beyond it
         # every closed-form value must have its sign bit clear, so that
         # min(W, 0) there is +0.0 bit for bit.  The photon-added bound lies
-        # beyond the largest zero of L_n (Gauss-Laguerre nodes) at every theta
+        # beyond the largest zero of L_n (Gauss-Laguerre nodes) at every
+        # theta; for n = 0, L_0 = 1 has no zeros and the bound is 0
         thetas = [*np.concatenate(self.SCAN_GRIDS), 5.0]
+        for theta in thetas:
+            assert closed_form.negative_bound(Family.PHOTON_ADDED, 0, theta) == 0.0
         for n in range(1, 17):
             largest = np.polynomial.laguerre.laggauss(n)[0].max()
             for theta in thetas:
@@ -801,7 +812,7 @@ class TestScanTheta:
                 for theta in thetas:
                     spec = state(family, theta, n)
                     _, values, _, _ = analysis._norm_pass(spec, Source.CLOSED_FORM)
-                    scale = analysis._u_scale(analysis._norm_box_widths(spec))
+                    scale = analysis._norm_step(spec.family, spec.n, spec.thermal.theta)[1]
                     beyond = values[keys > closed_form.negative_bound(family, n, theta) / scale]
                     assert not np.signbit(beyond).any(), (family, n, theta)
                     assert not np.signbit(np.minimum(beyond, 0.0)).any()

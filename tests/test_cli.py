@@ -381,16 +381,21 @@ class TestUsageErrors:
 
 class TestNumericalFailures:
     def test_degenerate_state_reports_reason(self, tmp_path, capsys):
-        out = tmp_path / "grid.csv"
-        code = run([
-            "eval", "--family", "subtracted", "--n", "1", "--theta", "0.0",
-            "--res", "5", "--out", str(out),
-        ])
-        assert code == 1
-        payload = json.loads(out.read_text())
-        assert payload["error"] == "DegenerateStateError"
-        assert "null state" in payload["message"]
-        assert "error:" in capsys.readouterr().err
+        scan = ["scan-theta", "--family", "subtracted", "--n", "1", "--theta-min", "0",
+                "--steps", "3"]
+        for i, args in enumerate([
+            ["eval", "--family", "subtracted", "--n", "1", "--theta", "0.0", "--res", "5"],
+            # a scan refused at its theta = 0 step writes the failure and no CSV header
+            scan,
+            [*scan, "--no-negativity"],
+        ]):
+            out = tmp_path / f"out-{i}.csv"
+            code = run([*args, "--out", str(out)])
+            assert code == 1
+            payload = json.loads(out.read_text())
+            assert payload["error"] == "DegenerateStateError"
+            assert "null state" in payload["message"]
+            assert "error:" in capsys.readouterr().err
 
     def test_occupation_above_the_range_names_n_c(self, tmp_path, capsys):
         out = tmp_path / "report.json"
