@@ -46,15 +46,19 @@ norm box, R^2 >= 36 cosh 2theta, never is.
 
 :func:`scan_theta` reads only W(0) and the negativity, the sum of
 min(W, 0), off each step, so it evaluates only the radii where W can
-be negative (:func:`~thermalwigner.closed_form.negative_bound`): none
-for the vacuum, photon-subtracted and photon-added n = 0 states, u below
-(2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) for the other
-photon-added ones (a prefix of 36 to 734 of the plan's 5 251 sorted
-radii over the default scan) and the whole box for the number state,
-always with radius 0.  It validates every step in one pass through
-:func:`_norm_step`, then evaluates consecutive steps as one block in
-one kernel call, one row of u per step and theta as a column, on the
-radii up to the largest bound in the block; a block holds at most
+be negative (:func:`~thermalwigner.closed_form.negative_bound`, one
+call for every step): none for the vacuum, photon-subtracted and
+n = 0 states, u below the largest zero of L_n over 4 cosh^2 theta for
+the other photon-added ones (a prefix of 9 to 510 of the plan's 5 251
+sorted radii over the default scan) and u below that of L_2n over 4
+for the other number states (223 to 1 081 radii for n = 1 ... 8), or
+the whole plan at a theta where the number series' signs do not
+alternate, always with radius 0.  It checks the family and n once, at
+the first step, and each step's theta, and takes u per key and
+half-width from :func:`_norm_scales`, the formula :func:`_norm_step`
+uses; then it evaluates consecutive steps as one block in one kernel
+call, one row of u per step and theta as a column, on the radii up to
+the largest bound in the block; a block holds at most
 SCAN_BLOCK_ELEMENTS (16 384) steps x radii, which the measurement in
 :func:`scan_theta` chose.  Beyond the bound min(W, 0) is +0.0, so each
 step's negativity, the full-length dot product over its zero-padded
@@ -411,7 +415,7 @@ def negativity_volume(grid: WignerGrid) -> float:
     return _grid_integral(grid, np.maximum(-grid.values, 0.0))
 
 
-def _second_moment_in_widths(state: StateSpec) -> float:
+def _second_moment_in_widths(family: Family, n: int, cosh_2theta: float) -> float:
     """M = (2 <a^dag a> + 1) sech 2theta, the state's <q^2 + p^2> in thermal widths.
 
     With n_c = sinh^2 theta the thermal state has <a^dag a> = n_c, so
@@ -422,18 +426,12 @@ def _second_moment_in_widths(state: StateSpec) -> float:
     M = 2n + 1.  The vacuum's n is 0, where the added formula gives its
     M = 1 exactly.
     """
-    n, family = state.n, state.family
     if family is Family.THERMAL_NUMBER:
         return 2.0 * n + 1.0
-    sech2 = 1.0 / state.thermal.cosh_2theta
+    sech2 = 1.0 / cosh_2theta
     if family is Family.PHOTON_SUBTRACTED:
         return (n + 1) - n * sech2
     return (n + 1) + n * sech2
-
-
-def _norm_box_widths(state: StateSpec) -> float:
-    """max(36 + 2n, 6M): the norm box's radius^2 over cosh 2theta; see default_norm_box."""
-    return max(36.0 + 2.0 * state.n, 6.0 * _second_moment_in_widths(state))
 
 
 def default_norm_box(state: StateSpec) -> Box:
@@ -449,9 +447,9 @@ def default_norm_box(state: StateSpec) -> Box:
     conditioned states at large n, where the first left up to 5e-3 of the
     mass outside the box.  For the vacuum and number states the box
     holds the same u at every temperature.  The half-width is
-    :func:`_norm_step`'s.
+    :func:`_norm_scales`'s.
     """
-    return Box.symmetric(_norm_step(state.family, state.n, state.thermal.theta)[2])
+    return Box.symmetric(_norm_scales(state.family, state.n, state.thermal.cosh_2theta)[1])
 
 
 # Odd, so that the norm grid has a node at the origin: the radial plan's
@@ -459,22 +457,27 @@ def default_norm_box(state: StateSpec) -> Box:
 NORM_GRID_POINTS = 241
 
 
-def _norm_step(family: Family, n: int, theta) -> tuple[StateSpec, float, float]:
-    """The state at ``theta``, its u per norm-plan key and its norm box's half-width.
+def _norm_scales(family: Family, n: int, cosh_2theta: float) -> tuple[float, float]:
+    """A state's u per norm-plan key and its norm box's half-width, from cosh 2theta.
 
-    Node key d_i^2 + d_j^2 of the norm grid on a box of half-width R has
-    |alpha|^2 = (R / (N - 1))^2 key / 2, so with
-    R^2 = cosh 2theta * widths (:func:`default_norm_box`) it has
+    The box has R^2 = cosh 2theta * widths, widths = max(36 + 2n, 6M)
+    (:func:`default_norm_box`).  Node key d_i^2 + d_j^2 of the norm grid
+    on it has |alpha|^2 = (R / (N - 1))^2 key / 2, so
     u = widths / (2 (N - 1)^2) key.  No box is built and no mass check
     runs: R^2 is at least 36 cosh 2theta, past the 16 cosh 2theta that
     :func:`_require_box_captures_mass` asks for, which a test checks.
+    """
+    widths = max(36.0 + 2.0 * n, 6.0 * _second_moment_in_widths(family, n, cosh_2theta))
+    return 0.5 * widths / (NORM_GRID_POINTS - 1) ** 2, math.sqrt(cosh_2theta * widths)
+
+
+def _norm_step(family: Family, n: int, theta) -> tuple[StateSpec, float, float]:
+    """The state at ``theta``, its u per norm-plan key and its norm box's half-width.
 
     Raises as the state refuses the step.
     """
     state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
-    widths = _norm_box_widths(state)
-    return (state, 0.5 * widths / (NORM_GRID_POINTS - 1) ** 2,
-            math.sqrt(state.thermal.cosh_2theta * widths))
+    return (state, *_norm_scales(state.family, state.n, state.thermal.cosh_2theta))
 
 
 def _norm_pass(state: StateSpec, source: Source):
@@ -670,51 +673,62 @@ def scan_theta(
 
     The scan reads only W(0) and min(W, 0) off each step's norm-grid
     pass, and the closed forms fix where W can be negative
-    (:func:`~thermalwigner.closed_form.negative_bound`): nowhere for the
-    vacuum, photon-subtracted and photon-added n = 0 states, below
-    (2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u for the
-    other photon-added ones, and anywhere on the box for the number
-    state.  So each step is evaluated on the plan's sorted radii up to
-    its bound, radius 0 always included (the plan's first key is radius
-    0), and on radius 0 alone without the negativity.
+    (:func:`~thermalwigner.closed_form.negative_bound`, one call for the
+    whole scan): nowhere for the vacuum, photon-subtracted and n = 0
+    states, below the largest zero of L_n over 4 cosh^2 theta in u for
+    the other photon-added ones, and below that of L_2n over 4 for the
+    other number states, or anywhere on the box at a theta where the
+    number series' coefficients do not alternate in sign (theta = 0, and
+    small theta for large n).  So each step is evaluated on the plan's
+    sorted radii up to its bound, radius 0 always included (the plan's
+    first key is radius 0), and on radius 0 alone without the negativity.
 
-    It runs in three stages.  One pass validates the steps in order
-    through :func:`_norm_step`, with or without the negativity, and keeps
-    the first refusal.  One ``searchsorted`` gives every step's prefix of
-    the plan.  Consecutive steps are then evaluated as one block, one row
-    of u per step, or one row that all of them share, and one kernel call
-    with theta as a column, on the radii up to the largest bound in the
-    block; the kept refusal is raised after them, so that the refusals of
-    the steps before it come first.  The block's values are checked for
-    finiteness, and each step's negativity is the full-length dot product
-    of the plan's weights with min(W, 0) over its row padded with +0.0,
-    which is what min(W, 0) is beyond the bound, so it is bitwise the
-    one-state value; a row with no negative value has volume +0.0, which
-    that dot would give, without it.
+    It runs in three stages.  One pass validates the steps in order, with
+    or without the negativity: the family and n once, with one state at
+    the first step, and each theta as ``params_from_theta`` refuses it,
+    keeping the first refusal.  With the negativity each step's u per key
+    and half-width come from cosh 2theta through :func:`_norm_scales`,
+    and one ``searchsorted`` gives every step's prefix of the plan;
+    without it every step is radius 0 alone.  Consecutive steps are then
+    evaluated as one block, one row of u per step, or one row that all of
+    them share, and one kernel call with theta as a column, on the radii
+    up to the largest bound in the block; the kept refusal is raised
+    after them, so that the refusals of the steps before it come first.
+    The block's values are checked for finiteness, and each step's
+    negativity is the full-length dot product of the plan's weights with
+    min(W, 0) over its row padded with +0.0, which is what min(W, 0) is
+    beyond the bound, so it is bitwise the one-state value; a row with no
+    negative value has volume +0.0, which that dot would give, without it.
 
     A block holds as many steps as keep it within SCAN_BLOCK_ELEMENTS
     steps x radii.  Of 2 048, 4 096, 8 192, 16 384, 32 768 and 65 536,
-    16 384 and 32 768 gave the fastest default scans (CPU time, added
-    and number n = 0 ... 8, 2-CPU VM, Python 3.11, numpy 2.4), and the
-    smaller keeps a number block under 128 KiB: a default 20-step scan
-    is one kernel call for the vacuum, subtracted and added states, and
-    seven for the number state, three steps per call on the held rows of
+    16 384 and 32 768 gave the fastest default scans when every number
+    step took the whole plan (CPU time, added and number n = 0 ... 8,
+    2-CPU VM, Python 3.11, numpy 2.4).  A default 20-step scan is one
+    kernel call for the vacuum, subtracted and added states and for
+    number n <= 2, and two for number n = 3 ... 8, on the held rows of
     one prepared kernel, which serves every block whose one row of u is
     the same.
     """
     keys, unit = _radial_simpson_plan(NORM_GRID_POINTS)
     if include_negativity:
         _quadrature_self_check()
-    steps, refusal = [], None  # the valid steps, (state, u per key, half-width), in order
+    steps, refusal = [], None  # the valid steps' theta, in order
     for theta in thetas:
         try:
-            steps.append(_norm_step(family, n, theta))
+            if not steps:  # family and n are the same at every step: checked once
+                state = StateSpec(Family(family), params_from_theta(float(theta)), n=n)
+                family, n = state.family, state.n
+            steps.append(params_from_theta(theta).theta)
         except Exception as exc:  # raised once the steps before it are evaluated
             refusal = exc
             break
-    bounds = [closed_form.negative_bound(state.family, state.n, state.thermal.theta) / scale
-              if include_negativity else 0.0 for state, scale, _ in steps]
-    counts = np.searchsorted(keys, bounds, side="right").tolist()  # >= 1: keys[0] is 0
+    counts = [1] * len(steps)  # radius 0 alone without the negativity
+    if include_negativity and steps:  # without a valid step, family and n are unchecked
+        scales, half_widths = np.array([_norm_scales(family, n, math.cosh(2.0 * t))
+                                        for t in steps]).T.tolist()
+        bounds = closed_form.negative_bound(family, n, steps) / np.array(scales)
+        counts = np.searchsorted(keys, bounds, side="right").tolist()  # >= 1: keys[0] is 0
     starts, width = [], 0
     for i, count in enumerate(counts):
         if not starts or (i + 1 - starts[-1]) * max(width, count) > SCAN_BLOCK_ELEMENTS:
@@ -725,29 +739,27 @@ def scan_theta(
     rows, padded = [], np.zeros(keys.size)
     prepared = None, None  # the last kernel's one row of u as (scale, width), and the kernel
     for start, stop in zip(starts, [*starts[1:], len(steps)]):
-        block, width = steps[start:stop], max(counts[start:stop])
+        width = max(counts[start:stop])
         # on radius 0 alone every step's row of u is [0.0], whatever its scale
-        scales = {scale for _, scale, _ in block} if width > 1 else {0.0}
-        shared = (scales.pop(), width) if len(scales) == 1 else None
+        distinct = set(scales[start:stop]) if width > 1 else {0.0}
+        shared = (distinct.pop(), width) if len(distinct) == 1 else None
         if shared is None or shared != prepared[0]:
-            u = np.array([[scale] for _, scale, _ in (block[:1] if shared else block)])
-            state = block[0][0]  # family and n as the state checked them
-            prepared = shared, closed_form.prepare_gaussian(state.family, state.n,
-                                                            u * keys[:width])
-        values = _require_finite(prepared[1](np.array([[s.thermal.theta] for s, _, _ in block])))
+            u = np.array(shared[:1] if shared else scales[start:stop])[:, None]
+            prepared = shared, closed_form.prepare_gaussian(family, n, u * keys[:width])
+        values = _require_finite(prepared[1](np.array(steps[start:stop])[:, None]))
         if include_negativity:
             lows = np.minimum(values, 0.0)
             negative = lows.any(axis=1)
             padded[width:] = 0.0
-        for i, (state, _, half_width) in enumerate(block):
+        for i, theta in enumerate(steps[start:stop]):
             w0 = float(values[i, 0])
-            rows.append({"theta": state.thermal.theta, "w0": w0, "abs_w0": abs(w0)})
+            rows.append({"theta": theta, "w0": w0, "abs_w0": abs(w0)})
             if include_negativity:
                 # with no negative value every term of the dot is +-0.0: the volume is +0.0
                 volume = 0.0
                 if negative[i]:
                     padded[:width] = lows[i]
-                    volume = (2.0 * half_width) ** 2 * abs(float(unit @ padded))
+                    volume = (2.0 * half_widths[start + i]) ** 2 * abs(float(unit @ padded))
                 rows[-1]["negativity_volume"] = volume
     if refusal is not None:
         raise refusal

@@ -238,10 +238,11 @@ def _cmd_scan_theta(parser, args) -> int:
     columns = ["theta", "w0", "abs_w0"]
     if not args.no_negativity:
         columns.append("negativity_volume")
+    # "%.17g" % x is format(x, ".17g"), the text of _fmt, for every float
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    text = "".join(line % tuple(row[c] for c in columns) for row in rows)
     with _output(args.out) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        fh.write(",".join(columns) + "\n" + text)
     return 0
 
 

@@ -43,12 +43,14 @@ is computed with ``math`` from its own theta, as a one-theta call
 computes it, so row i of a block is bitwise the one-theta call at its
 theta and radii; the one-theta call is the one-row case.  A temperature
 scan (``analysis.scan_theta``) evaluates each step only on the radii
-where W can be negative, which :func:`negative_bound` gives per family:
-nowhere for the vacuum, photon-subtracted and photon-added n = 0
-states, below (2n + 1 + sqrt((2n + 1)^2 + 1/4)) / (4 cosh^2 theta) in u
-for the other photon-added ones, past the largest zero of L_n, and
-anywhere for the thermal number state, whose far-tail values have no
-resolved sign.
+where W can be negative, which :func:`negative_bound` gives per family
+for all of the scan's temperatures in one call: nowhere for the vacuum,
+photon-subtracted and n = 0 states, below z(n) / (4 cosh^2 theta) in u
+for the other photon-added ones and below z(2n) / 4 for the other
+thermal number ones, z(m) the largest zero of L_m raised by 1e-3 of
+itself.  The number bound holds where every coefficient has the sign
+(-1)^k, which one product tests for every temperature; elsewhere (at
+theta = 0, and at small theta for large n) it is infinite.
 
 Laguerre values come from one stable three-term recurrence,
 :func:`laguerre_rows`, which writes seed * L_j(x) for every order j and
@@ -461,28 +463,88 @@ def prepare_gaussian(family: Family, n: int, u):
     return lambda theta: np.where(dead, 0.0, kernel(theta))
 
 
-def negative_bound(family: Family, n: int, theta: float) -> float:
-    """A u = |alpha|^2 sech 2theta at and beyond which the closed form is never negative.
+@lru_cache(maxsize=None)
+def _largest_laguerre_zero(m: int) -> float:
+    """z(m): the largest zero of L_m, m >= 1, raised by 1e-3 of itself.
+
+    Newton's method in Python floats from Szego's bound
+    2m + 1 + sqrt((2m + 1)^2 + 1/4), above every zero (Orthogonal
+    Polynomials, section 6.31), with L_m(x) and L_(m-1)(x) from the
+    scalar three-term recurrence and L_m'(x) = m (L_m - L_(m-1)) / x.
+    Every zero of L_m is real, so beyond the largest one the iterates
+    decrease monotonically onto it; the first step that does not
+    decrease ends the iteration.  Theta-free, cached per m.
+    """
+    x = 2 * m + 1 + math.sqrt((2 * m + 1) ** 2 + 0.25)
+    while True:
+        previous, value = 1.0, 1.0 - x  # L_0(x), L_1(x)
+        for j in range(1, m):
+            previous, value = value, ((2 * j + 1 - x) * value - j * previous) / (j + 1)
+        step = x - value * x / (m * (value - previous))
+        if not step < x:
+            return x * (1.0 + 1e-3)
+        x = step
+
+
+def _number_series_alternates(n: int, thetas: list[float]) -> np.ndarray:
+    """Per theta, whether every thermal number coefficient has (-1)^k a_k > 0.
+
+    The sign of a_k is (-1)^n times that of (G cos)_k, the product of
+    :func:`_thermal_number_matrix` with the cosines cos(r psi),
+    psi = 2 arctan(sinh 2theta) from ``math`` as the kernel computes it,
+    here one product for every theta.  A theta passes only if
+    (-1)^(k+n) (G cos)_k > 4 (n + 2) eps for every k: G's rows have
+    absolute sums of at most 1, so that margin covers any difference
+    between this product and the kernel's one-theta ``np.cos`` and ``@``
+    in :func:`_thermal_number_series`.
+    """
+    orders = np.arange(n + 1)
+    psi = np.array([2.0 * math.atan(math.sinh(2.0 * t)) for t in thetas])
+    sums = np.cos(np.multiply.outer(psi, orders)) @ _thermal_number_matrix(n).T
+    signs = np.where((orders + n) % 2 == 0, 1.0, -1.0)
+    return (sums * signs > 4 * (n + 2) * np.finfo(float).eps).all(axis=-1)
+
+
+def negative_bound(family: Family, n: int, theta):
+    """A u = |alpha|^2 sech 2theta beyond which the closed form is never negative.
+
+    ``theta`` is one temperature, which gives one float, or a sequence
+    of them, which gives an array with one bound per temperature.
+    Beyond the bound every computed value, not just the exact one, is
+    +0.0 or positive, as the tests check on the norm plans.
 
     The thermal vacuum is a Gaussian and the photon-subtracted form's
     L_n(-y) a sum of positive terms, so neither is negative anywhere:
-    0.0.  Nor is the photon-added n = 0 form, whose L_0 = 1 has no zeros.
-    For n >= 1 it changes sign only at the zeros of
-    L_n(4 cosh^2(theta) u), and every zero of L_n lies below
-    2n + 1 + sqrt((2n + 1)^2 + 1/4) (Szego, Orthogonal Polynomials,
-    section 6.31); beyond them L_n has the sign (-1)^n of its leading
-    term, which the form's (-1)^n cancels.  The thermal number series has no
-    such bound: its far-tail values are resolved only to an absolute
-    1e-16 of 1 / (pi cosh 2theta) (:func:`_thermal_number_sum`) and can
-    take either sign, so its bound is infinite.  The tests check that
-    every value beyond the bound on the norm plans is +0.0 or positive.
+    0.0.  Nor are the photon-added and thermal number n = 0 forms, whose
+    L_0 = 1 has no zeros.  For n >= 1 the photon-added form changes sign
+    only at the zeros of L_n(4 cosh^2(theta) u); beyond them L_n has the
+    sign (-1)^n of its leading term, which the form's (-1)^n cancels, so
+    its bound is z(n) / (4 cosh^2 theta), z(m) the largest zero of L_m
+    raised by 1e-3 of itself (:func:`_largest_laguerre_zero`).
+
+    The thermal number form is exp(-v/2) sum_{k<=2n} a_k L_k(v) at
+    v = 4u.  The zeros of the L_k interlace, so beyond the largest zero
+    of L_2n every L_k, k <= 2n, has the sign (-1)^k, and so has each
+    folded row L_k + L_(2n-k), since k and 2n - k have the same parity.
+    Where (-1)^k a_k > 0 for every k, with the kernel's own a_k
+    (:func:`_number_series_alternates`), every computed term a_k S_k is
+    +0.0 or positive, and so is every partial sum: rounding keeps the
+    sign of a product and of a sum of same-signed terms.  The bound is
+    then z(2n) / 4, and infinite at a theta that fails the test: at
+    theta = 0 (|n>), and at small theta for large n, where the outer
+    a_k are below the series' rounding.
     """
     family = Family(family)
-    if family is Family.THERMAL_NUMBER:
-        return math.inf
-    if family is Family.PHOTON_ADDED and n > 0:
-        return (2 * n + 1 + math.sqrt((2 * n + 1) ** 2 + 0.25)) / (4.0 * math.cosh(theta) ** 2)
-    return 0.0
+    thetas = np.ravel(np.asarray(theta, dtype=float)).tolist()
+    if n > 0 and family is Family.PHOTON_ADDED:
+        zero = _largest_laguerre_zero(n)
+        bounds = np.array([zero / (4.0 * math.cosh(t) ** 2) for t in thetas])
+    elif n > 0 and family is Family.THERMAL_NUMBER:
+        bounds = np.where(_number_series_alternates(n, thetas),
+                          _largest_laguerre_zero(2 * n) / 4.0, math.inf)
+    else:
+        bounds = np.zeros(len(thetas))
+    return float(bounds[0]) if np.ndim(theta) == 0 else bounds
 
 
 def wigner_closed_radial(state: StateSpec, abs2) -> np.ndarray:

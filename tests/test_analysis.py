@@ -45,11 +45,16 @@ def state(family, theta, n=0):
     return StateSpec(Family(family), params_from_theta(theta), n=n)
 
 
+def norm_widths(spec):
+    """The norm box's radius^2 over cosh 2theta, max(36 + 2n, 6M)."""
+    moment = _second_moment_in_widths(spec.family, spec.n, spec.thermal.cosh_2theta)
+    return max(36.0 + 2.0 * spec.n, 6.0 * moment)
+
+
 def norm_plan_u(spec):
     """u = |alpha|^2 sech 2theta at the norm plan's keys, from the box's size in widths."""
-    widths = max(36.0 + 2.0 * spec.n, 6.0 * _second_moment_in_widths(spec))
     keys, _ = _radial_simpson_plan(NORM_GRID_POINTS)
-    return (0.5 * widths / (NORM_GRID_POINTS - 1) ** 2) * keys
+    return (0.5 * norm_widths(spec) / (NORM_GRID_POINTS - 1) ** 2) * keys
 
 
 class TestQuadrature:
@@ -213,7 +218,8 @@ class TestNormBox:
                 except fock_oracle.TruncationError:
                     continue  # the oracle does not hold this state
                 expected = (2.0 * rho.mean_photons() + 1.0) / spec.thermal.cosh_2theta
-                assert _second_moment_in_widths(spec) == pytest.approx(
+                moment = _second_moment_in_widths(spec.family, spec.n, spec.thermal.cosh_2theta)
+                assert moment == pytest.approx(
                     expected, rel=1e-10, abs=1e-12
                 ), (family, n, theta)
                 checked += 1
@@ -254,9 +260,8 @@ class TestNormBox:
         for family, n in [("vacuum", 0), ("subtracted", 16), ("added", 16), ("number", 8)]:
             for theta in (0.1, 1.0, 3.0):
                 spec = state(family, theta, n=n)
-                widths = max(36.0 + 2.0 * n, 6.0 * _second_moment_in_widths(spec))
                 assert default_norm_box(spec).q_max == math.sqrt(
-                    spec.thermal.cosh_2theta * widths)
+                    spec.thermal.cosh_2theta * norm_widths(spec))
 
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_broad_number_states_normalize(self, n):
@@ -666,8 +671,7 @@ class TestScanTheta:
         # must be every one of its steps' u
         thetas = self.SCAN_GRIDS[0]
         # in theta order: along a scan the box size is monotonic in theta
-        widths = list(dict.fromkeys(analysis._norm_box_widths(state(family, t, n))
-                                    for t in thetas))
+        widths = list(dict.fromkeys(norm_widths(state(family, t, n)) for t in thetas))
         assert len(widths) == boxes
         calls = []
         prepare = closed_form.prepare_gaussian
@@ -756,13 +760,14 @@ class TestScanTheta:
                 negativity_of_state(spec)
 
     @pytest.mark.parametrize("family, n", [("added", 2), ("added", 8), ("added", 16),
-                                           ("number", 4)])
+                                           ("number", 4), ("number", 16)])
     def test_a_scan_of_many_blocks_is_the_one_state_pass(self, monkeypatch, family, n):
         # a long scan takes several blocks; its rows are still the one-state
         # pass at their theta, bit for bit, also across the jump in theta,
         # where a block's prefix is far shorter than the block's before it.
-        # A number scan's u is the whole plan at every step, so one prepared
-        # kernel serves every block
+        # A number scan's u is theta-free: each prepared kernel holds one row
+        # of u, up to its bound's prefix, or the whole plan for a block with a
+        # step that fails the sign test, and it serves every block that reads it
         thetas = np.concatenate([np.linspace(0.05, 0.5, 60), np.linspace(3.0, 5.0, 60)])
         prepared, called = [], []
         prepare = closed_form.prepare_gaussian
@@ -772,7 +777,7 @@ class TestScanTheta:
             at = prepare(family_, n_, u)
 
             def values(theta):
-                called.append(np.shape(theta))
+                called.append((np.shape(u), np.ravel(theta)))
                 return at(theta)
             return values
 
@@ -780,10 +785,17 @@ class TestScanTheta:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(closed_form, "prepare_gaussian", recording)
             rows = scan_theta(Family(family), n, thetas)
-        assert sum(shape[0] for shape in called) == thetas.size
-        assert max(shape[0] for shape in called) < thetas.size
+        assert sum(block.size for _, block in called) == thetas.size
+        assert max(block.size for _, block in called) < thetas.size
         if family == "number":
-            assert prepared == [(1, _radial_simpson_plan(NORM_GRID_POINTS)[0].size)]
+            keys = _radial_simpson_plan(NORM_GRID_POINTS)[0]
+            scale = analysis._norm_step(Family.THERMAL_NUMBER, n, 1.0)[1]
+            for shape, block in called:
+                bounds = closed_form.negative_bound(Family.THERMAL_NUMBER, n, block)
+                count = np.searchsorted(keys, bounds.max() / scale, side="right")
+                assert shape == (1, count), (shape, count)
+            shapes = [shape for shape, _ in called]
+            assert len(prepared) == 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
         for theta, row in zip(thetas, rows):
             _, values, _, negativity = analysis._norm_pass(state(family, theta, n),
                                                            Source.CLOSED_FORM)
@@ -796,20 +808,30 @@ class TestScanTheta:
         # every closed-form value must have its sign bit clear, so that
         # min(W, 0) there is +0.0 bit for bit.  The photon-added bound lies
         # beyond the largest zero of L_n (Gauss-Laguerre nodes) at every
-        # theta; for n = 0, L_0 = 1 has no zeros and the bound is 0
-        thetas = [*np.concatenate(self.SCAN_GRIDS), 5.0]
+        # theta, and a finite thermal number bound beyond that of L_2n; for
+        # n = 0, L_0 = 1 has no zeros and the bound is 0.  At theta = 0 the
+        # number state is |n>, whose outer coefficients are rounding: its
+        # bound is infinite.  Both bounds are 1e-3 past the zero, so the
+        # sign bits are checked on a fine grid of temperatures too
+        thetas = [*np.concatenate(self.SCAN_GRIDS), 5.0, *np.linspace(0.0, 5.0, 201)]
         for theta in thetas:
             assert closed_form.negative_bound(Family.PHOTON_ADDED, 0, theta) == 0.0
         for n in range(1, 17):
             largest = np.polynomial.laguerre.laggauss(n)[0].max()
+            largest_2n = np.polynomial.laguerre.laggauss(2 * n)[0].max()
+            assert closed_form.negative_bound(Family.THERMAL_NUMBER, n, 0.0) == math.inf
             for theta in thetas:
                 bound = closed_form.negative_bound(Family.PHOTON_ADDED, n, theta)
                 assert largest / (4.0 * math.cosh(theta) ** 2) < bound, (n, theta)
+                bound = closed_form.negative_bound(Family.THERMAL_NUMBER, n, theta)
+                assert largest_2n / 4.0 < bound, (n, theta)
         keys, _ = _radial_simpson_plan(NORM_GRID_POINTS)
         checked = 0
         for family in Family:
             for n in [0] if family is Family.THERMAL_VACUUM else [*range(9), 12, 16]:
                 for theta in thetas:
+                    if family is Family.PHOTON_SUBTRACTED and n > 0 and theta == 0.0:
+                        continue  # the null state: no Wigner function exists
                     spec = state(family, theta, n)
                     _, values, _, _ = analysis._norm_pass(spec, Source.CLOSED_FORM)
                     scale = analysis._norm_step(spec.family, spec.n, spec.thermal.theta)[1]

@@ -513,6 +513,40 @@ class TestFoldedRows:
         assert got[0] == pytest.approx(coeffs.sum(), rel=1e-14)
 
 
+class TestNegativeBound:
+    # a scan reads each step only up to closed_form.negative_bound, whose
+    # photon-added and thermal number bounds sit at the largest zero of a
+    # Laguerre polynomial, raised by 1e-3 of itself
+
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_largest_zero_lies_just_above_the_gauss_laguerre_node(self, m):
+        largest = np.polynomial.laguerre.laggauss(m)[0].max()
+        zero = closed_form._largest_laguerre_zero(m)
+        assert largest < zero <= largest * (1.0 + 2e-3), (m, zero, largest)
+
+    def test_the_sign_test_accepts_only_alternating_series(self):
+        # the one-product test of every temperature never accepts a theta at
+        # which the kernel's own coefficients break (-1)^k a_k > 0
+        thetas = np.linspace(0.0, 5.0, 2001)
+        for n in range(1, 17):
+            bounds = closed_form.negative_bound(Family.THERMAL_NUMBER, n, thetas)
+            assert bounds.shape == thetas.shape
+            assert set(bounds[np.isfinite(bounds)]) <= {closed_form._largest_laguerre_zero(2 * n) / 4}
+            signs = (-1.0) ** np.arange(n + 1)
+            for theta in thetas[np.isfinite(bounds)]:
+                series = closed_form._thermal_number_series(n, float(theta))
+                assert np.all(signs * series > 0.0), (n, theta)
+
+    def test_a_sequence_of_temperatures_gives_the_scalar_bounds(self):
+        thetas = [0.0, 0.01, 0.3, 2.0, 5.0]
+        for family in Family:
+            for n in (0, 1, 4, 16):
+                bounds = closed_form.negative_bound(family, n, thetas)
+                assert bounds.tolist() == [closed_form.negative_bound(family, n, t)
+                                           for t in thetas]
+                assert closed_form.negative_bound(family, n, []).shape == (0,)
+
+
 class TestNormalizationConstants:
     def test_trivial_counts(self):
         thermal = params_from_theta(0.9)
